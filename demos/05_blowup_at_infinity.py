@@ -24,7 +24,6 @@ def walk(mode):
     print("  (the two irrational ones are -1 -/+ sqrt(2)/2: the other "
           "asymptotic directions)")
 
-    shadows = None
     for step in range(1, 11):
         st = cs.blowup_once(st)
         cps = cs.divisor_critical_points(st)
@@ -49,9 +48,11 @@ def main():
     walk("generic")
     walk("t0")
 
-    print("\nfull engine runs:")
+    print("\nfull engine runs (the shot orbit votes where several critical "
+          "points lie on the divisor):")
+    traj = cs.shoot_separatrix()
     for mode in ("generic", "t0"):
-        rep = cs.run_sequence(mode)
+        rep = cs.run_sequence(mode, traj)
         absc = (rep.curve_abscissa.text()
                 if isinstance(rep.curve_abscissa, cs.SRational)
                 else str(rep.curve_abscissa))

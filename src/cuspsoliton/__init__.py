@@ -90,7 +90,6 @@ from .blowup import (
     run_sequence,
     project_to_infinity,
     CURVE_XY,
-    VERTICAL_ISOCLINE_XY,
 )
 
 __version__ = "0.1.0"

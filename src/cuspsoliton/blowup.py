@@ -28,13 +28,14 @@ from math import comb
 
 import numpy as np
 
+from .phase_core import Trajectory
+
 __all__ = [
     "CoeffAffine", "ExactPoly", "SRational", "DivisorPoint",
     "BlowupState", "BlowupReport", "BlowupError", "RingDegreeError",
     "chart_to_infinity", "blowup_once", "translate",
     "divisor_critical_points", "curve_divisor_intersection", "run_sequence",
     "project_to_infinity", "BASE_P", "BASE_Q", "CURVE_XY",
-    "VERTICAL_ISOCLINE_XY",
 ]
 
 
@@ -241,8 +242,6 @@ CURVE_XY = ExactPoly.from_terms({
     (1, 1): 2, (2, 0): -1, (0, 0): 1,                       # 2xy - x^2 + 1
     (1, 3): (0, -2), (2, 2): (0, 2), (0, 2): (0, -1),       # s y^2 (-2xy + 2x^2 - 1)
 })
-#: the vertical isocline {H' = 0} as a polynomial, for sanity comparisons
-VERTICAL_ISOCLINE_XY = BASE_P
 
 
 def project_to_infinity(poly: ExactPoly, degree: int | None = None) -> ExactPoly:
@@ -656,20 +655,20 @@ class BlowupReport:
         return "\n".join(lines)
 
 
-def _default_shadow_states() -> list[tuple[float, float]]:
-    """Phase states of the bounded orbit near the asymptote, for tracking."""
-    from .phase_core import IntegratorControls, integrate, SADDLE, SLOPE_UNSTABLE
+#: F-values of the orbit points that vote on the tracked critical point
+_SHADOW_F = (-6.0, -12.0, -25.0)
 
-    u = np.array([1.0, SLOPE_UNSTABLE])
-    u /= np.linalg.norm(u)
-    start = (SADDLE.H - 1e-9 * u[0], SADDLE.F - 1e-9 * u[1])
-    ctl = IntegratorControls(rel_tol=1e-12, abs_tol=1e-14, r_max=220.0)
-    traj = integrate(start, 0.0, ctl, track_sigma=False)
+
+def _shadow_states(traj: Trajectory) -> list[tuple[float, float]]:
+    """Phase states of the bounded orbit near the asymptote, for tracking."""
+    need, reached = min(_SHADOW_F), float(np.min(traj.F))
+    if reached > need:
+        raise BlowupError(f"blow-up tracking needs the orbit out to F = {need}, "
+                          f"but it ends at F = {reached:.6g}")
     out = []
-    for Ft in (-6.0, -12.0, -25.0):
-        rr = traj.r_at_F(Ft)
-        H, F = (float(v) for v in traj.state_at(rr)[:2])
-        out.append((H, F))
+    for Ft in _SHADOW_F:
+        H, F, _ = traj.state_at(traj.r_at_F(Ft))
+        out.append((float(H), float(F)))
     return out
 
 
@@ -706,13 +705,15 @@ def _root_matches(tracked: DivisorPoint, root) -> bool:
     return False
 
 
-def run_sequence(t_mode: str = "generic", curve: ExactPoly | None = None,
-                 max_steps: int = 24,
-                 shadows: list[tuple[float, float]] | None = None) -> BlowupReport:
+def run_sequence(t_mode: str, traj: Trajectory, curve: ExactPoly | None = None,
+                 max_steps: int = 24) -> BlowupReport:
     """Blow up until the followed critical point separates from the curve.
 
     ``t_mode`` is "generic" (coefficients affine in s) or "t0" (exact
-    specialization s = 1).  After separation the critical point is
+    specialization s = 1).  Where several critical points lie on the
+    divisor, points of the bounded orbit ``traj`` at F = -6, -12, -25 vote
+    on the one its germ follows; an orbit that ends before F = -25 raises
+    BlowupError.  After separation the critical point is
     recentered at the origin by one final translation, so the reported
     curve abscissa is measured relative to it.  Contact order is the
     number of blow-ups needed to separate, minus one.
@@ -723,7 +724,7 @@ def run_sequence(t_mode: str = "generic", curve: ExactPoly | None = None,
     st = chart_to_infinity(s_value, curve=curve)
     if st.curve and (0, 0) in st.curve.terms:
         raise BlowupError("curve does not pass through the blow-up point")
-    shadows = shadows if shadows is not None else _default_shadow_states()
+    shadows = _shadow_states(traj)
     translations: list[tuple[int, Fraction]] = []
 
     for step in range(1, max_steps + 1):

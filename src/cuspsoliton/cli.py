@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,7 +51,6 @@ class RunConfig:
     shoot_offset: float = 1e-8
     saddle_ball: float = 1e-9
     r_max: float = 2000.0
-    r_min: float = -60.0
     h_floor: float = 1e-6
     h_anchor: float = 0.0
     f0: float = 0.0
@@ -77,7 +77,7 @@ class RunConfig:
             saddle_ball=self.saddle_ball,
             controls=IntegratorControls(
                 rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                r_min=self.r_min, r_max=self.r_max, h_floor=self.h_floor),
+                r_max=self.r_max, h_floor=self.h_floor),
         )
 
 
@@ -241,7 +241,11 @@ class _Session:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.traj = shoot_separatrix(cfg.shoot_config())
-        self.profile = reconstruct_profiles(self.traj, cfg.h_anchor, cfg.f0)
+
+    @cached_property
+    def profile(self):
+        # only the separatrix, curvature and asymptotics tables need it
+        return reconstruct_profiles(self.traj, self.cfg.h_anchor, self.cfg.f0)
 
 
 def cmd_separatrix(session: _Session, em: Emitter) -> int:
@@ -370,9 +374,9 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
     return EXIT_OK
 
 
-def cmd_blowup(session: _Session | None, em: Emitter) -> int:
-    rep_g = run_sequence("generic")
-    rep_0 = run_sequence("t0")
+def cmd_blowup(session: _Session, em: Emitter) -> int:
+    rep_g = run_sequence("generic", session.traj)
+    rep_0 = run_sequence("t0", session.traj)
     em.text("blowup_generic", rep_g.to_text())
     em.text("blowup_t0", rep_0.to_text())
     em.report("blowup", {
@@ -437,17 +441,11 @@ def main(argv=None) -> int:
 
     t0 = time.monotonic()
     status = EXIT_OK
+    names = list(_COMMANDS) if args.command == "all" else [args.command]
     try:
-        if args.command == "blowup":
-            status = cmd_blowup(None, em)
-        else:
-            session = _Session(cfg)
-            if args.command == "all":
-                for name in ("separatrix", "curvature", "asymptotics", "evolve"):
-                    status = max(status, _COMMANDS[name](session, em))
-                status = max(status, cmd_blowup(session, em))
-            else:
-                status = _COMMANDS[args.command](session, em)
+        session = _Session(cfg)
+        for name in names:
+            status = max(status, _COMMANDS[name](session, em))
     except (ShootError, IntegrationError, BlowupError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

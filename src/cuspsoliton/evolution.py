@@ -29,10 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .phase_core import Trajectory, IntegrationError
+from .phase_core import Trajectory, IntegrationError, _solve
 
 __all__ = [
     "CrossingReport", "PsiScan", "DeltaScan", "RHistory",
@@ -107,8 +106,8 @@ def ct_branch_x(y, t: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(q != 0.0, C0 / np.where(q != 0.0, q, 1.0), 0.0)
     for _ in range(2):
-        val = (2.0 * x * y - x ** 2 + 1.0) + s * y ** 2 * (-2.0 * x * y + 2.0 * x ** 2 - 1.0)
-        dv = 2.0 * y - 2.0 * x + s * y ** 2 * (-2.0 * y + 4.0 * x)
+        val = Ct(x, y, t)
+        dv = grad_Ct(x, y, t)[0]
         step = np.where(dv != 0.0, val / np.where(dv != 0.0, dv, 1.0), 0.0)
         x = x - step
     return float(x[0]) if scalar else x
@@ -174,26 +173,22 @@ def scan_psi(t: float, y_floor: float = -1e3, n: int = 1200) -> PsiScan:
 # ---------------------------------------------------------------------------
 # crossings of {C_t = 0} with the bounded orbit
 
-def _ct_along(traj: Trajectory, rg: np.ndarray, t: float):
-    """C_t on the orbit in the cancellation-free split form.
+def _ct_along(traj: Trajectory, rg: np.ndarray, s):
+    """C_t and R[g0] on the orbit, C_t in the cancellation-free split form.
 
     With p = HF + 1/2 and sigma = H^2 - p (the transported curvature state),
-    C_t = (2p - H^2) + 2 (t+1) F^2 sigma.  Returns (value, scale) where
-    scale bounds the magnitudes of the two constituents; sign changes are
-    only trusted where |C_t| clears a small fraction of the scale, since
-    beyond that the difference is below the accuracy of the orbit itself.
+    C_t = (2p - H^2) + 2 s F^2 sigma, where s = t + 1 is a scalar or an
+    array matching ``rg``, and R[g0] = -2H^2 + 4 sigma.  Returns
+    (C_t, scale, R0) where scale bounds the magnitudes of the two
+    constituents of C_t; sign changes are only trusted where |C_t| clears a
+    small fraction of the scale, since beyond that the difference is below
+    the accuracy of the orbit itself.
     """
-    states = traj.state_at(rg)
-    H, F = states[0], states[1]
-    s = t + 1.0
-    p = H * F + 0.5
-    if states.shape[0] > 2:
-        sig = states[2]
-    else:
-        sig = H ** 2 - p
-    part1 = 2.0 * p - H ** 2
+    H, F, sig = traj.state_at(rg)
+    H2 = H ** 2
+    part1 = 2.0 * (H * F + 0.5) - H2
     part2 = 2.0 * s * F ** 2 * sig
-    return part1 + part2, np.abs(part1) + np.abs(part2)
+    return part1 + part2, np.abs(part1) + np.abs(part2), -2.0 * H2 + 4.0 * sig
 
 
 @dataclass
@@ -224,7 +219,7 @@ def find_crossings(traj: Trajectory, t: float, n_grid: int = 400001,
     """
     t = _check_t(t)
     rg = traj.dense_grid(n_grid)
-    vals, scale = _ct_along(traj, rg, t)
+    vals, scale, _ = _ct_along(traj, rg, t + 1.0)
     thresh = significance * scale + 1e-300
 
     sig_idx = np.nonzero(np.abs(vals) >= thresh)[0]
@@ -239,7 +234,7 @@ def find_crossings(traj: Trajectory, t: float, n_grid: int = 400001,
             continue
         if sgn != pattern[-1]:
             lo, hi = rg[prev_i], rg[i]
-            f = lambda rr: float(_ct_along(traj, np.atleast_1d(rr), t)[0][0])
+            f = lambda rr: float(_ct_along(traj, np.atleast_1d(rr), t + 1.0)[0][0])
             try:
                 rc = float(brentq(f, lo, hi, xtol=xtol, rtol=1e-15))
             except ValueError:
@@ -337,15 +332,13 @@ class RHistory:
         return self.sign_change_times[-1] if self.sign_change_times else None
 
 
-def pointwise_R_history(r0: float, t_grid, traj: Trajectory,
-                        profile=None) -> RHistory:
+def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     """Track R[g(t)] at the point anchored at r(0) = r0.
 
     Solves rdot = F(r) with F interpolated along the computed orbit, then
-    evaluates R[g(t)] = R[g0](r(t))/(t+1) and the dR/dt formula.  The
-    metric data come from the phase states, so ``profile`` is accepted
-    only for interface symmetry and may be None.  If r(t) would leave the
-    computed range the history is truncated and flagged.
+    evaluates R[g(t)] = R[g0](r(t))/(t+1) and the dR/dt formula from the
+    phase states.  If r(t) would leave the computed range the history is
+    truncated and flagged.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     if t_grid[0] <= -1.0:
@@ -369,11 +362,7 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory,
         if ts.size == 0:
             continue
         t_end = ts[-1] if direction > 0 else ts[0]
-        sol = solve_ivp(rhs, (0.0, t_end), [r0], method="DOP853",
-                        rtol=1e-10, atol=1e-12, dense_output=True,
-                        events=hit_edge)
-        if sol.status == -1:
-            raise IntegrationError(sol.message)
+        sol = _solve(rhs, [r0], (0.0, t_end), 1e-10, 1e-12, events=hit_edge)
         if sol.status == 1:
             truncated = True
         t_ok = ts[(ts >= min(0.0, sol.t[-1])) & (ts <= max(0.0, sol.t[-1]))]
@@ -381,13 +370,8 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory,
 
     valid = ~np.isnan(r_of_t)
     tv = t_grid[valid]
-    states = traj.state_at(r_of_t[valid])
-    H, F = states[0], states[1]
-    sig = states[2] if states.shape[0] > 2 else H ** 2 - (H * F + 0.5)
-    R0 = -2.0 * H ** 2 + 4.0 * sig
+    ct, _, R0 = _ct_along(traj, r_of_t[valid], tv + 1.0)
     R = R0 / (tv + 1.0)
-    p = H * F + 0.5
-    ct = (2.0 * p - H ** 2) + 2.0 * (tv + 1.0) * F ** 2 * sig
     dR = 2.0 / (tv + 1.0) ** 2 * ct
 
     sign_changes = []

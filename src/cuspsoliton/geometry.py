@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase_core import Trajectory
+from .phase_core import EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, Trajectory, vector_field
 
 __all__ = [
     "MetricProfile", "CurvatureTable", "SolitonResiduals",
@@ -182,25 +182,18 @@ class CurvatureTable:
 def curvatures(traj: Trajectory, r=None) -> CurvatureTable:
     """Curvatures along ``traj`` (at its samples, or at a given r grid).
 
-    When the trajectory carries the transported curvature state, that is
-    used for the mixed curvature and everything derived from it; otherwise
-    the direct expressions in (H, H') are used, whose accuracy degrades by
-    cancellation once |sec_rx| falls below the integration error.
+    The mixed curvature and everything derived from it come from the
+    transported curvature state, which keeps full relative accuracy where
+    the direct expressions in (H, H') cancel.
     """
     if traj.eps != 1:
         raise ValueError("curvature formulas assume the expanding normalization")
     if r is None:
-        rr, H, F = traj.r, traj.H, traj.F
-        sig = traj.sigma
+        rr, H, F, sig = traj.r, traj.H, traj.F, traj.sigma
     else:
         rr = np.asarray(r, dtype=float)
-        states = traj.state_at(rr)
-        H, F = states[0], states[1]
-        sig = states[2] if states.shape[0] > 2 else None
-    dH = H * F - 2.0 * H ** 2 + 0.5
-    dF = 2.0 * H * F - 2.0 * H ** 2 + 0.5
-    if sig is None:
-        sig = -(H ** 2 + dH)
+        H, F, sig = traj.state_at(rr)
+    dF = vector_field((H, F)).dF
     return CurvatureTable(
         r=rr,
         sec_xy=-H ** 2,
@@ -244,16 +237,14 @@ def soliton_residuals(traj: Trajectory, profile: MetricProfile) -> SolitonResidu
     if profile.r is not traj.r and not np.array_equal(profile.r, traj.r):
         raise ValueError("profile must be co-sampled with the trajectory")
     H, F = traj.H, traj.F
-    dH = H * F - 2.0 * H ** 2 + 0.5
-    dF = 2.0 * H * F - 2.0 * H ** 2 + 0.5
+    dH, dF = vector_field((H, F))
     ddH = dH * F + H * dF - 4.0 * H * dH
     R_direct = -4.0 * dH - 6.0 * H ** 2
     res1 = R_direct + (2.0 * H * F + dF) + 1.5
     Rp = -4.0 * ddH - 12.0 * H * dH
     res2 = Rp - 2.0 * (-2.0 * (H ** 2 + dH)) * F
 
-    sig = traj.sigma if traj.sigma is not None else -(H ** 2 + dH)
-    R_acc = -2.0 * H ** 2 + 4.0 * sig
+    R_acc = -2.0 * H ** 2 + 4.0 * traj.sigma
     Q = R_acc + F ** 2 + profile.f
     if traj.r[0] <= 0.0 <= traj.r[-1]:
         q_ref = float(np.interp(0.0, traj.r, Q))
@@ -296,9 +287,6 @@ class AsymptoticsReport:
         raise KeyError(name)
 
 
-_SQRT5 = math.sqrt(5.0)
-
-
 def check_asymptotics(traj: Trajectory, profile: MetricProfile,
                       r_cusp: float = -30.0, r_flat: float = 500.0,
                       trend_points: int = 9) -> tuple[AsymptoticsReport, AsymptoticsReport]:
@@ -313,14 +301,14 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
     if profile.cusp_h_offset is None:
         raise ValueError("asymptotics need a separatrix profile")
     entries_c: list[RatioEntry] = []
-    slope = 3.0 + _SQRT5
 
     def cusp_entry(name, r_at, measured, target, ok=True, note=""):
         entries_c.append(RatioEntry(name, r_at, measured, target, ok, note))
 
     if r_cusp < traj.r_lo:
-        for name, tgt in (("h_over_half_r", 1.0), ("f_dev_over_h_dev", slope),
-                          ("h_dev_over_f_dev", 1.0 / slope)):
+        for name, tgt in (("h_over_half_r", 1.0),
+                          ("f_dev_over_h_dev", SLOPE_UNSTABLE),
+                          ("h_dev_over_f_dev", 1.0 / SLOPE_UNSTABLE)):
             cusp_entry(name, r_cusp, math.nan, tgt, ok=False,
                        note="insufficient range")
         alpha_report = None
@@ -330,13 +318,13 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
         h_dev = h_c - r_cusp / 2.0 - profile.cusp_h_offset
         f_dev = f_c - profile.f0
         cusp_entry("h_over_half_r", r_cusp, h_c / (r_cusp / 2.0), 1.0)
-        cusp_entry("f_dev_over_h_dev", r_cusp, f_dev / h_dev, slope)
-        cusp_entry("h_dev_over_f_dev", r_cusp, h_dev / f_dev, 1.0 / slope)
+        cusp_entry("f_dev_over_h_dev", r_cusp, f_dev / h_dev, SLOPE_UNSTABLE)
+        cusp_entry("h_dev_over_f_dev", r_cusp, h_dev / f_dev, 1.0 / SLOPE_UNSTABLE)
         m = (traj.r >= r_cusp) & (traj.r <= r_cusp + 20.0) & (traj.F < 0)
         alpha_report = float(np.polyfit(traj.r[m],
                                         np.log(-traj.F[m]), 1)[0]) if m.sum() > 2 else None
         if alpha_report is not None:
-            cusp_entry("log_F_slope", r_cusp, alpha_report, (-1.0 + _SQRT5) / 2.0)
+            cusp_entry("log_F_slope", r_cusp, alpha_report, EIGENVALUE_UNSTABLE)
 
     cusp = AsymptoticsReport("cusp", entries_c, alpha_fit=alpha_report,
                              extras={"f0": profile.f0,
@@ -359,8 +347,7 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
         Hp, Fp = traj.state_at(r_flat)[:2]
         flat_entry("H_times_r", r_flat, float(Hp * r_flat), 1.0)
         flat_entry("HF", r_flat, float(Hp * Fp), -0.5)
-        flat_entry("F_prime", r_flat,
-                   float(2.0 * Hp * Fp - 2.0 * Hp ** 2 + 0.5), -0.5)
+        flat_entry("F_prime", r_flat, float(vector_field((Hp, Fp)).dF), -0.5)
         flat_entry("F_over_neg_half_r", r_flat, float(Fp / (-r_flat / 2.0)), 1.0)
         rg = np.geomspace(r_hi / 10.0, r_hi, trend_points)
         Hg = traj.state_at(rg)[0]

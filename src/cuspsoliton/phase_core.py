@@ -11,7 +11,7 @@ normalization.  Only eps = +1 admits critical points, the saddles
 (+-1/2, 0); the orbit structure around (1/2, 0) carries the whole
 geometry downstream.
 
-Besides the state (H, F), the integrator optionally transports
+Besides the state (H, F), the integrator transports
 
     sigma = -(H' + H^2),    sigma' = (F - H) sigma - H^3
 
@@ -77,6 +77,12 @@ def _check_eps(eps: int) -> int:
     return eps
 
 
+def _field(H, F, half):
+    # the one spelling of (H', F'); the integrator calls it on every step
+    c = -2.0 * H * H + half
+    return H * F + c, 2.0 * H * F + c
+
+
 def vector_field(p, eps: int = 1) -> PhaseVelocity:
     """Right-hand side (H', F') of the system at ``p``.
 
@@ -86,8 +92,7 @@ def vector_field(p, eps: int = 1) -> PhaseVelocity:
     """
     _check_eps(eps)
     H, F = p
-    common = -2.0 * np.asarray(H) ** 2 + 0.5 * eps
-    return PhaseVelocity(H * F + common, 2.0 * H * F + common)
+    return PhaseVelocity(*_field(H, F, 0.5 * eps))
 
 
 @dataclass(frozen=True)
@@ -206,13 +211,13 @@ class Trajectory:
     """A computed orbit: samples at the accepted steps plus dense output.
 
     ``r`` is strictly increasing.  ``sigma`` is the transported curvature
-    state -(H' + H^2) when it was tracked, else None.
+    state -(H' + H^2).
     """
 
     r: np.ndarray
     H: np.ndarray
     F: np.ndarray
-    sigma: np.ndarray | None
+    sigma: np.ndarray
     eps: int
     rel_tol: float
     abs_tol: float
@@ -224,8 +229,7 @@ class Trajectory:
         if np.any(np.diff(self.r) <= 0):
             raise ValueError("trajectory samples must be strictly increasing in r")
         for arr in (self.r, self.H, self.F, self.sigma):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     @property
     def r_lo(self) -> float:
@@ -236,7 +240,7 @@ class Trajectory:
         return float(self.r[-1])
 
     def state_at(self, r) -> np.ndarray:
-        """Dense-output states at ``r``; shape (ncomp, n) or (ncomp,)."""
+        """Dense-output states (H, F, sigma) at ``r``; shape (3, n) or (3,)."""
         rq = np.asarray(r, dtype=float)
         scalar = rq.ndim == 0
         rq = np.atleast_1d(rq)
@@ -244,20 +248,19 @@ class Trajectory:
             raise ValueError(
                 f"r range [{rq.min()}, {rq.max()}] outside computed "
                 f"[{self.r_lo}, {self.r_hi}]")
-        ncomp = 2 if self.sigma is None else 3
-        out = np.empty((ncomp, rq.size))
+        out = np.empty((3, rq.size))
         done = np.zeros(rq.size, dtype=bool)
         for leg in self.legs:
             m = ~done & (rq <= leg.r_hi + 1e-12)
             if np.any(m):
-                out[:, m] = leg.sol(rq[m] + leg.shift)[:ncomp]
+                out[:, m] = leg.sol(rq[m] + leg.shift)
                 done |= m
         if not np.all(done):  # numerical edge: clamp to last leg
             leg = self.legs[-1]
             m = ~done
             out[:, m] = leg.sol(np.clip(rq[m] + leg.shift,
                                         leg.r_lo + leg.shift,
-                                        leg.r_hi + leg.shift))[:ncomp]
+                                        leg.r_hi + leg.shift))
         return out[:, 0] if scalar else out
 
     def dense_grid(self, n: int) -> np.ndarray:
@@ -280,37 +283,36 @@ class Trajectory:
 
 
 def _sigma_init(H: float, F: float, eps: int) -> float:
+    # H' summed left to right, not through _field: at the default shot point
+    # _field's order rounds sigma_0 one ulp apart, which moves every sample
+    # of the orbit in its last bit
     dH = H * F - 2.0 * H * H + 0.5 * eps
     return -(dH + H * H)
 
 
-def _make_rhs(eps: int, track_sigma: bool) -> Callable:
+def _make_rhs(eps: int) -> Callable:
     half = 0.5 * eps
-    if track_sigma:
-        def rhs(r, y):
-            H, F, sig = y
-            c = -2.0 * H * H + half
-            return (H * F + c, 2.0 * H * F + c, (F - H) * sig - H ** 3)
-    else:
-        def rhs(r, y):
-            H, F = y
-            c = -2.0 * H * H + half
-            return (H * F + c, 2.0 * H * F + c)
+
+    def rhs(r, y):
+        H, F, sig = y.tolist()   # float arithmetic: numpy scalars cost more
+        dH, dF = _field(H, F, half)
+        return (dH, dF, (F - H) * sig - H ** 3)
     return rhs
 
 
-def _solve(rhs, y0, span, rel_tol, abs_tol, max_step, events=None):
-    sol = solve_ivp(rhs, span, y0, method="DOP853", dense_output=True,
+def _solve(rhs, y0, span, rel_tol, abs_tol, max_step=math.inf, events=None,
+           method="DOP853", **options):
+    """Dense-output ``solve_ivp`` run; failure or a non-finite state raises."""
+    sol = solve_ivp(rhs, span, y0, method=method, dense_output=True,
                     rtol=rel_tol, atol=abs_tol, max_step=max_step,
-                    events=events)
+                    events=events, **options)
     if sol.status == -1 or not np.all(np.isfinite(sol.y)):
         raise IntegrationError(sol.message)
     return sol
 
 
 def integrate(start, r0: float, controls: IntegratorControls,
-              eps: int = 1, direction: str = "forward",
-              track_sigma: bool = True) -> Trajectory:
+              eps: int = 1, direction: str = "forward") -> Trajectory:
     """Integrate the system from ``start`` at r = r0.
 
     Forward runs extend to ``controls.r_max``, backward runs to
@@ -321,7 +323,7 @@ def integrate(start, r0: float, controls: IntegratorControls,
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     H0, F0 = float(start[0]), float(start[1])
-    y0 = [H0, F0, _sigma_init(H0, F0, eps)] if track_sigma else [H0, F0]
+    y0 = [H0, F0, _sigma_init(H0, F0, eps)]
     r_end = controls.r_max if direction == "forward" else controls.r_min
     if not math.isfinite(r_end):
         raise ValueError("integration endpoint must be finite")
@@ -339,8 +341,8 @@ def integrate(start, r0: float, controls: IntegratorControls,
         events.append(ev)
         names.append("f_ceiling")
 
-    atol = [controls.abs_tol] * 2 + ([1e-21] if track_sigma else [])
-    sol = _solve(_make_rhs(eps, track_sigma), y0, (r0, r_end),
+    atol = [controls.abs_tol] * 2 + [1e-21]
+    sol = _solve(_make_rhs(eps), y0, (r0, r_end),
                  controls.rel_tol, atol, controls.max_step, events or None)
     termination = "r_end"
     if sol.status == 1:
@@ -353,7 +355,7 @@ def integrate(start, r0: float, controls: IntegratorControls,
     leg = _Leg(float(ts[0]), float(ts[-1]), 0.0, sol.sol)
     return Trajectory(
         r=ts.copy(), H=ys[0].copy(), F=ys[1].copy(),
-        sigma=ys[2].copy() if track_sigma else None,
+        sigma=ys[2].copy(),
         eps=eps, rel_tol=controls.rel_tol, abs_tol=controls.abs_tol,
         termination=termination, legs=(leg,),
         meta={"r0": r0, "direction": direction},

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .phase_core import (
-    SADDLE, SLOPE_UNSTABLE, IntegratorControls, IntegrationError, Trajectory,
-    _Leg, _make_rhs, _sigma_init, _solve,
+    EIGENVALUE_UNSTABLE, SADDLE, SLOPE_UNSTABLE, IntegratorControls, Trajectory,
+    _Leg, _make_rhs, _sigma_init, _solve, linearize,
 )
 
 # The transversal contraction rate along the orbit grows like r/2, so an
@@ -34,8 +33,9 @@ _STIFF_MAX_STEP = 5.0
 
 def _stiff_jacobian(r, y):
     H, F, sig = y
-    return [[F - 4.0 * H, H, 0.0],
-            [2.0 * F - 4.0 * H, 2.0 * H, 0.0],
+    j = linearize((H, F))
+    return [[j.a11, j.a12, 0.0],
+            [j.a21, j.a22, 0.0],
             [-sig - 3.0 * H ** 2, sig, F - H]]
 
 __all__ = [
@@ -101,7 +101,7 @@ class ShootConfig:
     offset: float = 1e-8
     direction: int = -1
     controls: IntegratorControls = field(default_factory=lambda: IntegratorControls(
-        r_min=-60.0, r_max=2000.0, h_floor=1e-6))
+        r_max=2000.0, h_floor=1e-6))
     saddle_ball: float = 1e-9
 
     def __post_init__(self):
@@ -139,7 +139,7 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
         raise ShootError("shot starts outside the band 0 < H < 1/2; "
                          "check offset/direction")
     y0 = [start[0], start[1], _sigma_init(start[0], start[1], 1)]
-    rhs = _make_rhs(1, track_sigma=True)
+    rhs = _make_rhs(1)
     atol = [ctl.abs_tol, ctl.abs_tol, 1e-21]
 
     # probe: raw parameter distance from the shot point to F = -1
@@ -165,13 +165,10 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     termination = "h_floor" if len(fwd.t_events[1]) else "r_max"
     far = None
     if fwd.status != 1 and raw_end > raw_split:
-        far = solve_ivp(rhs, (raw_split, raw_end), fwd.y[:, -1],
-                        method="Radau", jac=_stiff_jacobian,
-                        dense_output=True, rtol=ctl.rel_tol, atol=atol,
-                        max_step=min(ctl.max_step, _STIFF_MAX_STEP),
-                        events=[guard_hi, guard_lo])
-        if far.status == -1 or not np.all(np.isfinite(far.y)):
-            raise IntegrationError(far.message)
+        far = _solve(rhs, fwd.y[:, -1], (raw_split, raw_end), ctl.rel_tol,
+                     atol, min(ctl.max_step, _STIFF_MAX_STEP),
+                     events=[guard_hi, guard_lo], method="Radau",
+                     jac=_stiff_jacobian)
         if len(far.t_events[0]):
             raise ShootError("orbit left the band H < 1/2; check offset/direction")
         termination = "h_floor" if len(far.t_events[1]) else "r_max"
@@ -181,7 +178,7 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     ball = lambda r, y: math.hypot(y[0] - 0.5, y[1]) - cfg.saddle_ball
     ball.terminal, ball.direction = True, -1
     atol_b = [min(ctl.abs_tol, 1e-14)] * 2 + [1e-21]
-    span_back = math.log(cfg.offset / cfg.saddle_ball) / 0.618 + 20.0
+    span_back = math.log(cfg.offset / cfg.saddle_ball) / EIGENVALUE_UNSTABLE + 20.0
     bwd = _solve(rhs, y0, (0.0, -span_back), ctl.rel_tol, atol_b,
                  ctl.max_step, events=[ball])
     if not len(bwd.t_events[0]):
@@ -262,13 +259,21 @@ BARRIER_CURVES = {
     "sec_mixed_zero": _product_sec_mixed_zero,
 }
 
-#: separation sign along S (curve value minus F, or F minus curve value)
+#: the side of each curve that S occupies
 _SIDE = {
-    "vertical_isocline": ("below", "vertical"),
-    "horizontal_isocline": ("below", "horizontal"),
-    "oblique_isocline": ("above", "oblique"),
-    "f_prime_zero": ("below", "horizontal"),
-    "sec_mixed_zero": ("above", None),  # F = H - 1/(2H)
+    "vertical_isocline": "below",
+    "horizontal_isocline": "below",
+    "oblique_isocline": "above",
+    "f_prime_zero": "below",
+    "sec_mixed_zero": "above",
+}
+
+#: the isocline each curve lies on (sec_mixed_zero, F = H - 1/(2H), is none)
+_ISOCLINE = {
+    "vertical_isocline": "vertical",
+    "horizontal_isocline": "horizontal",
+    "oblique_isocline": "oblique",
+    "f_prime_zero": "horizontal",
 }
 
 
@@ -290,14 +295,14 @@ class BarrierReport:
         return self.verdict == "barrier"
 
 
-def _separation(curve_id: str, H, F, sigma=None):
-    if curve_id == "sec_mixed_zero" and sigma is not None:
+def _separation(curve_id: str, H, F, sigma):
+    """Signed separation of S from the curve, positive on S's side."""
+    if curve_id == "sec_mixed_zero":
         # F - (H - 1/(2H)) = -sigma/H; the direct difference cancels to
         # below the orbit's accuracy at the flat end
         return -sigma / H
-    side, kind = _SIDE[curve_id]
-    g = isocline_F(kind, H) if kind else (H - 1.0 / (2.0 * H))
-    return (g - F) if side == "below" else (F - g)
+    g = isocline_F(_ISOCLINE[curve_id], H)
+    return (g - F) if _SIDE[curve_id] == "below" else (F - g)
 
 
 def certify_barriers(traj: Trajectory, n_samples: int = 20001) -> list[BarrierReport]:
@@ -308,9 +313,7 @@ def certify_barriers(traj: Trajectory, n_samples: int = 20001) -> list[BarrierRe
     separation between S and the curve (positive means S never touches it).
     """
     rg = traj.dense_grid(max(int(n_samples), 10001))
-    states = traj.state_at(rg)
-    H, F = states[0], states[1]
-    sigma = states[2] if states.shape[0] > 2 else None
+    H, F, sigma = traj.state_at(rg)
     reports = []
     for cid, prod_fn in BARRIER_CURVES.items():
         prod = np.asarray(prod_fn(H))
@@ -322,7 +325,7 @@ def certify_barriers(traj: Trajectory, n_samples: int = 20001) -> list[BarrierRe
             product=prod,
             min_product=float(prod[i]),
             argmin_r=float(rg[i]),
-            side=_SIDE[cid][0],
+            side=_SIDE[cid],
             min_separation=float(np.min(sep)),
             verdict="barrier" if prod[i] > 0.0 else "violated",
         ))

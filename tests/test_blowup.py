@@ -203,8 +203,8 @@ def test_generic_abscissa_specializes_to_t_over_8s():
         assert r.eval(t + 1.0) == pytest.approx(t / (8 * (t + 1)), rel=1e-14)
 
 
-def test_vertical_isocline_separates_much_earlier():
-    rep = cs.run_sequence("generic", curve=cs.VERTICAL_ISOCLINE_XY)
+def test_vertical_isocline_separates_much_earlier(sep):
+    rep = cs.run_sequence("generic", sep, curve=BASE_P)
     assert rep.n_blowups == 4          # frozen; strictly fewer than 6
     assert rep.contact_order == 3
     assert rep.curve_abscissa == F(-1, 4)
@@ -250,7 +250,7 @@ def test_shadow_side_consistency(sep, blowup_generic):
 
 
 def test_project_to_infinity_of_isocline():
-    out = cs.project_to_infinity(cs.VERTICAL_ISOCLINE_XY)
+    out = cs.project_to_infinity(BASE_P)
     assert out == poly({(1, 0): -1, (2, 0): -2, (0, 2): F(1, 2)})
 
 

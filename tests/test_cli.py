@@ -80,6 +80,15 @@ def test_blowup_command(tmp_path):
     assert (tmp_path / "blowup_t0.txt").exists()
 
 
+def test_blowup_command_needs_orbit_to_F_minus_25(tmp_path, capsys):
+    cfgfile = tmp_path / "short.cfg"
+    cfgfile.write_text("r_max = 20\n")
+    assert main(["blowup", "--config", str(cfgfile),
+                 "--out", str(tmp_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "F = -25.0" in err and "ends at F = -" in err
+
+
 def test_evolve_command(tmp_path):
     assert main(["evolve", "--out", str(tmp_path), "--quiet",
                  "--t", "10", "--t", "-0.7"]) == 0
@@ -120,7 +129,7 @@ def test_config_bad_value_rejected(tmp_path):
 
 def test_config_invalid_controls_rejected(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("r_min = 10\nr_max = 5\n")
+    bad.write_text("rel_tol = -1e-10\n")
     assert main(["separatrix", "--config", str(bad),
                  "--out", str(tmp_path)]) == 2
 

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cuspsoliton as cs
+from cuspsoliton.blowup import BASE_P, BASE_Q, CURVE_XY
 
 SQRT5 = math.sqrt(5.0)
 
@@ -29,6 +31,31 @@ def test_vector_field_on_oblique_isocline():
 def test_vector_field_rejects_bad_eps():
     with pytest.raises(ValueError):
         cs.vector_field((0.0, 0.0), eps=2)
+
+
+def test_field_algebra_matches_exact_polynomials():
+    # float vector_field, C_t and dC_t/dx against the exact polynomials at
+    # the rational value of each float point; rounding scales with the sum
+    # of the absolute monomials, not with the value, which cancels near the
+    # zero sets, so the bound is 4 ulps of that sum
+    def absolute(poly):
+        return cs.ExactPoly({k: cs.CoeffAffine(abs(v.c0), abs(v.c1))
+                             for k, v in poly.terms.items()})
+
+    curve_dx = cs.ExactPoly({(i - 1, j): v * i
+                             for (i, j), v in CURVE_XY.terms.items() if i})
+    rng = np.random.default_rng(2012)
+    for _ in range(50):
+        H, F = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-30.0, 2.0))
+        t = float(rng.uniform(-0.95, 11.0))
+        x, y, s = Fraction(H), Fraction(F), Fraction(t + 1.0)
+        v = cs.vector_field((H, F))
+        for got, poly in ((v.dH, BASE_P), (v.dF, BASE_Q),
+                          (cs.Ct(H, F, t), CURVE_XY),
+                          (cs.grad_Ct(H, F, t)[0], curve_dx)):
+            scale = absolute(poly).eval_exact(abs(x), abs(y), s)
+            err = abs(Fraction(got) - poly.eval_exact(x, y, s))
+            assert err <= 4 * Fraction(float(np.spacing(float(scale))))
 
 
 def test_critical_points_expanding():
