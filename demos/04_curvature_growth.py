@@ -31,9 +31,13 @@ def main():
     print("  (as y -> -inf, Psi_t ~ t/(4y), positive exactly when t < 0)")
 
     ds = cs.scan_delta_threshold(traj)
-    print("\nthresholds in t (bisected to 1e-4):")
-    print("  first actual crossing:    t in (%.5f, %.5f)" % ds.crossing_bracket)
-    print("  loss of the Psi barrier:  t in (%.5f, %.5f)" % ds.barrier_bracket)
+    print("\nthresholds in t:")
+    print("  first actual crossing:    t* = min A/|B| - 1 = %.6f at r = %.3f"
+          % (ds.crossing_threshold, ds.crossing_r))
+    print("                            (grid and refined minima within %.1e)"
+          % (0.5 * (ds.crossing_bracket[1] - ds.crossing_bracket[0])))
+    print("  loss of the Psi barrier:  t in (%.5f, %.5f), bisected"
+          % ds.barrier_bracket)
     print("  the certificate is lost well before any crossing exists")
 
     print("\npointwise histories R(t) at two anchors:")

@@ -25,6 +25,7 @@ from .phase_core import (
     Trajectory,
     CriticalSet,
     IntegrationError,
+    OrbitRangeError,
     vector_field,
     critical_points,
     linearize,

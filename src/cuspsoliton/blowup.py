@@ -107,8 +107,8 @@ _ZERO = CoeffAffine(Fraction(0))
 class ExactPoly:
     """Bivariate polynomial over the affine-in-s rational coefficient ring.
 
-    Stored sparsely as {(i, j): CoeffAffine} for monomials x^i y^j; zero
-    coefficients are never kept.
+    Stored sparsely as {(i, j): CoeffAffine} for monomials x^i y^j; the
+    constructor drops zero coefficients, so the arithmetic need not.
     """
 
     __slots__ = ("terms",)
@@ -130,11 +130,7 @@ class ExactPoly:
     def __add__(self, o: "ExactPoly") -> "ExactPoly":
         out = dict(self.terms)
         for k, v in o.terms.items():
-            n = out.get(k, _ZERO) + v
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, _ZERO) + v
         return ExactPoly(out)
 
     def __neg__(self) -> "ExactPoly":
@@ -149,11 +145,7 @@ class ExactPoly:
             for (i1, j1), a in self.terms.items():
                 for (i2, j2), b in o.terms.items():
                     k = (i1 + i2, j1 + j2)
-                    n = out.get(k, _ZERO) + a * b
-                    if n:
-                        out[k] = n
-                    else:
-                        out.pop(k, None)
+                    out[k] = out.get(k, _ZERO) + a * b
             return ExactPoly(out)
         c = o if isinstance(o, CoeffAffine) else CoeffAffine.of(o)
         return ExactPoly({k: v * c for k, v in self.terms.items()})
@@ -167,12 +159,7 @@ class ExactPoly:
         """Blow-up substitution x -> x*y (monomial x^i y^j -> x^i y^{i+j})."""
         out: dict[tuple[int, int], CoeffAffine] = {}
         for (i, j), v in self.terms.items():
-            k = (i, i + j)
-            n = out.get(k, _ZERO) + v
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
+            out[i, i + j] = out.get((i, i + j), _ZERO) + v
         return ExactPoly(out)
 
     def translate_x(self, a: Fraction) -> "ExactPoly":
@@ -181,13 +168,7 @@ class ExactPoly:
         out: dict[tuple[int, int], CoeffAffine] = {}
         for (i, j), v in self.terms.items():
             for k in range(i + 1):
-                c = v * (comb(i, k) * a ** (i - k))
-                key = (k, j)
-                n = out.get(key, _ZERO) + c
-                if n:
-                    out[key] = n
-                else:
-                    out.pop(key, None)
+                out[k, j] = out.get((k, j), _ZERO) + v * (comb(i, k) * a ** (i - k))
         return ExactPoly(out)
 
     def min_y_degree(self) -> int:
@@ -255,15 +236,10 @@ def project_to_infinity(poly: ExactPoly, degree: int | None = None) -> ExactPoly
     D = degree if degree is not None else max(i + j for (i, j) in poly.terms)
     out: dict[tuple[int, int], CoeffAffine] = {}
     for (i, j), v in poly.terms.items():
-        c = v * ((-1) ** j)
         k = (i, D - i - j)
         if k[1] < 0:
             raise BlowupError("degree too small to clear denominators")
-        n = out.get(k, _ZERO) + c
-        if n:
-            out[k] = n
-        else:
-            out.pop(k, None)
+        out[k] = out.get(k, _ZERO) + v * ((-1) ** j)
     return ExactPoly(out)
 
 
@@ -448,17 +424,9 @@ def _rational_roots(cs: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]
         g = math.gcd(*(abs(c) for c in ics if c)) or 1
         ics = [c // g for c in ics]
         a0, an = abs(ics[0]), abs(ics[-1])
-        found = None
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(cs, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        found = next((cand for p in _divisors(a0) for q in _divisors(an)
+                      for cand in (Fraction(p, q), Fraction(-p, q))
+                      if _poly_eval(cs, cand) == 0), None)
         if found is None:
             break
         roots.append(found)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .phase_core import IntegratorControls, IntegrationError
+from .phase_core import IntegratorControls, IntegrationError, OrbitRangeError
 from .separatrix import ShootConfig, ShootError, isocline_F, shoot_separatrix, certify_barriers
 from .geometry import reconstruct_profiles, curvatures, soliton_residuals, check_asymptotics
 from .evolution import find_crossings, scan_psi, scan_delta_threshold, pointwise_R_history
@@ -350,6 +350,7 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
     ds = scan_delta_threshold(traj, tg)
     em.report("delta", {
         "crossing_bracket": list(ds.crossing_bracket),
+        "crossing_threshold": ds.crossing_threshold, "crossing_r": ds.crossing_r,
         "barrier_bracket": list(ds.barrier_bracket),
         "t_grid": ds.t_grid, "crossing_counts": ds.crossing_counts,
         "psi_verdicts": {f"{k:.6f}": v for k, v in ds.psi_verdicts.items()},
@@ -369,8 +370,8 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
              [np.concatenate(rows_t), np.concatenate(rows_r0),
               np.concatenate(rows_r), np.concatenate(rows_R),
               np.concatenate(rows_d)])
-    em.note("evolve: crossing bracket (%.5f, %.5f), barrier bracket (%.5f, %.5f)"
-            % (*ds.crossing_bracket, *ds.barrier_bracket))
+    em.note("evolve: crossing threshold %.6f, barrier bracket (%.5f, %.5f)"
+            % (ds.crossing_threshold, *ds.barrier_bracket))
     return EXIT_OK
 
 
@@ -446,7 +447,7 @@ def main(argv=None) -> int:
         session = _Session(cfg)
         for name in names:
             status = max(status, _COMMANDS[name](session, em))
-    except (ShootError, IntegrationError, BlowupError, ValueError) as exc:
+    except (ShootError, IntegrationError, BlowupError, OrbitRangeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     em.manifest(args.command, cfg, time.monotonic() - t0)

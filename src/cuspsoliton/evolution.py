@@ -20,7 +20,9 @@ y < 0, the scalar product of the curve normal with the vector field is
 
 and strict positivity over the whole branch certifies that S never crosses.
 As y -> -inf, Psi_t(y) = t/(4y) - 3t/(8y^3) + O(y^-5), which settles the
-unbounded part of the domain analytically.
+unbounded part of the domain analytically.  Psi_t is not affine in t, so
+its loss is bisected in t; but along S, C_t = A(r) + (t+1) B(r) with A > 0
+> B, so {C_t = 0} first meets S at the closed form t* = min_r A/|B| - 1.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
-from .phase_core import Trajectory, IntegrationError, _solve
+from .phase_core import Trajectory, IntegrationError, OrbitRangeError, _solve
 
 __all__ = [
     "CrossingReport", "PsiScan", "DeltaScan", "RHistory",
@@ -173,22 +175,36 @@ def scan_psi(t: float, y_floor: float = -1e3, n: int = 1200) -> PsiScan:
 # ---------------------------------------------------------------------------
 # crossings of {C_t = 0} with the bounded orbit
 
-def _ct_along(traj: Trajectory, rg: np.ndarray, s):
-    """C_t and R[g0] on the orbit, C_t in the cancellation-free split form.
+def _ct_split(H, F, sig, s):
+    """C_t and R[g0] at orbit states, C_t in the cancellation-free split form.
 
     With p = HF + 1/2 and sigma = H^2 - p (the transported curvature state),
-    C_t = (2p - H^2) + 2 s F^2 sigma, where s = t + 1 is a scalar or an
-    array matching ``rg``, and R[g0] = -2H^2 + 4 sigma.  Returns
-    (C_t, scale, R0) where scale bounds the magnitudes of the two
-    constituents of C_t; sign changes are only trusted where |C_t| clears a
-    small fraction of the scale, since beyond that the difference is below
-    the accuracy of the orbit itself.
+    C_t = A + s B with A = 2p - H^2 and B = 2F^2 sigma, where s = t + 1 is a
+    scalar or an array matching the states, and R[g0] = -2H^2 + 4 sigma.
+    Returns (C_t, scale, R0) where scale bounds the magnitudes of the two
+    constituents of C_t.
     """
-    H, F, sig = traj.state_at(rg)
     H2 = H ** 2
     part1 = 2.0 * (H * F + 0.5) - H2
     part2 = 2.0 * s * F ** 2 * sig
     return part1 + part2, np.abs(part1) + np.abs(part2), -2.0 * H2 + 4.0 * sig
+
+
+def _ab(H, F, sig):
+    """The A and B of ``_ct_split``: C_t = A + (t+1) B."""
+    return 2.0 * (H * F + 0.5) - H ** 2, 2.0 * F ** 2 * sig
+
+
+_SIGNIFICANCE = 3e-4
+
+
+def _significant_flips(vals, scale, significance):
+    """Indices idx of the samples with |C_t| >= significance x scale (the
+    only signs trusted, see ``find_crossings``), their signs (> 0), and the
+    positions k at which the sign flips from idx[k] to idx[k + 1]."""
+    idx = np.nonzero(np.abs(vals) >= significance * scale + 1e-300)[0]
+    positive = vals[idx] > 0
+    return idx, positive, np.nonzero(positive[1:] != positive[:-1])[0]
 
 
 @dataclass
@@ -207,109 +223,116 @@ class CrossingReport:
 
 
 def find_crossings(traj: Trajectory, t: float, n_grid: int = 400001,
-                   significance: float = 3e-4, xtol: float = 1e-9) -> CrossingReport:
+                   significance: float = _SIGNIFICANCE,
+                   xtol: float = 1e-9) -> CrossingReport:
     """Locate sign changes of C_t along ``traj`` by dense scan plus bisection.
 
     A sign change is counted only when C_t exceeds ``significance`` times
     the local constituent scale on both flanks; this suppresses spurious
     flips in the far region where C_t itself decays below the orbit's
     attainable accuracy (for t = 0 the curve has ninth-order contact with
-    the orbit at infinity, so its values there genuinely drown).
-    Accepted crossings are refined to r-resolution ``xtol``.
+    the orbit at infinity, so its values there genuinely drown).  It also
+    hides genuine crossings whose dip stays below that fraction: on
+    (t*, t* + 5.4e-4) after the first crossing time t* the default reports
+    none where ``significance=0`` finds two.  Accepted crossings are
+    refined to r-resolution ``xtol``.
     """
     t = _check_t(t)
     rg = traj.dense_grid(n_grid)
-    vals, scale, _ = _ct_along(traj, rg, t + 1.0)
-    thresh = significance * scale + 1e-300
-
-    sig_idx = np.nonzero(np.abs(vals) >= thresh)[0]
+    vals, scale, _ = _ct_split(*traj.state_at(rg), t + 1.0)
+    idx, positive, flips = _significant_flips(vals, scale, significance)
+    f = lambda rr: float(_ct_split(*traj.state_at(np.atleast_1d(rr)), t + 1.0)[0][0])
     crossings = []
-    pattern = []
-    prev_i = None
-    for i in sig_idx:
-        sgn = 1 if vals[i] > 0 else -1
-        if not pattern:
-            pattern.append(sgn)
-            prev_i = i
-            continue
-        if sgn != pattern[-1]:
-            lo, hi = rg[prev_i], rg[i]
-            f = lambda rr: float(_ct_along(traj, np.atleast_1d(rr), t + 1.0)[0][0])
-            try:
-                rc = float(brentq(f, lo, hi, xtol=xtol, rtol=1e-15))
-            except ValueError:
-                rc = 0.5 * (lo + hi)
-            Hc, Fc = (float(v) for v in traj.state_at(rc)[:2])
-            crossings.append((rc, Hc, Fc))
-            pattern.append(sgn)
-        prev_i = i
+    for lo, hi in zip(rg[idx[flips]], rg[idx[flips + 1]]):
+        try:
+            rc = float(brentq(f, lo, hi, xtol=xtol, rtol=1e-15))
+        except ValueError:
+            rc = 0.5 * (lo + hi)
+        Hc, Fc = (float(v) for v in traj.state_at(rc)[:2])
+        crossings.append((rc, Hc, Fc))
+    pattern = positive[np.concatenate([[0], flips + 1])] if idx.size else []
     return CrossingReport(
         t=t, crossings=crossings,
-        sign_pattern="".join("+" if s > 0 else "-" for s in pattern),
+        sign_pattern="".join("+" if p else "-" for p in pattern),
         n_grid=int(n_grid), significance=significance,
     )
 
 
 @dataclass
 class DeltaScan:
-    """Brackets for the two thresholds in t near the birth of the flow.
+    """The two thresholds in t near the birth of the flow.
 
-    ``crossing_bracket`` encloses the transition from zero to >= 1 sign
-    changes of C_t along the orbit; ``barrier_bracket`` encloses the loss
-    of the Psi-positivity certificate.  The two notions are reported
-    separately and need not coincide.
+    ``crossing_threshold`` is the first t at which {C_t = 0} meets the
+    orbit, at r = ``crossing_r``; ``crossing_bracket`` is it plus or minus
+    the disagreement of its grid and refined estimates.  ``barrier_bracket``
+    encloses the loss of the Psi-positivity certificate, bisected.  The two
+    notions are reported separately and need not coincide.
     """
 
     t_grid: np.ndarray
-    crossing_counts: list[int]
+    crossing_counts: list[int]          # find_crossings counts on t_grid
+    crossing_threshold: float
+    crossing_r: float
     crossing_bracket: tuple[float, float]
     barrier_bracket: tuple[float, float]
     psi_verdicts: dict[float, str]
 
 
-def _bisect_transition(pred, lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Shrink [lo, hi] with pred(lo) False, pred(hi) True to the given width."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def scan_delta_threshold(traj: Trajectory, t_grid=None,
                          width: float = 1e-4) -> DeltaScan:
-    """Scan t in (-1, 0) for the crossing and barrier-failure thresholds."""
+    """The crossing threshold in closed form and the barrier threshold bisected.
+
+    Where A > 0 and B < 0 (see ``_ct_split``) on the whole 120 001-point
+    dense grid, t* = min_r A/|B| - 1: the grid minimum, refined by a bounded
+    minimisation between the argmin's neighbours.  The barrier bracket is
+    bisected from ``t_grid`` to ``width``.
+    """
     if t_grid is None:
         t_grid = np.linspace(-0.9, -0.01, 24)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= -1.0) or np.any(t_grid >= 0.0):
         raise ValueError("t_grid must lie in (-1, 0)")
 
-    counts = [find_crossings(traj, t, n_grid=120001).count for t in t_grid]
-    has = [c > 0 for c in counts]
-    if not any(has) or all(has):
-        raise IntegrationError("crossing transition not bracketed by t_grid")
-    i_hi = next(i for i, b in enumerate(has) if b)
-    lo = t_grid[i_hi - 1] if i_hi > 0 else t_grid[0]
-    crossing_bracket = _bisect_transition(
-        lambda tt: find_crossings(traj, tt, n_grid=120001).count > 0,
-        lo, t_grid[i_hi], width)
+    rg = traj.dense_grid(120001)
+    H, F, sig = traj.state_at(rg)
+    counts = [len(_significant_flips(*_ct_split(H, F, sig, t + 1.0)[:2], _SIGNIFICANCE)[2])
+              for t in t_grid]
+    A, B = _ab(H, F, sig)
+    for name, bad in (("A = 2HF + 1 - H^2 > 0", A <= 0.0), ("B = 2F^2 sigma < 0", B >= 0.0)):
+        if np.any(bad):
+            raise IntegrationError(f"closed-form crossing threshold needs {name} on "
+                                   f"the orbit; it fails at r = {rg[np.argmax(bad)]:.6g}")
+    s_grid = -A / B
+    i = int(np.argmin(s_grid))
+
+    def s_at(r):
+        a, b = _ab(*traj.state_at(r))
+        return -a / b
+
+    res = minimize_scalar(s_at, bounds=(rg[max(i - 1, 0)], rg[min(i + 1, rg.size - 1)]),
+                          method="bounded")
+    t_star = float(res.fun) - 1.0
+    if not -1.0 < t_star < 0.0:
+        raise IntegrationError(f"crossing threshold t* = {t_star:.6g} not in (-1, 0)")
+    e = max(abs(float(s_grid[i]) - float(res.fun)), traj.rel_tol)
 
     verdicts = {float(t): scan_psi(t).verdict for t in t_grid}
     pos = [verdicts[float(t)] == "positive" for t in t_grid]
     if not any(pos) or all(pos):
         raise IntegrationError("barrier transition not bracketed by t_grid")
     j = next(i for i, b in enumerate(pos) if not b)
-    barrier_bracket = _bisect_transition(
-        lambda tt: scan_psi(tt).verdict != "positive",
-        t_grid[j - 1] if j > 0 else t_grid[0], t_grid[j], width)
+    lo, hi = t_grid[j - 1] if j > 0 else t_grid[0], t_grid[j]
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if scan_psi(mid).verdict != "positive":
+            hi = mid
+        else:
+            lo = mid
 
     return DeltaScan(t_grid=t_grid, crossing_counts=counts,
-                     crossing_bracket=crossing_bracket,
-                     barrier_bracket=barrier_bracket,
-                     psi_verdicts=verdicts)
+                     crossing_threshold=t_star, crossing_r=float(res.x),
+                     crossing_bracket=(t_star - e, t_star + e),
+                     barrier_bracket=(lo, hi), psi_verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +367,7 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     if t_grid[0] <= -1.0:
         raise ValueError("flow times must satisfy t > -1")
     if not (traj.r_lo <= r0 <= traj.r_hi):
-        raise ValueError("r0 outside the computed orbit range")
+        raise OrbitRangeError("r0 outside the computed orbit range")
 
     lo, hi = traj.r_lo, traj.r_hi
 
@@ -370,7 +393,7 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
 
     valid = ~np.isnan(r_of_t)
     tv = t_grid[valid]
-    ct, _, R0 = _ct_along(traj, r_of_t[valid], tv + 1.0)
+    ct, _, R0 = _ct_split(*traj.state_at(r_of_t[valid]), tv + 1.0)
     R = R0 / (tv + 1.0)
     dR = 2.0 / (tv + 1.0) ** 2 * ct
 

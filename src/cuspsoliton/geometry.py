@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase_core import EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, Trajectory, vector_field
+from .phase_core import (EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, OrbitRangeError,
+                         Trajectory, vector_field)
 
 __all__ = [
     "MetricProfile", "CurvatureTable", "SolitonResiduals",
@@ -79,7 +80,7 @@ def _fit_tail_alpha(traj: Trajectory, lo: float = 1e-7, hi: float = 1e-4) -> flo
     if m.sum() < 8:
         m = (np.abs(traj.F) >= lo / 100) & (np.abs(traj.F) <= hi * 100)
     if m.sum() < 2:
-        raise ValueError("not enough near-saddle samples to fit the tail rate")
+        raise OrbitRangeError("not enough near-saddle samples to fit the tail rate")
     slope = np.polyfit(traj.r[m], np.log(np.abs(traj.F[m])), 1)[0]
     return float(slope)
 

@@ -33,7 +33,7 @@ from scipy.integrate import solve_ivp
 
 __all__ = [
     "PhasePoint", "PhaseVelocity", "Jacobian2", "IntegratorControls",
-    "Trajectory", "CriticalSet", "IntegrationError",
+    "Trajectory", "CriticalSet", "IntegrationError", "OrbitRangeError",
     "vector_field", "critical_points", "linearize", "eigen_saddle",
     "integrate", "SADDLE",
     "EIGENVALUE_UNSTABLE", "EIGENVALUE_STABLE", "SLOPE_UNSTABLE", "SLOPE_STABLE",
@@ -52,6 +52,10 @@ SLOPE_STABLE = 3.0 - _SQRT5
 
 class IntegrationError(RuntimeError):
     """Adaptive stepping failed (step-size underflow or non-finite state)."""
+
+
+class OrbitRangeError(ValueError):
+    """A query asks for more than the computed orbit covers."""
 
 
 class PhasePoint(NamedTuple):
@@ -245,7 +249,7 @@ class Trajectory:
         scalar = rq.ndim == 0
         rq = np.atleast_1d(rq)
         if rq.size and (rq.min() < self.r_lo - 1e-9 or rq.max() > self.r_hi + 1e-9):
-            raise ValueError(
+            raise OrbitRangeError(
                 f"r range [{rq.min()}, {rq.max()}] outside computed "
                 f"[{self.r_lo}, {self.r_hi}]")
         out = np.empty((3, rq.size))
@@ -274,7 +278,7 @@ class Trajectory:
         g = self.F - target
         idx = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) <= 0)[0]
         if len(idx) == 0:
-            raise ValueError(f"F never reaches {target} on the computed range")
+            raise OrbitRangeError(f"F never reaches {target} on the computed range")
         i = idx[0]
         if g[i] == 0.0:
             return float(self.r[i])

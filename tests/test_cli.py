@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cuspsoliton import cli
 from cuspsoliton.cli import main, load_config, ConfigError, RunConfig
 
 
@@ -151,3 +152,19 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CUSPSOLITON_OUT", str(target))
     assert main(["blowup", "--quiet"]) == 0
     assert (target / "blowup.json").exists()
+
+
+def test_orbit_range_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def needs_far_orbit(session, em):
+        session.traj.state_at(session.traj.r_hi + 1.0)
+    monkeypatch.setitem(cli._COMMANDS, "separatrix", needs_far_orbit)
+    assert main(["separatrix", "--out", str(tmp_path), "--quiet"]) == 3
+    assert "outside computed" in capsys.readouterr().err
+
+
+def test_plain_value_error_is_not_a_numeric_failure(tmp_path, monkeypatch):
+    def buggy(session, em):
+        np.ones(3) + np.ones(4)          # a broadcast mismatch is a bug
+    monkeypatch.setitem(cli._COMMANDS, "separatrix", buggy)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["separatrix", "--out", str(tmp_path), "--quiet"])

@@ -164,6 +164,27 @@ def test_double_crossing_window(sep):
     assert rep.sign_pattern == "+-+"
 
 
+def test_crossings_match_per_index_loop(sep):
+    # reference: walk the significant samples one by one, as a loop would
+    from cuspsoliton.evolution import _ct_split
+    rg = sep.dense_grid(20001)
+    for t in (-0.7, -0.0369, -0.02, 0.0, 1.0, 10.0):
+        vals, scale, _ = _ct_split(*sep.state_at(rg), t + 1.0)
+        for significance in (0.0, 3e-4):
+            pattern, brackets, prev = [], [], None
+            for i in np.nonzero(np.abs(vals) >= significance * scale + 1e-300)[0]:
+                sgn = "+" if vals[i] > 0 else "-"
+                if pattern and sgn != pattern[-1]:
+                    brackets.append((rg[prev], rg[i]))
+                if not pattern or sgn != pattern[-1]:
+                    pattern.append(sgn)
+                prev = i
+            rep = cs.find_crossings(sep, t, n_grid=20001, significance=significance)
+            assert rep.sign_pattern == "".join(pattern)
+            assert len(rep.crossings) == len(brackets)
+            assert all(lo <= c[0] <= hi for c, (lo, hi) in zip(rep.crossings, brackets))
+
+
 def test_barrier_soundness(sep):
     # a positive Psi verdict must imply zero crossings
     for t in (-0.7, -0.5, -0.45):
@@ -181,6 +202,32 @@ def test_delta_brackets(sep):
     assert bhi - blo <= 1e-4 + 1e-12
     # the barrier certificate is lost before the first actual crossing
     assert bhi < lo
+
+
+def test_crossing_threshold_against_unfiltered_scan(sep):
+    # independent route: the unfiltered dense scan sees no crossing just
+    # before the bracket and the first pair just after it
+    ds = cs.scan_delta_threshold(sep)
+    lo, hi = ds.crossing_bracket
+    assert lo < ds.crossing_threshold < hi and hi - lo <= 1e-4
+    assert lo < -0.036992 < hi
+    assert cs.find_crossings(sep, lo - 1e-5, significance=0).count == 0
+    assert cs.find_crossings(sep, hi + 1e-5, significance=0).count == 2
+    Hc, Fc, _ = sep.state_at(ds.crossing_r)
+    assert abs(cs.Ct(Hc, Fc, ds.crossing_threshold)) < 1e-9
+    # the counts on the grid are find_crossings' on the same 120 001 points
+    assert ds.crossing_counts == [cs.find_crossings(sep, t, n_grid=120001).count
+                                  for t in ds.t_grid]
+
+
+def test_crossing_threshold_needs_negative_sigma():
+    # at (1.5, 0.7) A = 2HF + 1 - H^2 > 0 but sigma = H^2 - HF - 1/2 > 0, so
+    # B = 2F^2 sigma has the wrong sign and the closed form does not apply
+    traj = cs.integrate((1.5, 0.7), 0.0, cs.IntegratorControls(r_max=0.1))
+    assert np.all(2 * traj.H * traj.F + 1 - traj.H ** 2 > 0)
+    assert traj.sigma.max() > 0
+    with pytest.raises(cs.IntegrationError, match="B = 2F\\^2 sigma < 0"):
+        cs.scan_delta_threshold(traj)
 
 
 def test_history_monotone_r_and_signs(sep):

@@ -143,3 +143,10 @@ def test_reconstruct_rejects_non_monotone(sep):
         r = np.array([0.0, 1.0, 0.5])
     with pytest.raises(ValueError):
         cs.reconstruct_profiles(Fake())
+
+
+def test_tail_fit_without_near_saddle_samples_is_an_orbit_range_error():
+    from cuspsoliton.geometry import _fit_tail_alpha
+    traj = cs.integrate((0.4, -1.0), 0.0, cs.IntegratorControls(r_max=1.0))
+    with pytest.raises(cs.OrbitRangeError, match="near-saddle samples"):
+        _fit_tail_alpha(traj)

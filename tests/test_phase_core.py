@@ -191,3 +191,13 @@ def test_trajectory_samples_monotone_and_dense_consistent(sep):
     sHF = sep.state_at(node)
     assert sHF[0] == pytest.approx(sep.H[mid], rel=1e-12)
     assert sHF[1] == pytest.approx(sep.F[mid], rel=1e-12)
+
+
+def test_orbit_range_queries_raise_orbit_range_error(sep):
+    with pytest.raises(cs.OrbitRangeError, match="outside computed"):
+        sep.state_at(sep.r_hi + 1.0)
+    with pytest.raises(cs.OrbitRangeError, match="never reaches"):
+        sep.r_at_F(1.0)
+    with pytest.raises(cs.OrbitRangeError, match="r0 outside"):
+        cs.pointwise_R_history(sep.r_hi + 1.0, [0.0, 1.0], sep)
+    assert issubclass(cs.OrbitRangeError, ValueError)
