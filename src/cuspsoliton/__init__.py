@@ -70,6 +70,7 @@ from .evolution import (
     psi,
     psi_tail,
     scan_psi,
+    crossing_scan,
     find_crossings,
     scan_delta_threshold,
     pointwise_R_history,

@@ -3,9 +3,9 @@
 Subcommands: separatrix | curvature | asymptotics | evolve | blowup | all.
 Each run writes deterministic data files (CSV with fixed 17-significant-
 digit scientific notation, JSON for structured reports, optional gnuplot
-two-column variants) plus a manifest with content digests.  Identical
-configurations produce byte-identical data files; wall time and other
-volatile facts live only in the manifest.
+two-column variants) plus a manifest with content digests and per-stage
+wall times.  Identical configurations produce byte-identical data files;
+wall time and other volatile facts live only in the manifest.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import __version__
 from .phase_core import IntegratorControls, IntegrationError, OrbitRangeError
 from .separatrix import ShootConfig, ShootError, isocline_F, shoot_separatrix, certify_barriers
 from .geometry import reconstruct_profiles, curvatures, soliton_residuals, check_asymptotics
-from .evolution import find_crossings, scan_psi, scan_delta_threshold, pointwise_R_history
+from .evolution import crossing_scan, scan_psi, scan_delta_threshold, pointwise_R_history
 from .blowup import BlowupError, run_sequence
 
 EXIT_OK = 0
@@ -213,7 +213,7 @@ class Emitter:
         path.write_text(content + "\n")
         self.files.append(path)
 
-    def manifest(self, command: str, cfg: RunConfig, wall: float) -> None:
+    def manifest(self, command: str, cfg: RunConfig, wall: float, stages: dict) -> None:
         digests = {}
         for p in sorted(self.files):
             digests[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
@@ -222,6 +222,7 @@ class Emitter:
             "config": {f.name: getattr(cfg, f.name) for f in fields(RunConfig)},
             "version": __version__,
             "wall_time_s": wall,
+            "stages": stages,
             "files": digests,
         })
 
@@ -322,14 +323,10 @@ def cmd_asymptotics(session: _Session, em: Emitter) -> int:
 def cmd_evolve(session: _Session, em: Emitter) -> int:
     cfg = session.cfg
     traj = session.traj
-    crossings = []
-    for t in cfg.t_values:
-        rep = find_crossings(traj, t, cfg.crossing_grid)
-        crossings.append({
-            "t": t, "count": rep.count, "sign_pattern": rep.sign_pattern,
-            "crossings": [{"r": r, "H": H, "F": F} for r, H, F in rep.crossings],
-        })
-    em.report("crossings", crossings)
+    em.report("crossings", [{
+        "t": t, "count": rep.count, "sign_pattern": rep.sign_pattern,
+        "crossings": [{"r": r, "H": H, "F": F} for r, H, F in rep.crossings],
+    } for t, rep in zip(cfg.t_values, crossing_scan(traj, cfg.t_values, cfg.crossing_grid))])
 
     scans = []
     for t in cfg.t_values:
@@ -357,19 +354,11 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
     })
 
     hist_t = np.geomspace(0.02, cfg.history_t_max + 1.0, cfg.history_points) - 1.0
-    rows_t, rows_r0, rows_r, rows_R, rows_d = [], [], [], [], []
-    for Fa in cfg.history_anchors_F:
-        r0 = traj.r_at_F(Fa)
-        h = pointwise_R_history(r0, hist_t, traj)
-        rows_t.append(h.t)
-        rows_r0.append(np.full_like(h.t, h.r0))
-        rows_r.append(h.r_of_t)
-        rows_R.append(h.R)
-        rows_d.append(h.dRdt)
+    hists = [pointwise_R_history(traj.r_at_F(Fa), hist_t, traj)
+             for Fa in cfg.history_anchors_F]
     em.table("histories", ["t", "r0", "r_of_t", "R", "dRdt"],
-             [np.concatenate(rows_t), np.concatenate(rows_r0),
-              np.concatenate(rows_r), np.concatenate(rows_R),
-              np.concatenate(rows_d)])
+             [np.concatenate(col) for col in zip(*[
+                 (h.t, np.full_like(h.t, h.r0), h.r_of_t, h.R, h.dRdt) for h in hists])])
     em.note("evolve: crossing threshold %.6f, barrier bracket (%.5f, %.5f)"
             % (ds.crossing_threshold, *ds.barrier_bracket))
     return EXIT_OK
@@ -443,14 +432,17 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     status = EXIT_OK
     names = list(_COMMANDS) if args.command == "all" else [args.command]
+    stages = {}
     try:
         session = _Session(cfg)
         for name in names:
+            ts = time.monotonic()
             status = max(status, _COMMANDS[name](session, em))
+            stages[name] = time.monotonic() - ts
     except (ShootError, IntegrationError, BlowupError, OrbitRangeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    em.manifest(args.command, cfg, time.monotonic() - t0)
+    em.manifest(args.command, cfg, time.monotonic() - t0, stages)
     em.note(f"wrote {len(em.files) + 1} files to {out_dir}")
     return status
 

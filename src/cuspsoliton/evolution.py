@@ -38,7 +38,7 @@ from .phase_core import Trajectory, IntegrationError, OrbitRangeError, _solve
 __all__ = [
     "CrossingReport", "PsiScan", "DeltaScan", "RHistory",
     "dRdt", "Ct", "grad_Ct", "ct_branch_x", "psi", "psi_tail",
-    "scan_psi", "find_crossings", "scan_delta_threshold",
+    "scan_psi", "crossing_scan", "find_crossings", "scan_delta_threshold",
     "pointwise_R_history",
 ]
 
@@ -222,11 +222,13 @@ class CrossingReport:
         return len(self.crossings)
 
 
-def find_crossings(traj: Trajectory, t: float, n_grid: int = 400001,
-                   significance: float = _SIGNIFICANCE,
-                   xtol: float = 1e-9) -> CrossingReport:
-    """Locate sign changes of C_t along ``traj`` by dense scan plus bisection.
+def crossing_scan(traj: Trajectory, t_values, n_grid: int = 400001,
+                  significance: float = _SIGNIFICANCE,
+                  xtol: float = 1e-9) -> list[CrossingReport]:
+    """Sign changes of C_t along ``traj`` at each of ``t_values``.
 
+    One dense evaluation of the orbit on ``n_grid`` points serves every t
+    (the states do not depend on t); C_t is formed per t by ``_ct_split``.
     A sign change is counted only when C_t exceeds ``significance`` times
     the local constituent scale on both flanks; this suppresses spurious
     flips in the far region where C_t itself decays below the orbit's
@@ -235,27 +237,37 @@ def find_crossings(traj: Trajectory, t: float, n_grid: int = 400001,
     hides genuine crossings whose dip stays below that fraction: on
     (t*, t* + 5.4e-4) after the first crossing time t* the default reports
     none where ``significance=0`` finds two.  Accepted crossings are
-    refined to r-resolution ``xtol``.
+    refined by ``brentq`` to r-resolution ``xtol``; a bracket it cannot
+    resolve raises ``IntegrationError``.
     """
-    t = _check_t(t)
+    t_values = [_check_t(t) for t in t_values]
     rg = traj.dense_grid(n_grid)
-    vals, scale, _ = _ct_split(*traj.state_at(rg), t + 1.0)
-    idx, positive, flips = _significant_flips(vals, scale, significance)
-    f = lambda rr: float(_ct_split(*traj.state_at(np.atleast_1d(rr)), t + 1.0)[0][0])
-    crossings = []
-    for lo, hi in zip(rg[idx[flips]], rg[idx[flips + 1]]):
-        try:
-            rc = float(brentq(f, lo, hi, xtol=xtol, rtol=1e-15))
-        except ValueError:
-            rc = 0.5 * (lo + hi)
-        Hc, Fc = (float(v) for v in traj.state_at(rc)[:2])
-        crossings.append((rc, Hc, Fc))
-    pattern = positive[np.concatenate([[0], flips + 1])] if idx.size else []
-    return CrossingReport(
-        t=t, crossings=crossings,
-        sign_pattern="".join("+" if p else "-" for p in pattern),
-        n_grid=int(n_grid), significance=significance,
-    )
+    states = traj.state_at(rg)
+    reports = []
+    for t in t_values:
+        vals, scale, _ = _ct_split(*states, t + 1.0)
+        idx, positive, flips = _significant_flips(vals, scale, significance)
+        f = lambda rr, s=t + 1.0: float(_ct_split(*traj.state_at(np.atleast_1d(rr)), s)[0][0])
+        crossings = []
+        for lo, hi in zip(rg[idx[flips]], rg[idx[flips + 1]]):
+            try:
+                rc = float(brentq(f, lo, hi, xtol=xtol, rtol=1e-15))
+            except ValueError as exc:
+                raise IntegrationError(f"C_t at t = {t} changes sign on "
+                                       f"[{lo!r}, {hi!r}] but brentq failed: {exc}") from exc
+            Hc, Fc = (float(v) for v in traj.state_at(rc)[:2])
+            crossings.append((rc, Hc, Fc))
+        pattern = positive[np.concatenate([[0], flips + 1])] if idx.size else []
+        reports.append(CrossingReport(t, crossings, "".join("+" if p else "-" for p in pattern),
+                                      int(n_grid), significance))
+    return reports
+
+
+def find_crossings(traj: Trajectory, t: float, n_grid: int = 400001,
+                   significance: float = _SIGNIFICANCE,
+                   xtol: float = 1e-9) -> CrossingReport:
+    """Sign changes of C_t along ``traj`` at one t (see ``crossing_scan``)."""
+    return crossing_scan(traj, [t], n_grid, significance, xtol)[0]
 
 
 @dataclass

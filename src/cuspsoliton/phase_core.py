@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 __all__ = [
     "PhasePoint", "PhaseVelocity", "Jacobian2", "IntegratorControls",
@@ -209,6 +211,36 @@ class _Leg:
     shift: float
     sol: object  # scipy OdeSolution
 
+    @cached_property
+    def _pieces(self):
+        # the DOP853 interpolants stacked as (t_old, h, y_old, F); None for
+        # any other solver, whose interpolant is left to scipy
+        p = self.sol.interpolants
+        if p and all(type(q) is Dop853DenseOutput for q in p):
+            return (np.array([q.t_old for q in p]), np.array([q.h for q in p]),
+                    np.stack([q.y_old for q in p], axis=1), np.stack([q.F for q in p], axis=2))
+        return None
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """States (3, n) at raw solver times ``t``, bit-identical to ``sol(t)``."""
+        sol = self.sol
+        if self._pieces is None:
+            return sol(t)
+        t_old, h, y_old, F = self._pieces
+        # OdeSolution's segment choice: lower index at a breakpoint, clamped
+        seg = np.searchsorted(sol.ts_sorted, t, side=sol.side) - 1
+        seg = np.clip(seg, 0, sol.n_segments - 1)
+        if not sol.ascending:
+            seg = sol.n_segments - 1 - seg
+        x = (t - t_old[seg]) / h[seg]
+        y = np.zeros((3, t.size))
+        # Dop853DenseOutput's Horner loop, in its order
+        for k in range(F.shape[0] - 1, -1, -1):
+            y += F[k][:, seg]
+            y *= x if k % 2 == 0 else 1 - x
+        y += y_old[:, seg]
+        return y
+
 
 @dataclass
 class Trajectory:
@@ -244,7 +276,11 @@ class Trajectory:
         return float(self.r[-1])
 
     def state_at(self, r) -> np.ndarray:
-        """Dense-output states (H, F, sigma) at ``r``; shape (3, n) or (3,)."""
+        """Dense-output states (H, F, sigma) at ``r``; shape (3, n) or (3,).
+
+        DOP853 legs are evaluated in one pass over their gathered pieces, the
+        Radau far leg by scipy; both are bit-identical to ``OdeSolution``.
+        """
         rq = np.asarray(r, dtype=float)
         scalar = rq.ndim == 0
         rq = np.atleast_1d(rq)
@@ -257,14 +293,13 @@ class Trajectory:
         for leg in self.legs:
             m = ~done & (rq <= leg.r_hi + 1e-12)
             if np.any(m):
-                out[:, m] = leg.sol(rq[m] + leg.shift)
+                out[:, m] = leg(rq[m] + leg.shift)
                 done |= m
         if not np.all(done):  # numerical edge: clamp to last leg
             leg = self.legs[-1]
             m = ~done
-            out[:, m] = leg.sol(np.clip(rq[m] + leg.shift,
-                                        leg.r_lo + leg.shift,
-                                        leg.r_hi + leg.shift))
+            out[:, m] = leg(np.clip(rq[m] + leg.shift, leg.r_lo + leg.shift,
+                                    leg.r_hi + leg.shift))
         return out[:, 0] if scalar else out
 
     def dense_grid(self, n: int) -> np.ndarray:

@@ -237,10 +237,6 @@ def _product_horizontal(H):
     return (1.0 + 1.0 / (4.0 * H ** 2)) * (0.25 - H ** 2)
 
 
-def _product_oblique(H):
-    return oblique_barrier_margin(H)
-
-
 def _product_fprime_zero(H):
     # gradient form of the horizontal certificate: <-grad F', V> on {F'=0}
     return (2.0 * H + 1.0 / (2.0 * H)) * (0.25 - H ** 2)
@@ -254,7 +250,7 @@ def _product_sec_mixed_zero(H):
 BARRIER_CURVES = {
     "vertical_isocline": _product_vertical,
     "horizontal_isocline": _product_horizontal,
-    "oblique_isocline": _product_oblique,
+    "oblique_isocline": oblique_barrier_margin,
     "f_prime_zero": _product_fprime_zero,
     "sec_mixed_zero": _product_sec_mixed_zero,
 }

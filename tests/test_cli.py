@@ -168,3 +168,12 @@ def test_plain_value_error_is_not_a_numeric_failure(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "separatrix", buggy)
     with pytest.raises(ValueError, match="broadcast"):
         main(["separatrix", "--out", str(tmp_path), "--quiet"])
+
+
+def test_manifest_records_stage_times(tmp_path):
+    assert main(["all", "--out", str(tmp_path), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    stages = manifest["stages"]
+    assert set(stages) == {"separatrix", "curvature", "asymptotics", "evolve", "blowup"}
+    assert all(v >= 0.0 for v in stages.values())
+    assert sum(stages.values()) <= manifest["wall_time_s"]

@@ -243,3 +243,28 @@ def test_history_rejects_bad_inputs(sep):
         cs.pointwise_R_history(0.0, [-1.5, 0.0], sep)
     with pytest.raises(ValueError):
         cs.pointwise_R_history(1e9, [0.0, 1.0], sep)
+
+
+def test_crossing_scan_matches_per_t_find_crossings(sep):
+    # one shared grid evaluation gives each t the report of its own scan;
+    # the unfiltered scan (about a thousand roots at t = 0) runs on a
+    # coarser grid to keep the suite fast
+    t_values = (-0.7, -0.2, 0.0, 1.0, 10.0)
+    for significance, n_grid in ((3e-4, 400001), (0.0, 20001)):
+        reports = cs.crossing_scan(sep, t_values, n_grid, significance)
+        for t, rep in zip(t_values, reports):
+            one = cs.find_crossings(sep, t, n_grid, significance)
+            assert rep.t == one.t
+            assert rep.crossings == one.crossings
+            assert rep.sign_pattern == one.sign_pattern
+            assert rep.count == one.count
+
+
+def test_failed_crossing_refinement_raises(sep, monkeypatch):
+    from cuspsoliton import evolution
+
+    def fail(*args, **kwargs):
+        raise ValueError("f(a) and f(b) must have different signs")
+    monkeypatch.setattr(evolution, "brentq", fail)
+    with pytest.raises(cs.IntegrationError, match=r"t = 10.0 changes sign on \["):
+        cs.find_crossings(sep, 10.0, n_grid=20001)

@@ -201,3 +201,41 @@ def test_orbit_range_queries_raise_orbit_range_error(sep):
     with pytest.raises(cs.OrbitRangeError, match="r0 outside"):
         cs.pointwise_R_history(sep.r_hi + 1.0, [0.0, 1.0], sep)
     assert issubclass(cs.OrbitRangeError, ValueError)
+
+
+def _state_via_scipy(traj, r):
+    # reference: each point through its own leg's scipy OdeSolution, the
+    # leg chosen and the last leg clamped as Trajectory.state_at does
+    rq = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty((3, rq.size))
+    done = np.zeros(rq.size, dtype=bool)
+    for leg in traj.legs:
+        m = ~done & (rq <= leg.r_hi + 1e-12)
+        if m.any():
+            out[:, m] = leg.sol(rq[m] + leg.shift)
+            done |= m
+    if not done.all():
+        leg = traj.legs[-1]
+        out[:, ~done] = leg.sol(np.clip(rq[~done] + leg.shift, leg.r_lo + leg.shift,
+                                        leg.r_hi + leg.shift))
+    return out
+
+
+def test_state_at_is_bit_identical_to_scipy(sep):
+    # the DOP853 legs are evaluated by the gathered pass, the Radau leg by scipy
+    assert [leg._pieces is not None for leg in sep.legs] == [True, True, False]
+    ends = np.array([v for leg in sep.legs for v in (leg.r_lo, leg.r_hi)])
+    joins = np.clip(np.concatenate([np.nextafter(ends, -np.inf), ends,
+                                    np.nextafter(ends, np.inf)]), sep.r_lo, sep.r_hi)
+    rng = np.random.default_rng(1211)
+    for rq in (sep.dense_grid(400001), rng.uniform(sep.r_lo, sep.r_hi, 200000), sep.r,
+               joins, np.array([sep.r_lo - 5e-10, sep.r_hi + 5e-10])):
+        assert np.array_equal(sep.state_at(rq), _state_via_scipy(sep, rq))
+    assert np.array_equal(sep.state_at(2.903), _state_via_scipy(sep, 2.903)[:, 0])
+    # a backward run stores a descending OdeSolution
+    back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
+                        direction="backward")
+    assert not back.legs[0].sol.ascending
+    rq = np.concatenate([back.dense_grid(10001), back.r,
+                         rng.uniform(back.r_lo, back.r_hi, 1000)])
+    assert np.array_equal(back.state_at(rq), _state_via_scipy(back, rq))
