@@ -3,7 +3,9 @@
 Both the bounded orbit and the curvature-growth curve run into the same
 point at infinity (the vertical asymptote).  After a projective chart
 change the point sits at the origin, and iterated blow-ups x -> x*y peel
-the two germs apart digit by digit, in exact rational arithmetic.  The
+the two germs apart digit by digit, in exact rational arithmetic.  After
+every blow-up the divisor carries exactly one critical point, a rational
+one, so the point the orbit follows is forced and no orbit is shot.  The
 number of blow-ups needed measures the order of contact.
 """
 
@@ -29,16 +31,13 @@ def walk(mode):
         cps = cs.divisor_critical_points(st)
         roots = cs.curve_divisor_intersection(st)
         rtxt = [r.text() if isinstance(r, cs.SRational) else str(r) for r in roots]
-        tracked = cps[0] if len(cps) == 1 else None
         print(f"  blow-up {step}: critical {[c.text() for c in cps]}, "
               f"curve meets divisor at {rtxt}")
-        if tracked and tracked.is_rational and \
-                any((isinstance(r, Fraction) and r == tracked.value) or
-                    (isinstance(r, cs.SRational) and r == tracked.value)
-                    for r in roots):
-            if tracked.value != 0:
-                st = cs.translate(st, tracked.value)
-                print(f"              still together; translate by {tracked.value}")
+        a = cps[0].value
+        if any(r == a for r in roots):
+            if a != 0:
+                st = cs.translate(st, a)
+                print(f"              still together; translate by {a}")
         else:
             print("              separated!")
             break
@@ -48,11 +47,9 @@ def main():
     walk("generic")
     walk("t0")
 
-    print("\nfull engine runs (the shot orbit votes where several critical "
-          "points lie on the divisor):")
-    traj = cs.shoot_separatrix()
+    print("\nfull engine runs (exact, no orbit needed):")
     for mode in ("generic", "t0"):
-        rep = cs.run_sequence(mode, traj)
+        rep = cs.run_sequence(mode)
         absc = (rep.curve_abscissa.text()
                 if isinstance(rep.curve_abscissa, cs.SRational)
                 else str(rep.curve_abscissa))

@@ -12,11 +12,13 @@ and the curvature-growth curve clears its y^4 denominator to
     C = -2xy^2 - x^2y^2 + y^4 + s (2x + 2x^2 - y^2),      s = t + 1.
 
 Both the orbit and the curve pass through the origin tangent to the
-exceptional direction, and iterated algebraic blow-ups x -> x y (with
-occasional exact translations recentering the followed critical point)
-separate them after finitely many steps.  Everything here is exact: the
-coefficient ring is pairs (c0, c1) representing c0 + c1 s with rational
-entries, and no operation may leave it.
+exceptional direction, and iterated algebraic blow-ups x -> x y separate
+them after finitely many steps.  After every blow-up the divisor carries
+exactly one critical point, a rational one, so the point the orbit germ
+follows is forced and no orbit is needed: exact translations recenter it
+at the origin.  Everything here is exact: the coefficient ring is pairs
+(c0, c1) representing c0 + c1 s with rational entries, and no operation
+may leave it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-
-from .phase_core import Trajectory
 
 __all__ = [
     "CoeffAffine", "ExactPoly", "SRational", "DivisorPoint",
@@ -601,7 +601,6 @@ class BlowupReport:
     contact_order: int
     critical_abscissa: Fraction
     curve_abscissa: object           # Fraction or SRational
-    all_curve_roots: list
     translations: list[tuple[int, Fraction]]
     curve_multiplicities: list[int]
     state: BlowupState
@@ -623,68 +622,19 @@ class BlowupReport:
         return "\n".join(lines)
 
 
-#: F-values of the orbit points that vote on the tracked critical point
-_SHADOW_F = (-6.0, -12.0, -25.0)
-
-
-def _shadow_states(traj: Trajectory) -> list[tuple[float, float]]:
-    """Phase states of the bounded orbit near the asymptote, for tracking."""
-    need, reached = min(_SHADOW_F), float(np.min(traj.F))
-    if reached > need:
-        raise BlowupError(f"blow-up tracking needs the orbit out to F = {need}, "
-                          f"but it ends at F = {reached:.6g}")
-    out = []
-    for Ft in _SHADOW_F:
-        H, F, _ = traj.state_at(traj.r_at_F(Ft))
-        out.append((float(H), float(F)))
-    return out
-
-
-def _select_tracked(st: BlowupState, cps: list[DivisorPoint],
-                    shadows: list[tuple[float, float]]) -> DivisorPoint:
-    """Pick the divisor critical point the orbit germ lands on.
-
-    With one candidate the answer is forced; otherwise the numeric shadow
-    points vote by nearest abscissa.  Deep blow-ups amplify float error on
-    the deepest shadows, so moderate-depth samples carry the vote and any
-    disagreement is an error rather than a silent guess.
-    """
-    if len(cps) == 1:
-        return cps[0]
-    votes = []
-    for Hs, Fs in shadows:
-        x, _ = st.map_point(Hs, Fs)
-        votes.append(min(range(len(cps)), key=lambda i: abs(cps[i].approx - x)))
-    if len(set(votes)) != 1:
-        raise BlowupError(f"shadow tracking ambiguous: votes {votes} for "
-                          f"candidates {[c.text() for c in cps]}")
-    return cps[votes[0]]
-
-
-def _root_matches(tracked: DivisorPoint, root) -> bool:
-    if tracked.is_rational:
-        if isinstance(root, Fraction):
-            return root == tracked.value
-        if isinstance(root, SRational):
-            return root == tracked.value
-        return False
-    if isinstance(root, DivisorPoint) and not root.is_rational:
-        return abs(root.approx - tracked.approx) < 1e-9
-    return False
-
-
-def run_sequence(t_mode: str, traj: Trajectory, curve: ExactPoly | None = None,
+def run_sequence(t_mode: str, *, curve: ExactPoly | None = None,
                  max_steps: int = 24) -> BlowupReport:
     """Blow up until the followed critical point separates from the curve.
 
     ``t_mode`` is "generic" (coefficients affine in s) or "t0" (exact
-    specialization s = 1).  Where several critical points lie on the
-    divisor, points of the bounded orbit ``traj`` at F = -6, -12, -25 vote
-    on the one its germ follows; an orbit that ends before F = -25 raises
-    BlowupError.  After separation the critical point is
-    recentered at the origin by one final translation, so the reported
-    curve abscissa is measured relative to it.  Contact order is the
-    number of blow-ups needed to separate, minus one.
+    specialization s = 1).  After each blow-up the divisor must carry
+    exactly one critical point, and a rational one, else BlowupError; the
+    orbit germ has nowhere else to go, so no orbit is consulted.  A
+    nonzero abscissa is translated to the origin, so the reported curve
+    abscissa is measured relative to the critical point.  The field holds
+    neither s nor the curve, so the translations are the germ digits
+    1/2, -1/4, 1/8, ... whatever the curve.  Contact order is the number
+    of blow-ups needed to separate, minus one.
     """
     if t_mode not in ("generic", "t0"):
         raise ValueError("t_mode must be 'generic' or 't0'")
@@ -692,49 +642,30 @@ def run_sequence(t_mode: str, traj: Trajectory, curve: ExactPoly | None = None,
     st = chart_to_infinity(s_value, curve=curve)
     if st.curve and (0, 0) in st.curve.terms:
         raise BlowupError("curve does not pass through the blow-up point")
-    shadows = _shadow_states(traj)
     translations: list[tuple[int, Fraction]] = []
 
     for step in range(1, max_steps + 1):
         st = blowup_once(st)
         cps = divisor_critical_points(st)
-        tracked = _select_tracked(st, cps, shadows)
+        if len(cps) != 1 or not cps[0].is_rational:
+            raise BlowupError(f"blow-up {step}: expected one rational critical point "
+                              f"on the divisor, found {[c.text() for c in cps]}")
+        a = cps[0].value
         roots = curve_divisor_intersection(st)
-        if not any(_root_matches(tracked, r) for r in roots):
-            if not tracked.is_rational:
-                lo, hi = tracked.interval
-                raise BlowupError("tracked critical point is irrational, "
-                                  f"isolated in ({lo}, {hi})")
-            if tracked.value != 0:
-                st = translate(st, tracked.value)
-                translations.append((step, tracked.value))
-            shifted = []
-            for r in roots:
-                if isinstance(r, Fraction):
-                    shifted.append(r - tracked.value)
-                elif isinstance(r, SRational):
-                    shifted.append(SRational.make(
-                        r.num[0] - tracked.value * r.den[0],
-                        r.num[1] - tracked.value * r.den[1],
-                        r.den[0], r.den[1]))
-                else:
-                    shifted.append(r)
-            main = min(
-                (r for r in shifted if isinstance(r, (Fraction, SRational))),
-                key=lambda r: abs(float(r) if isinstance(r, Fraction)
-                                  else r.eval(11.0)))
+        if a != 0:
+            st = translate(st, a)
+            translations.append((step, a))
+        if not any(r == a for r in roots):
+            shifted = [r - a if isinstance(r, Fraction) else SRational.make(
+                r.num[0] - a * r.den[0], r.num[1] - a * r.den[1], r.den[0], r.den[1])
+                for r in roots if isinstance(r, (Fraction, SRational))]
+            main = min(shifted, key=lambda r: abs(float(r) if isinstance(r, Fraction)
+                                                  else r.eval(11.0)))
             return BlowupReport(
                 mode=t_mode, n_blowups=step, contact_order=step - 1,
                 critical_abscissa=Fraction(0), curve_abscissa=main,
-                all_curve_roots=shifted, translations=translations,
+                translations=translations,
                 curve_multiplicities=list(st.curve_multiplicities),
                 state=st,
             )
-        if tracked.is_rational and tracked.value != 0:
-            st = translate(st, tracked.value)
-            translations.append((step, tracked.value))
-        elif not tracked.is_rational:
-            lo, hi = tracked.interval
-            raise BlowupError("non-rational translation required, "
-                              f"isolated in ({lo}, {hi})")
     raise BlowupError(f"no separation within {max_steps} blow-ups")

@@ -3,8 +3,9 @@
 Subcommands: separatrix | curvature | asymptotics | evolve | blowup | all.
 Each run writes deterministic data files (CSV with fixed 17-significant-
 digit scientific notation, JSON for structured reports, optional gnuplot
-two-column variants) plus a manifest with content digests and per-stage
-wall times.  Identical configurations produce byte-identical data files;
+two-column variants) plus a manifest with content digests, per-stage
+wall times and the exit status; a numeric failure still writes it, with
+the error.  Identical configurations produce byte-identical data files;
 wall time and other volatile facts live only in the manifest.
 """
 
@@ -213,18 +214,23 @@ class Emitter:
         path.write_text(content + "\n")
         self.files.append(path)
 
-    def manifest(self, command: str, cfg: RunConfig, wall: float, stages: dict) -> None:
+    def manifest(self, command: str, cfg: RunConfig, wall: float, stages: dict,
+                 status: int, error: str | None = None) -> None:
         digests = {}
         for p in sorted(self.files):
             digests[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
-        write_json(self.out_dir / "manifest.json", {
+        payload = {
             "command": command,
             "config": {f.name: getattr(cfg, f.name) for f in fields(RunConfig)},
             "version": __version__,
             "wall_time_s": wall,
             "stages": stages,
+            "status": status,
             "files": digests,
-        })
+        }
+        if error is not None:
+            payload["error"] = error
+        write_json(self.out_dir / "manifest.json", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +243,26 @@ def _thin(n_total: int, n_keep: int) -> np.ndarray:
 
 
 class _Session:
-    """Computes the orbit and derived data once per process invocation."""
+    """Computes the orbit and derived data once per process invocation.
+
+    ``stages`` maps each timed stage to its wall time, excluding the stages
+    nested in it: the orbit is shot, as stage ``orbit``, by the first
+    command that reads it, and ``blowup`` alone never reads it.
+    """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.traj = shoot_separatrix(cfg.shoot_config())
+        self.stages: dict[str, float] = {}
+
+    def timed(self, name: str, fn, *args):
+        ts, nested = time.monotonic(), sum(self.stages.values())
+        out = fn(*args)
+        self.stages[name] = time.monotonic() - ts - (sum(self.stages.values()) - nested)
+        return out
+
+    @cached_property
+    def traj(self):
+        return self.timed("orbit", shoot_separatrix, self.cfg.shoot_config())
 
     @cached_property
     def profile(self):
@@ -365,8 +386,8 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
 
 
 def cmd_blowup(session: _Session, em: Emitter) -> int:
-    rep_g = run_sequence("generic", session.traj)
-    rep_0 = run_sequence("t0", session.traj)
+    rep_g = run_sequence("generic")
+    rep_0 = run_sequence("t0")
     em.text("blowup_generic", rep_g.to_text())
     em.text("blowup_t0", rep_0.to_text())
     em.report("blowup", {
@@ -430,19 +451,16 @@ def main(argv=None) -> int:
     em = Emitter(out_dir, cfg.format, args.quiet)
 
     t0 = time.monotonic()
-    status = EXIT_OK
+    status, error = EXIT_OK, None
     names = list(_COMMANDS) if args.command == "all" else [args.command]
-    stages = {}
+    session = _Session(cfg)
     try:
-        session = _Session(cfg)
         for name in names:
-            ts = time.monotonic()
-            status = max(status, _COMMANDS[name](session, em))
-            stages[name] = time.monotonic() - ts
+            status = max(status, session.timed(name, _COMMANDS[name], session, em))
     except (ShootError, IntegrationError, BlowupError, OrbitRangeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    em.manifest(args.command, cfg, time.monotonic() - t0, stages)
+        status, error = EXIT_NUMERIC, f"{type(exc).__name__}: {exc}"
+    em.manifest(args.command, cfg, time.monotonic() - t0, session.stages, status, error)
     em.note(f"wrote {len(em.files) + 1} files to {out_dir}")
     return status
 

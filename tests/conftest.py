@@ -21,10 +21,10 @@ def curvature_table(sep):
 
 
 @pytest.fixture(scope="session")
-def blowup_generic(sep):
-    return cs.run_sequence("generic", sep)
+def blowup_generic():
+    return cs.run_sequence("generic")
 
 
 @pytest.fixture(scope="session")
-def blowup_t0(sep):
-    return cs.run_sequence("t0", sep)
+def blowup_t0():
+    return cs.run_sequence("t0")

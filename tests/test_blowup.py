@@ -1,3 +1,4 @@
+import ast
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,11 +204,51 @@ def test_generic_abscissa_specializes_to_t_over_8s():
         assert r.eval(t + 1.0) == pytest.approx(t / (8 * (t + 1)), rel=1e-14)
 
 
-def test_vertical_isocline_separates_much_earlier(sep):
-    rep = cs.run_sequence("generic", sep, curve=BASE_P)
+def test_vertical_isocline_separates_much_earlier():
+    rep = cs.run_sequence("generic", curve=BASE_P)
     assert rep.n_blowups == 4          # frozen; strictly fewer than 6
     assert rep.contact_order == 3
     assert rep.curve_abscissa == F(-1, 4)
+
+
+#: nonzero divisor critical points of the field walk, by blow-up step: the
+#: Y^k coefficients of the orbit germ X = Y^2/2 - Y^4/4 + ... at infinity
+GERM_DIGITS = [
+    (2, F(1, 2)), (4, F(-1, 4)), (6, F(1, 8)), (8, F(-3, 16)), (10, F(1, 32)),
+    (12, F(-33, 64)), (14, F(-179, 128)), (16, F(-2215, 256)),
+    (18, F(-27631, 512)), (20, F(-413313, 1024)), (22, F(-6984567, 2048)),
+    (24, F(-132269307, 4096)),
+]
+
+
+@pytest.mark.parametrize("s_value", [None, F(1)], ids=["generic", "t0"])
+def test_field_walk_has_one_rational_critical_point(s_value):
+    # blow up the field past separation, up to run_sequence's max_steps:
+    # the tracked critical point is forced at every step it may reach
+    st = cs.chart_to_infinity(s_value)
+    translations = []
+    for step in range(1, 25):
+        st = cs.blowup_once(st)
+        cps = cs.divisor_critical_points(st)
+        assert len(cps) == 1 and cps[0].is_rational, (step, [c.text() for c in cps])
+        if cps[0].value != 0:
+            st = cs.translate(st, cps[0].value)
+            translations.append((step, cps[0].value))
+    assert translations == GERM_DIGITS
+
+
+def test_run_sequence_takes_no_orbit():
+    with pytest.raises(TypeError):
+        cs.run_sequence("generic", BASE_P)   # curve is keyword-only
+
+
+def test_blowup_module_is_orbit_free():
+    tree = ast.parse(Path(cs.blowup.__file__).read_text())
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names]
+    imported += [f"{node.module}.{a.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert imported and not any("phase_core" in name for name in imported)
 
 
 def test_exactness_of_final_states(blowup_generic, blowup_t0):

@@ -81,13 +81,20 @@ def test_blowup_command(tmp_path):
     assert (tmp_path / "blowup_t0.txt").exists()
 
 
-def test_blowup_command_needs_orbit_to_F_minus_25(tmp_path, capsys):
+def test_blowup_command_needs_no_orbit(tmp_path, monkeypatch):
+    def no_shot(*args):
+        raise AssertionError("blowup shot the orbit")
+    monkeypatch.setattr(cli, "shoot_separatrix", no_shot)
     cfgfile = tmp_path / "short.cfg"
     cfgfile.write_text("r_max = 20\n")
+    out_default, out_short = tmp_path / "default", tmp_path / "short"
+    assert main(["blowup", "--out", str(out_default), "--quiet"]) == 0
     assert main(["blowup", "--config", str(cfgfile),
-                 "--out", str(tmp_path), "--quiet"]) == 3
-    err = capsys.readouterr().err
-    assert "F = -25.0" in err and "ends at F = -" in err
+                 "--out", str(out_short), "--quiet"]) == 0
+    for name in ("blowup_generic.txt", "blowup_t0.txt", "blowup.json"):
+        assert (out_short / name).read_bytes() == (out_default / name).read_bytes()
+    manifest = json.loads((out_short / "manifest.json").read_text())
+    assert set(manifest["stages"]) == {"blowup"} and manifest["status"] == 0
 
 
 def test_evolve_command(tmp_path):
@@ -160,6 +167,9 @@ def test_orbit_range_failure_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "separatrix", needs_far_orbit)
     assert main(["separatrix", "--out", str(tmp_path), "--quiet"]) == 3
     assert "outside computed" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == 3
+    assert "outside computed" in manifest["error"]
 
 
 def test_plain_value_error_is_not_a_numeric_failure(tmp_path, monkeypatch):
@@ -174,6 +184,8 @@ def test_manifest_records_stage_times(tmp_path):
     assert main(["all", "--out", str(tmp_path), "--quiet"]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     stages = manifest["stages"]
-    assert set(stages) == {"separatrix", "curvature", "asymptotics", "evolve", "blowup"}
+    assert set(stages) == {"orbit", "separatrix", "curvature", "asymptotics",
+                           "evolve", "blowup"}
+    assert manifest["status"] == 0 and "error" not in manifest
     assert all(v >= 0.0 for v in stages.values())
     assert sum(stages.values()) <= manifest["wall_time_s"]
