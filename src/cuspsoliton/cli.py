@@ -4,9 +4,9 @@ Subcommands: separatrix | curvature | asymptotics | evolve | blowup | all.
 Each run writes deterministic data files (CSV with fixed 17-significant-
 digit scientific notation, JSON for structured reports, optional gnuplot
 two-column variants) plus a manifest with content digests, per-stage
-wall times and the exit status; a numeric failure still writes it, with
-the error.  Identical configurations produce byte-identical data files;
-wall time and other volatile facts live only in the manifest.
+wall times, diagnostics and the exit status; a numeric failure still
+writes it, with the error.  Identical configurations produce byte-identical
+data files; wall time and other volatile facts live only in the manifest.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ class Emitter:
         self.files.append(path)
 
     def manifest(self, command: str, cfg: RunConfig, wall: float, stages: dict,
-                 status: int, error: str | None = None) -> None:
+                 status: int, error: str | None, diagnostics: dict) -> None:
         digests = {}
         for p in sorted(self.files):
             digests[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
@@ -225,6 +225,7 @@ class Emitter:
             "version": __version__,
             "wall_time_s": wall,
             "stages": stages,
+            "diagnostics": diagnostics,
             "status": status,
             "files": digests,
         }
@@ -460,7 +461,9 @@ def main(argv=None) -> int:
     except (ShootError, IntegrationError, BlowupError, OrbitRangeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         status, error = EXIT_NUMERIC, f"{type(exc).__name__}: {exc}"
-    em.manifest(args.command, cfg, time.monotonic() - t0, session.stages, status, error)
+    traj = session.__dict__.get("traj")          # shot only if a command read it
+    em.manifest(args.command, cfg, time.monotonic() - t0, session.stages, status, error,
+                {k: v for k, v in traj.meta.items() if k.startswith("germ_")} if traj else {})
     em.note(f"wrote {len(em.files) + 1} files to {out_dir}")
     return status
 

@@ -20,18 +20,21 @@ transport equation is an exact consequence of the system; integrating it
 keeps sigma at full relative accuracy where the direct expression
 -(H' + H^2) loses every digit to cancellation (along the bounded orbit
 sigma decays like r^-4 while H', H^2 decay like r^-2).
+
+Far out the bounded orbit is served by its exact germ at infinity
+(``_GermLeg``) instead of stiff stepping.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 __all__ = [
     "PhasePoint", "PhaseVelocity", "Jacobian2", "IntegratorControls",
@@ -213,19 +216,14 @@ class _Leg:
 
     @cached_property
     def _pieces(self):
-        # the DOP853 interpolants stacked as (t_old, h, y_old, F); None for
-        # any other solver, whose interpolant is left to scipy
+        # the DOP853 interpolants stacked as (t_old, h, y_old, F)
         p = self.sol.interpolants
-        if p and all(type(q) is Dop853DenseOutput for q in p):
-            return (np.array([q.t_old for q in p]), np.array([q.h for q in p]),
-                    np.stack([q.y_old for q in p], axis=1), np.stack([q.F for q in p], axis=2))
-        return None
+        return (np.array([q.t_old for q in p]), np.array([q.h for q in p]),
+                np.stack([q.y_old for q in p], axis=1), np.stack([q.F for q in p], axis=2))
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """States (3, n) at raw solver times ``t``, bit-identical to ``sol(t)``."""
         sol = self.sol
-        if self._pieces is None:
-            return sol(t)
         t_old, h, y_old, F = self._pieces
         # OdeSolution's segment choice: lower index at a breakpoint, clamped
         seg = np.searchsorted(sol.ts_sorted, t, side=sol.side) - 1
@@ -240,6 +238,76 @@ class _Leg:
             y *= x if k % 2 == 0 else 1 - x
         y += y_old[:, seg]
         return y
+
+
+def _germ_series(n: int):
+    """Exact series in Y^2 of H/Y, sigma/Y^4 and Y R(Y) along the germ.
+
+    In the chart X = -H/F, Y = -1/F the flat end of the bounded orbit is the
+    germ X = g(Y) = Y^2/2 - Y^4/4 + ... invariant under X' = -X - 4X^2 - 2X^3
+    + Y^2/2 + XY^2/2, Y' = Y D, D = -2X - 2X^2 + Y^2/2 = dY/dr: g'(Y) Y D = X'
+    order by order.  sigma = (g + g^2 - Y^2/2)/Y^2 is expanded exactly; r = c
+    + R(Y), dR/dY = 1/D even, so no 1/Y or log term.  Divergent: small Y only.
+    """
+    a, a2, d = ([Fraction(0)] * n for _ in range(3))     # g, g^2, D
+    for k in range(1, n):
+        a2[k] = sum(a[i] * a[k - i] for i in range(1, k))
+        lin = Fraction(1, 2) if k == 1 else 0
+        a[k] = (lin + a[k - 1] / 2 - 4 * a2[k] - 2 * sum(a2[i] * a[k - i] for i in range(2, k))
+                - sum(2 * j * a[j] * d[k - j] for j in range(1, k)))
+        d[k] = lin - 2 * a[k] - 2 * a2[k]
+    e = [1 / d[1]]                                        # 1/D = Y^-2 sum e[k] Y^2k
+    for k in range(1, n - 1):
+        e.append(-sum(d[j + 1] * e[k - j] for j in range(1, k + 1)) / d[1])
+    return a[1:], [a[k] + a2[k] for k in range(3, n)], [ek / (2 * k - 1) for k, ek in enumerate(e)]
+
+
+_GERM = _germ_series(20)
+
+
+def _horner(coeffs, x):
+    return reduce(lambda acc, a: acc * x + a, coeffs)
+
+
+@dataclass(frozen=True)
+class _GermLeg:
+    """The flat end of S from its germ, r = c + R(-1/F); takes calibrated r.
+
+    Orbits entering the flat end share the germ up to terms of order
+    exp(-O(r^2)) (the transversal contraction rate is r/2): S is only c.
+    """
+
+    r_lo: float
+    r_hi: float
+    c: float
+    series: tuple           # H/Y, sigma/Y^4, Y R(Y) in Y^2, highest power first
+    shift: float = 0.0
+
+    @classmethod
+    def matched(cls, r_join: float, F_join: float, r_hi: float) -> "_GermLeg":
+        """The germ through F_join at r_join; a series ends before its first
+        nonzero term below 1e-17 of its partial sum there."""
+        y, cut = -1.0 / F_join, []
+        for ser in _GERM:
+            t = [float(a) * (y * y) ** k for k, a in enumerate(ser)]
+            n = next(k for k in range(1, len(t)) if t[k] and abs(t[k]) < 1e-17 * abs(sum(t[:k])))
+            cut.append([float(a) for a in ser[n - 1::-1]])
+        return cls(r_join, r_hi, r_join - _horner(cut[2], y * y) / y, tuple(cut))
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """States (3, n) at calibrated ``r``; one point is evaluated in Python
+        floats, the same IEEE operations without numpy's per-call overhead."""
+        r = np.asarray(r, dtype=float)
+        d = (r.item() if r.size == 1 else r) - self.c
+        h, sigma, ry = self.series
+        # Y = Y R(Y) / (r - c) by fixed point; each pass shrinks the error
+        # by about Y^4, so three passes from Y = 2/(r - c) reach rounding
+        y = 2.0 / d
+        for _ in range(3):
+            y = _horner(ry, y * y) / d
+        x = y * y
+        out = np.array([y * _horner(h, x), -1.0 / y, x * x * _horner(sigma, x)])
+        return out.reshape(3, *r.shape)
 
 
 @dataclass
@@ -258,7 +326,7 @@ class Trajectory:
     rel_tol: float
     abs_tol: float
     termination: str
-    legs: tuple[_Leg, ...]
+    legs: tuple[_Leg | _GermLeg, ...]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -278,8 +346,8 @@ class Trajectory:
     def state_at(self, r) -> np.ndarray:
         """Dense-output states (H, F, sigma) at ``r``; shape (3, n) or (3,).
 
-        DOP853 legs are evaluated in one pass over their gathered pieces, the
-        Radau far leg by scipy; both are bit-identical to ``OdeSolution``.
+        DOP853 legs are evaluated in one pass over their gathered pieces,
+        bit-identical to ``OdeSolution``; a germ leg evaluates its series.
         """
         rq = np.asarray(r, dtype=float)
         scalar = rq.ndim == 0
@@ -339,12 +407,10 @@ def _make_rhs(eps: int) -> Callable:
     return rhs
 
 
-def _solve(rhs, y0, span, rel_tol, abs_tol, max_step=math.inf, events=None,
-           method="DOP853", **options):
-    """Dense-output ``solve_ivp`` run; failure or a non-finite state raises."""
-    sol = solve_ivp(rhs, span, y0, method=method, dense_output=True,
-                    rtol=rel_tol, atol=abs_tol, max_step=max_step,
-                    events=events, **options)
+def _solve(rhs, y0, span, rel_tol, abs_tol, max_step=math.inf, events=None):
+    """Dense-output DOP853 run; failure or a non-finite state raises."""
+    sol = solve_ivp(rhs, span, y0, method="DOP853", dense_output=True,
+                    rtol=rel_tol, atol=abs_tol, max_step=max_step, events=events)
     if sol.status == -1 or not np.all(np.isfinite(sol.y)):
         raise IntegrationError(sol.message)
     return sol

@@ -13,30 +13,21 @@ resolution is the numerical counterpart of the trapping argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .phase_core import (
     EIGENVALUE_UNSTABLE, SADDLE, SLOPE_UNSTABLE, IntegratorControls, Trajectory,
-    _Leg, _make_rhs, _sigma_init, _solve, linearize,
+    _GermLeg, _Leg, _make_rhs, _sigma_init, _solve,
 )
 
-# The transversal contraction rate along the orbit grows like r/2, so an
-# explicit method becomes stability-limited beyond moderate r.  The far
-# forward leg therefore switches to an L-stable implicit pair; its step is
-# capped so the dense interpolant keeps the accuracy the far-field scans
-# need.
-_STIFF_SWITCH = 150.0      # calibrated r at which the far leg takes over
-_STIFF_MAX_STEP = 5.0
-
-
-def _stiff_jacobian(r, y):
-    H, F, sig = y
-    j = linearize((H, F))
-    return [[j.a11, j.a12, 0.0],
-            [j.a21, j.a22, 0.0],
-            [-sig - 3.0 * H ** 2, sig, F - H]]
+# The transversal contraction rate along the orbit grows like r/2, which
+# limits an explicit method's steps far out; past the join the orbit is its
+# exact germ at infinity, matched to the integrated state there.
+_GERM_JOIN = 25.0          # calibrated r at which the germ takes over
+_GERM_NODE_STEP = 5.0
 
 __all__ = [
     "ShootConfig", "BarrierReport", "ShootError",
@@ -105,8 +96,8 @@ class ShootConfig:
     saddle_ball: float = 1e-9
 
     def __post_init__(self):
-        if self.offset <= 0:
-            raise ValueError("offset must be positive")
+        if not 0 < self.saddle_ball < self.offset:
+            raise ValueError("offset and saddle_ball must satisfy 0 < saddle_ball < offset")
         if self.direction not in (-1, 1):
             raise ValueError("direction must be -1 or +1")
 
@@ -123,12 +114,13 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     """Compute the bounded orbit S by shooting from the saddle.
 
     Starts at (1/2, 0) + direction * offset * (1, 3+sqrt5)/|(1, 3+sqrt5)|,
-    integrates forward until H drops below the configured floor or the
-    forward extent is reached, and backward until the state enters the
-    ``saddle_ball`` around (1/2, 0).  The parameter is calibrated so that
-    r = 0 at the unique point with F = -1 (the system is autonomous, so S
-    is defined only up to translation; F is strictly monotone along S,
-    which makes the anchor unique).
+    integrates backward until the state enters the ``saddle_ball`` around
+    (1/2, 0), and forward until H drops below the configured floor or the
+    forward extent is reached.  The parameter is calibrated so that r = 0
+    at the unique point with F = -1 (the system is autonomous, so S is
+    defined only up to translation; F is strictly monotone along S, which
+    makes the anchor unique).  Past r = 25 the orbit is its exact germ at
+    infinity, sampled every 5.0; ``meta`` records the join and its mismatch.
     """
     cfg = cfg or ShootConfig()
     ctl = cfg.controls
@@ -154,24 +146,14 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
         raise ShootError("orbit never reached the calibration anchor F = -1")
     r_star = float(probe.t_events[0][0])
 
-    # forward legs out to the requested calibrated extent: explicit pair on
-    # the near region, implicit pair once the contraction rate is large
+    # forward leg out to the requested calibrated extent or the germ join
     raw_end = r_star + ctl.r_max
-    raw_split = min(r_star + _STIFF_SWITCH, raw_end)
+    raw_split = min(r_star + _GERM_JOIN, raw_end)
     fwd = _solve(rhs, y0, (0.0, raw_split), ctl.rel_tol, atol,
                  ctl.max_step, events=[guard_hi, guard_lo])
     if len(fwd.t_events[0]):
         raise ShootError("orbit left the band H < 1/2; check offset/direction")
     termination = "h_floor" if len(fwd.t_events[1]) else "r_max"
-    far = None
-    if fwd.status != 1 and raw_end > raw_split:
-        far = _solve(rhs, fwd.y[:, -1], (raw_split, raw_end), ctl.rel_tol,
-                     atol, min(ctl.max_step, _STIFF_MAX_STEP),
-                     events=[guard_hi, guard_lo], method="Radau",
-                     jac=_stiff_jacobian)
-        if len(far.t_events[0]):
-            raise ShootError("orbit left the band H < 1/2; check offset/direction")
-        termination = "h_floor" if len(far.t_events[1]) else "r_max"
 
     # backward leg, stopped on the saddle ball; tighter absolute control
     # because transversal errors are amplified by the reverse-time dynamics
@@ -185,33 +167,33 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
         raise ShootError("backward leg failed to reach the saddle ball")
 
     tb, yb = bwd.t[::-1], bwd.y[:, ::-1]
-    tf, yf = fwd.t, fwd.y
     legs = [
         _Leg(float(tb[0] - r_star), float(-r_star), r_star, bwd.sol),
-        _Leg(float(-r_star), float(tf[-1] - r_star), r_star, fwd.sol),
+        _Leg(float(-r_star), float(fwd.t[-1] - r_star), r_star, fwd.sol),
     ]
-    pieces_t = [tb[:-1], tf]
-    pieces_y = [yb[:, :-1], yf]
-    if far is not None:
-        pieces_t.append(far.t[1:])
-        pieces_y.append(far.y[:, 1:])
-        legs.append(_Leg(float(far.t[0] - r_star), float(far.t[-1] - r_star),
-                         r_star, far.sol))
-    r = np.concatenate(pieces_t) - r_star   # shared points dropped
-    y = np.concatenate(pieces_y, axis=1)
-    legs = tuple(legs)
+    r = np.concatenate([tb[:-1], fwd.t]) - r_star   # shared point dropped
+    y = np.concatenate([yb[:, :-1], fwd.y], axis=1)
+    meta = dict(kind="separatrix", offset=cfg.offset, direction=cfg.direction,
+                saddle_ball=cfg.saddle_ball, r_star_raw=r_star,
+                backward_limit="saddle (1/2, 0); truncated at saddle_ball")
+    if fwd.status != 1 and raw_end > raw_split:
+        r_join = float(r[-1])
+        germ = _GermLeg.matched(r_join, float(fwd.y[1, -1]), float(raw_end - r_star))
+        if ctl.h_floor is not None and germ(germ.r_hi)[0] < ctl.h_floor:
+            germ = replace(germ, r_hi=brentq(lambda rr: germ(rr)[0] - ctl.h_floor, r_join,
+                                             germ.r_hi, xtol=1e-12, rtol=1e-15))
+            termination = "h_floor"
+        nodes = np.arange(r_join, germ.r_hi, _GERM_NODE_STEP)[1:]
+        nodes = np.append(nodes[nodes < germ.r_hi], germ.r_hi)
+        dev = np.abs(germ(r_join) / fwd.y[:, -1] - 1.0)
+        meta.update(germ_join_r=r_join, germ_c=germ.c, germ_join_mismatch_H=float(dev[0]),
+                    germ_join_mismatch_sigma=float(dev[2]))
+        legs.append(germ)
+        r, y = np.append(r, nodes), np.concatenate([y, germ(nodes)], axis=1)
     traj = Trajectory(
         r=r, H=y[0].copy(), F=y[1].copy(), sigma=y[2].copy(),
         eps=1, rel_tol=ctl.rel_tol, abs_tol=ctl.abs_tol,
-        termination=termination, legs=legs,
-        meta={
-            "kind": "separatrix",
-            "offset": cfg.offset,
-            "direction": cfg.direction,
-            "saddle_ball": cfg.saddle_ball,
-            "r_star_raw": r_star,
-            "backward_limit": "saddle (1/2, 0); truncated at saddle_ball",
-        },
+        termination=termination, legs=tuple(legs), meta=meta,
     )
     if np.any(traj.H <= 0.0) or np.any(traj.H >= 0.5):
         raise ShootError("computed samples left the band 0 < H < 1/2")

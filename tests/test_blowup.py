@@ -237,6 +237,11 @@ def test_field_walk_has_one_rational_critical_point(s_value):
     assert translations == GERM_DIGITS
 
 
+def test_germ_series_has_the_blowup_digits():
+    # the orbit's far field is served from the same germ the walk proves
+    assert [(2 * k, a) for k, a in enumerate(cs.phase_core._GERM[0], 1)][:12] == GERM_DIGITS
+
+
 def test_run_sequence_takes_no_orbit():
     with pytest.raises(TypeError):
         cs.run_sequence("generic", BASE_P)   # curve is keyword-only

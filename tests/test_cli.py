@@ -95,6 +95,7 @@ def test_blowup_command_needs_no_orbit(tmp_path, monkeypatch):
         assert (out_short / name).read_bytes() == (out_default / name).read_bytes()
     manifest = json.loads((out_short / "manifest.json").read_text())
     assert set(manifest["stages"]) == {"blowup"} and manifest["status"] == 0
+    assert manifest["diagnostics"] == {}
 
 
 def test_evolve_command(tmp_path):
@@ -133,6 +134,16 @@ def test_config_bad_value_rejected(tmp_path):
     bad.write_text("rel_tol = banana\n")
     assert main(["separatrix", "--config", str(bad),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("ball", ["0", "1e-7"])
+def test_config_invalid_saddle_ball_rejected(tmp_path, capsys, ball):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"saddle_ball = {ball}\n")
+    assert main(["separatrix", "--config", str(bad),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "saddle_ball" in err and "Traceback" not in err
 
 
 def test_config_invalid_controls_rejected(tmp_path):
@@ -189,3 +200,7 @@ def test_manifest_records_stage_times(tmp_path):
     assert manifest["status"] == 0 and "error" not in manifest
     assert all(v >= 0.0 for v in stages.values())
     assert sum(stages.values()) <= manifest["wall_time_s"]
+    diag = manifest["diagnostics"]
+    assert set(diag) == {"germ_join_r", "germ_c", "germ_join_mismatch_H",
+                         "germ_join_mismatch_sigma"}
+    assert diag["germ_join_r"] == pytest.approx(25.0, abs=1e-12)

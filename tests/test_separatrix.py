@@ -96,6 +96,12 @@ def test_shooting_stability_under_offset_halving(sep):
     assert abs(H_a - H_b) < 1e-6
 
 
+@pytest.mark.parametrize("ball", [0.0, -1e-9, 1e-8, 1e-7])
+def test_shoot_config_requires_ball_inside_offset(ball):
+    with pytest.raises(ValueError, match="saddle_ball"):
+        cs.ShootConfig(offset=1e-8, saddle_ball=ball)
+
+
 def test_shoot_wrong_direction_raises():
     cfg = cs.ShootConfig(
         direction=1,
@@ -122,3 +128,39 @@ def test_barrier_reports(sep):
         assert b.verdict == "barrier"
         assert b.min_product > 0
         assert b.min_separation > 0
+
+
+def test_germ_join_is_recorded_and_consistent(sep):
+    assert sep.meta["germ_join_r"] == sep.legs[-1].r_lo
+    assert sep.meta["germ_c"] == sep.legs[-1].c
+    assert sep.meta["germ_join_mismatch_H"] <= 1e-10
+    assert sep.meta["germ_join_mismatch_sigma"] <= 1e-10
+
+
+def test_germ_leg_one_point_matches_the_array_pass(sep):
+    germ = sep.legs[-1]
+    rq = np.linspace(germ.r_lo, germ.r_hi, 2001)
+    states = germ(rq)
+    assert all(np.array_equal(germ(np.array(r)), states[:, i]) for i, r in enumerate(rq))
+
+
+def test_germ_matches_an_independent_integration(sep):
+    # DOP853 at a tighter tolerance from the orbit's state at r = 25,
+    # compared with the germ leg at its own accepted steps.  Its start
+    # value -(H' + H^2) of sigma cancels to about 1e-8 relative; the
+    # contraction rate |F - H| > 13 damps that by e^-13 within r < 26
+    H0, F0, _ = sep.state_at(25.0)
+    ref = cs.integrate((H0, F0), 25.0, cs.IntegratorControls(
+        rel_tol=1e-12, abs_tol=1e-14, r_max=100.0))
+    H, F, sigma = sep.legs[-1](ref.r)
+    assert np.abs(H / ref.H - 1.0).max() < 1e-10
+    assert np.abs(F / ref.F - 1.0).max() < 1e-10
+    m = ref.r >= 26.0
+    assert np.abs(sigma[m] / ref.sigma[m] - 1.0).max() < 1e-9
+
+
+def test_short_shot_has_no_germ_leg():
+    traj = cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(
+        r_min=-60.0, r_max=20.0, h_floor=1e-6)))
+    assert len(traj.legs) == 2 and "germ_c" not in traj.meta
+    assert traj.r_hi == pytest.approx(20.0, abs=1e-12)
