@@ -17,81 +17,11 @@ blowup       exact-arithmetic projective chart and iterated blow-ups
 cli          reproducible command-line runs emitting CSV/JSON tables
 """
 
-from .phase_core import (
-    PhasePoint,
-    PhaseVelocity,
-    Jacobian2,
-    IntegratorControls,
-    Trajectory,
-    CriticalSet,
-    IntegrationError,
-    OrbitRangeError,
-    vector_field,
-    critical_points,
-    linearize,
-    eigen_saddle,
-    integrate,
-    SADDLE,
-    EIGENVALUE_UNSTABLE,
-    EIGENVALUE_STABLE,
-    SLOPE_UNSTABLE,
-    SLOPE_STABLE,
-)
-from .separatrix import (
-    ShootConfig,
-    BarrierReport,
-    ShootError,
-    isocline_F,
-    isocline_slopes_at_saddle,
-    oblique_barrier_margin,
-    shoot_separatrix,
-    certify_barriers,
-)
-from .geometry import (
-    MetricProfile,
-    CurvatureTable,
-    SolitonResiduals,
-    RatioEntry,
-    AsymptoticsReport,
-    reconstruct_profiles,
-    curvatures,
-    soliton_residuals,
-    check_asymptotics,
-)
-from .evolution import (
-    CrossingReport,
-    PsiScan,
-    DeltaScan,
-    RHistory,
-    dRdt,
-    Ct,
-    grad_Ct,
-    ct_branch_x,
-    psi,
-    psi_tail,
-    scan_psi,
-    crossing_scan,
-    find_crossings,
-    scan_delta_threshold,
-    pointwise_R_history,
-)
-from .blowup import (
-    CoeffAffine,
-    ExactPoly,
-    SRational,
-    BlowupState,
-    BlowupReport,
-    DivisorPoint,
-    BlowupError,
-    RingDegreeError,
-    chart_to_infinity,
-    blowup_once,
-    translate,
-    divisor_critical_points,
-    curve_divisor_intersection,
-    run_sequence,
-    project_to_infinity,
-    CURVE_XY,
-)
+# each module's __all__ is its public API; the package re-exports all of them
+from .phase_core import *  # noqa: F401,F403
+from .separatrix import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .evolution import *  # noqa: F401,F403
+from .blowup import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

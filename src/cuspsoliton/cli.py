@@ -56,7 +56,6 @@ class RunConfig:
     h_anchor: float = 0.0
     f0: float = 0.0
     barrier_samples: int = 20001
-    crossing_grid: int = 400001
     psi_points: int = 1200
     y_floor: float = -1e3
     t_values: tuple = (-0.7, -0.2, 0.0, 1.0, 10.0)
@@ -254,6 +253,7 @@ class _Session:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.stages: dict[str, float] = {}
+        self.diagnostics: dict = {}
 
     def timed(self, name: str, fn, *args):
         ts, nested = time.monotonic(), sum(self.stages.values())
@@ -348,7 +348,7 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
     em.report("crossings", [{
         "t": t, "count": rep.count, "sign_pattern": rep.sign_pattern,
         "crossings": [{"r": r, "H": H, "F": F} for r, H, F in rep.crossings],
-    } for t, rep in zip(cfg.t_values, crossing_scan(traj, cfg.t_values, cfg.crossing_grid))])
+    } for t, rep in zip(cfg.t_values, crossing_scan(traj, cfg.t_values))])
 
     scans = []
     for t in cfg.t_values:
@@ -374,6 +374,9 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
         "t_grid": ds.t_grid, "crossing_counts": ds.crossing_counts,
         "psi_verdicts": {f"{k:.6f}": v for k, v in ds.psi_verdicts.items()},
     })
+    session.diagnostics.update(sstar_min_r=ds.sstar_min_r,
+                               sstar_certificate_points=ds.certificate_points,
+                               sstar_min_r_vs_delta=abs(ds.sstar_min_r - ds.crossing_r))
 
     hist_t = np.geomspace(0.02, cfg.history_t_max + 1.0, cfg.history_points) - 1.0
     hists = [pointwise_R_history(traj.r_at_F(Fa), hist_t, traj)
@@ -462,8 +465,9 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         status, error = EXIT_NUMERIC, f"{type(exc).__name__}: {exc}"
     traj = session.__dict__.get("traj")          # shot only if a command read it
+    diagnostics = {k: v for k, v in traj.meta.items() if k.startswith("germ_")} if traj else {}
     em.manifest(args.command, cfg, time.monotonic() - t0, session.stages, status, error,
-                {k: v for k, v in traj.meta.items() if k.startswith("germ_")} if traj else {})
+                {**diagnostics, **session.diagnostics})
     em.note(f"wrote {len(em.files) + 1} files to {out_dir}")
     return status
 

@@ -23,6 +23,8 @@ As y -> -inf, Psi_t(y) = t/(4y) - 3t/(8y^3) + O(y^-5), which settles the
 unbounded part of the domain analytically.  Psi_t is not affine in t, so
 its loss is bisected in t; but along S, C_t = A(r) + (t+1) B(r) with A > 0
 > B, so {C_t = 0} first meets S at the closed form t* = min_r A/|B| - 1.
+Every crossing is a level set s* = t + 1 of s* = A/|B|, which is certified
+to fall to that one minimum and then rise toward 1: one root per branch.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq, minimize_scalar, toms748
 
-from .phase_core import Trajectory, IntegrationError, OrbitRangeError, _solve
+from .phase_core import (
+    Trajectory, IntegrationError, OrbitRangeError, _GermLeg, _field, _horner, _solve,
+)
 
 __all__ = [
     "CrossingReport", "PsiScan", "DeltaScan", "RHistory",
@@ -181,13 +185,11 @@ def _ct_split(H, F, sig, s):
     With p = HF + 1/2 and sigma = H^2 - p (the transported curvature state),
     C_t = A + s B with A = 2p - H^2 and B = 2F^2 sigma, where s = t + 1 is a
     scalar or an array matching the states, and R[g0] = -2H^2 + 4 sigma.
-    Returns (C_t, scale, R0) where scale bounds the magnitudes of the two
-    constituents of C_t.
+    Returns (C_t, R0).
     """
     H2 = H ** 2
-    part1 = 2.0 * (H * F + 0.5) - H2
-    part2 = 2.0 * s * F ** 2 * sig
-    return part1 + part2, np.abs(part1) + np.abs(part2), -2.0 * H2 + 4.0 * sig
+    ct = 2.0 * (H * F + 0.5) - H2 + 2.0 * s * F ** 2 * sig
+    return ct, -2.0 * H2 + 4.0 * sig
 
 
 def _ab(H, F, sig):
@@ -195,79 +197,118 @@ def _ab(H, F, sig):
     return 2.0 * (H * F + 0.5) - H ** 2, 2.0 * F ** 2 * sig
 
 
-_SIGNIFICANCE = 3e-4
+def _check_ab(r, A, B):
+    for name, bad in (("A = 2HF + 1 - H^2 > 0", A <= 0.0), ("B = 2F^2 sigma < 0", B >= 0.0)):
+        if np.any(bad):
+            raise IntegrationError(f"s* = A/|B| needs {name} on the orbit; "
+                                   f"it fails at r = {r[np.argmax(bad)]:.6g}")
 
 
-def _significant_flips(vals, scale, significance):
-    """Indices idx of the samples with |C_t| >= significance x scale (the
-    only signs trusted, see ``find_crossings``), their signs (> 0), and the
-    positions k at which the sign flips from idx[k] to idx[k + 1]."""
-    idx = np.nonzero(np.abs(vals) >= significance * scale + 1e-300)[0]
-    positive = vals[idx] > 0
-    return idx, positive, np.nonzero(positive[1:] != positive[:-1])[0]
+def _sstar_slope(H, F, sig, eps):
+    """A B' - A' B, of the sign of ds*/dr (s* = -A/B), with H', F' from the
+    field and sigma' = (F - H) sigma - H^3."""
+    dH, dF = _field(H, F, 0.5 * eps)
+    A, B = _ab(H, F, sig)
+    dA = 2.0 * (dH * F + H * dF - H * dH)
+    dB = 4.0 * F * dF * sig + 2.0 * F ** 2 * ((F - H) * sig - H ** 3)
+    return A * dB - dA * B
 
 
 @dataclass
 class CrossingReport:
-    """Sign changes of C_t along the bounded orbit."""
+    """Sign changes of C_t along the bounded orbit; ``n_grid`` counts the
+    points of the s* certificate they rest on."""
 
     t: float
     crossings: list[tuple[float, float, float]]   # (r, H, F), ordered in r
-    sign_pattern: str                              # signs of the significant segments
+    sign_pattern: str                              # signs of C_t between the crossings
     n_grid: int
-    significance: float
 
     @property
     def count(self) -> int:
         return len(self.crossings)
 
 
-def crossing_scan(traj: Trajectory, t_values, n_grid: int = 400001,
-                  significance: float = _SIGNIFICANCE,
-                  xtol: float = 1e-9) -> list[CrossingReport]:
+_CERT_STEP = 5e-3         # grid step of the slope certificate on integrated legs
+
+
+class _SStar:
+    """s* = A/|B| along ``traj``, certified to fall to ``r_min``, then rise.
+
+    On the integrated legs A > 0 > B and the sign of ds*/dr are read at the
+    sample nodes and every ``_CERT_STEP`` (``points`` in all); the sign may
+    turn from - to + once, at r_min.  Past the germ join 1 - s* = Y^4 q(Y^2)
+    with Y = -1/F falling, so every kept coefficient of the exact q must be
+    positive: then s* < 1 rises there.  Anything else raises IntegrationError.
+    """
+
+    def __init__(self, traj: Trajectory):
+        germ = traj.legs[-1]
+        self.traj = traj
+        self.q = germ.series[3] if isinstance(germ, _GermLeg) else None
+        r_end = germ.r_lo if self.q else traj.r_hi
+        r = np.union1d(traj.r[traj.r <= r_end], np.arange(traj.r_lo, r_end, _CERT_STEP))
+        states = traj.state_at(r)
+        _check_ab(r, *_ab(*states))
+        _check_ab(traj.r, *_ab(traj.H, traj.F, traj.sigma))
+        if self.q and min(self.q) <= 0.0:
+            raise IntegrationError(f"s* rises past r = {r_end:.6g} only if (1 - s*)/Y^4 "
+                                   f"has positive coefficients; the germ's do not")
+        up = _sstar_slope(*states, traj.eps) > 0.0
+        turns = np.nonzero(up[1:] != up[:-1])[0]
+        if turns.size > 1 or (turns.size and up[0]):
+            raise IntegrationError(f"s* = A/|B| must fall, then rise: ds*/dr turns from + to "
+                                   f"- at r = {r[turns[0 if up[0] else 1] + 1]:.6g}")
+        if turns.size:
+            # toms748, not brentq: evolution.brentq refines crossings only
+            slope = lambda rr: float(_sstar_slope(*traj.state_at(rr), traj.eps))
+            self.r_min = float(toms748(slope, r[turns[0]], r[turns[0] + 1], xtol=1e-12))
+        else:
+            self.r_min = float(r[0] if up[0] else r_end)
+        self.points, self.r_join = int(r.size), r_end
+
+    def __call__(self, r: float) -> float:
+        H, F, sig = self.traj.state_at(r)
+        if self.q and r > self.r_join:          # exact where A/|B| cancels near 1
+            return float(1.0 - _horner(self.q, F ** -2) / F ** 4)
+        a, b = _ab(H, F, sig)
+        return float(-a / b)
+
+    def report(self, t: float, xtol: float = 1e-9) -> CrossingReport:
+        """One brentq of s* - (t+1) on each monotone branch straddling it."""
+        s, ends = t + 1.0, (self.traj.r_lo, self.r_min, self.traj.r_hi)
+        gaps = [self(r) - s for r in ends]
+        crossings, pattern = [], "+" if gaps[0] > 0.0 else "-"
+        for lo, hi, g_lo, g_hi in zip(ends, ends[1:], gaps, gaps[1:]):
+            if g_lo * g_hi < 0.0:
+                try:
+                    rc = float(brentq(lambda rr: self(rr) - s, lo, hi, xtol=xtol, rtol=1e-15))
+                except ValueError as exc:
+                    raise IntegrationError(f"C_t at t = {t} changes sign on "
+                                           f"[{lo!r}, {hi!r}] but brentq failed: {exc}") from exc
+                crossings.append((rc, *(float(v) for v in self.traj.state_at(rc)[:2])))
+                pattern += "+" if g_hi > 0.0 else "-"
+        return CrossingReport(t, crossings, pattern, self.points)
+
+
+def crossing_scan(traj: Trajectory, t_values, xtol: float = 1e-9) -> list[CrossingReport]:
     """Sign changes of C_t along ``traj`` at each of ``t_values``.
 
-    One dense evaluation of the orbit on ``n_grid`` points serves every t
-    (the states do not depend on t); C_t is formed per t by ``_ct_split``.
-    A sign change is counted only when C_t exceeds ``significance`` times
-    the local constituent scale on both flanks; this suppresses spurious
-    flips in the far region where C_t itself decays below the orbit's
-    attainable accuracy (for t = 0 the curve has ninth-order contact with
-    the orbit at infinity, so its values there genuinely drown).  It also
-    hides genuine crossings whose dip stays below that fraction: on
-    (t*, t* + 5.4e-4) after the first crossing time t* the default reports
-    none where ``significance=0`` finds two.  Accepted crossings are
-    refined by ``brentq`` to r-resolution ``xtol``; a bracket it cannot
-    resolve raises ``IntegrationError``.
+    On the orbit C_t = |B| (s* - (t+1)) with s* = A/|B| free of t, so one
+    certificate (``_SStar``) serves every t, and each crossing is one
+    ``brentq`` root of s* = t + 1 to r-resolution ``xtol`` on a monotone
+    branch: none for t < t*, two for t* < t < 0 (one if the orbit ends
+    before the second), one for t >= 0.  A failed certificate or
+    refinement raises ``IntegrationError``.
     """
     t_values = [_check_t(t) for t in t_values]
-    rg = traj.dense_grid(n_grid)
-    states = traj.state_at(rg)
-    reports = []
-    for t in t_values:
-        vals, scale, _ = _ct_split(*states, t + 1.0)
-        idx, positive, flips = _significant_flips(vals, scale, significance)
-        f = lambda rr, s=t + 1.0: float(_ct_split(*traj.state_at(np.atleast_1d(rr)), s)[0][0])
-        crossings = []
-        for lo, hi in zip(rg[idx[flips]], rg[idx[flips + 1]]):
-            try:
-                rc = float(brentq(f, lo, hi, xtol=xtol, rtol=1e-15))
-            except ValueError as exc:
-                raise IntegrationError(f"C_t at t = {t} changes sign on "
-                                       f"[{lo!r}, {hi!r}] but brentq failed: {exc}") from exc
-            Hc, Fc = (float(v) for v in traj.state_at(rc)[:2])
-            crossings.append((rc, Hc, Fc))
-        pattern = positive[np.concatenate([[0], flips + 1])] if idx.size else []
-        reports.append(CrossingReport(t, crossings, "".join("+" if p else "-" for p in pattern),
-                                      int(n_grid), significance))
-    return reports
+    sstar = _SStar(traj)
+    return [sstar.report(t, xtol) for t in t_values]
 
 
-def find_crossings(traj: Trajectory, t: float, n_grid: int = 400001,
-                   significance: float = _SIGNIFICANCE,
-                   xtol: float = 1e-9) -> CrossingReport:
+def find_crossings(traj: Trajectory, t: float, xtol: float = 1e-9) -> CrossingReport:
     """Sign changes of C_t along ``traj`` at one t (see ``crossing_scan``)."""
-    return crossing_scan(traj, [t], n_grid, significance, xtol)[0]
+    return crossing_scan(traj, [t], xtol)[0]
 
 
 @dataclass
@@ -276,9 +317,12 @@ class DeltaScan:
 
     ``crossing_threshold`` is the first t at which {C_t = 0} meets the
     orbit, at r = ``crossing_r``; ``crossing_bracket`` is it plus or minus
-    the disagreement of its grid and refined estimates.  ``barrier_bracket``
-    encloses the loss of the Psi-positivity certificate, bisected.  The two
-    notions are reported separately and need not coincide.
+    the disagreement of its grid and refined estimates.  ``sstar_min_r`` is
+    the same point from the s* certificate of ``crossing_scan``, an
+    independent route; ``crossing_counts`` are that route's exact counts.
+    ``barrier_bracket`` encloses the loss of the Psi-positivity
+    certificate, bisected.  The two notions are reported separately and
+    need not coincide.
     """
 
     t_grid: np.ndarray
@@ -288,40 +332,35 @@ class DeltaScan:
     crossing_bracket: tuple[float, float]
     barrier_bracket: tuple[float, float]
     psi_verdicts: dict[float, str]
+    sstar_min_r: float
+    certificate_points: int
 
 
 def scan_delta_threshold(traj: Trajectory, t_grid=None,
                          width: float = 1e-4) -> DeltaScan:
     """The crossing threshold in closed form and the barrier threshold bisected.
 
-    Where A > 0 and B < 0 (see ``_ct_split``) on the whole 120 001-point
-    dense grid, t* = min_r A/|B| - 1: the grid minimum, refined by a bounded
+    With A > 0 > B certified along the orbit (``_SStar``), t* = min_r A/|B|
+    - 1: the minimum on a 120 001-point dense grid, refined by a bounded
     minimisation between the argmin's neighbours.  The barrier bracket is
-    bisected from ``t_grid`` to ``width``.
+    bisected from ``t_grid``, strictly increasing with a positive Psi
+    verdict at its first point, to ``width``.
     """
     if t_grid is None:
         t_grid = np.linspace(-0.9, -0.01, 24)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= -1.0) or np.any(t_grid >= 0.0):
         raise ValueError("t_grid must lie in (-1, 0)")
+    if np.any(np.diff(t_grid) <= 0.0):
+        raise ValueError("t_grid must be strictly increasing")
 
+    sstar = _SStar(traj)
+    counts = [sstar.report(t).count for t in t_grid]
     rg = traj.dense_grid(120001)
-    H, F, sig = traj.state_at(rg)
-    counts = [len(_significant_flips(*_ct_split(H, F, sig, t + 1.0)[:2], _SIGNIFICANCE)[2])
-              for t in t_grid]
-    A, B = _ab(H, F, sig)
-    for name, bad in (("A = 2HF + 1 - H^2 > 0", A <= 0.0), ("B = 2F^2 sigma < 0", B >= 0.0)):
-        if np.any(bad):
-            raise IntegrationError(f"closed-form crossing threshold needs {name} on "
-                                   f"the orbit; it fails at r = {rg[np.argmax(bad)]:.6g}")
+    A, B = _ab(*traj.state_at(rg))
     s_grid = -A / B
     i = int(np.argmin(s_grid))
-
-    def s_at(r):
-        a, b = _ab(*traj.state_at(r))
-        return -a / b
-
-    res = minimize_scalar(s_at, bounds=(rg[max(i - 1, 0)], rg[min(i + 1, rg.size - 1)]),
+    res = minimize_scalar(sstar, bounds=(rg[max(i - 1, 0)], rg[min(i + 1, rg.size - 1)]),
                           method="bounded")
     t_star = float(res.fun) - 1.0
     if not -1.0 < t_star < 0.0:
@@ -330,10 +369,10 @@ def scan_delta_threshold(traj: Trajectory, t_grid=None,
 
     verdicts = {float(t): scan_psi(t).verdict for t in t_grid}
     pos = [verdicts[float(t)] == "positive" for t in t_grid]
-    if not any(pos) or all(pos):
+    if not pos[0] or all(pos):
         raise IntegrationError("barrier transition not bracketed by t_grid")
-    j = next(i for i, b in enumerate(pos) if not b)
-    lo, hi = t_grid[j - 1] if j > 0 else t_grid[0], t_grid[j]
+    j = pos.index(False)
+    lo, hi = t_grid[j - 1], t_grid[j]
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if scan_psi(mid).verdict != "positive":
@@ -344,7 +383,8 @@ def scan_delta_threshold(traj: Trajectory, t_grid=None,
     return DeltaScan(t_grid=t_grid, crossing_counts=counts,
                      crossing_threshold=t_star, crossing_r=float(res.x),
                      crossing_bracket=(t_star - e, t_star + e),
-                     barrier_bracket=(lo, hi), psi_verdicts=verdicts)
+                     barrier_bracket=(lo, hi), psi_verdicts=verdicts,
+                     sstar_min_r=sstar.r_min, certificate_points=sstar.points)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +445,7 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
 
     valid = ~np.isnan(r_of_t)
     tv = t_grid[valid]
-    ct, _, R0 = _ct_split(*traj.state_at(r_of_t[valid]), tv + 1.0)
+    ct, R0 = _ct_split(*traj.state_at(r_of_t[valid]), tv + 1.0)
     R = R0 / (tv + 1.0)
     dR = 2.0 / (tv + 1.0) ** 2 * ct
 

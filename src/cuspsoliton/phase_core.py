@@ -241,13 +241,16 @@ class _Leg:
 
 
 def _germ_series(n: int):
-    """Exact series in Y^2 of H/Y, sigma/Y^4 and Y R(Y) along the germ.
+    """Exact series in Y^2 of H/Y, sigma/Y^4, Y R(Y) and (1 - s*)/Y^4 along the germ.
 
     In the chart X = -H/F, Y = -1/F the flat end of the bounded orbit is the
     germ X = g(Y) = Y^2/2 - Y^4/4 + ... invariant under X' = -X - 4X^2 - 2X^3
     + Y^2/2 + XY^2/2, Y' = Y D, D = -2X - 2X^2 + Y^2/2 = dY/dr: g'(Y) Y D = X'
     order by order.  sigma = (g + g^2 - Y^2/2)/Y^2 is expanded exactly; r = c
-    + R(Y), dR/dY = 1/D even, so no 1/Y or log term.  Divergent: small Y only.
+    + R(Y), dR/dY = 1/D even, so no 1/Y or log term.  s* = A/|B| with A =
+    2HF + 1 - H^2 = (Y^2 - 2g - g^2)/Y^2 and |B| = -2F^2 sigma = (Y^2 - 2g -
+    2g^2)/Y^4, so 1 - s* is a quotient of exact series, free of the float
+    cancellation of A/|B| near 1.  Divergent: small Y only.
     """
     a, a2, d = ([Fraction(0)] * n for _ in range(3))     # g, g^2, D
     for k in range(1, n):
@@ -259,7 +262,13 @@ def _germ_series(n: int):
     e = [1 / d[1]]                                        # 1/D = Y^-2 sum e[k] Y^2k
     for k in range(1, n - 1):
         e.append(-sum(d[j + 1] * e[k - j] for j in range(1, k + 1)) / d[1])
-    return a[1:], [a[k] + a2[k] for k in range(3, n)], [ek / (2 * k - 1) for k, ek in enumerate(e)]
+    # Y^4 |B| = Y^6 sum d[k + 3] Y^2k, Y^4 (|B| - A) = Y^10 sum p Y^2k (its Y^6, Y^8 terms vanish)
+    q = []
+    for k in range(n - 5):
+        p = d[k + 5] + 2 * a[k + 4] + a2[k + 4]
+        q.append((p - sum(q[i] * d[k - i + 3] for i in range(k))) / d[3])
+    return (a[1:], [a[k] + a2[k] for k in range(3, n)],
+            [ek / (2 * k - 1) for k, ek in enumerate(e)], q)
 
 
 _GERM = _germ_series(20)
@@ -280,7 +289,7 @@ class _GermLeg:
     r_lo: float
     r_hi: float
     c: float
-    series: tuple           # H/Y, sigma/Y^4, Y R(Y) in Y^2, highest power first
+    series: tuple           # H/Y, sigma/Y^4, Y R(Y), (1 - s*)/Y^4 in Y^2, highest power first
     shift: float = 0.0
 
     @classmethod
@@ -299,7 +308,7 @@ class _GermLeg:
         floats, the same IEEE operations without numpy's per-call overhead."""
         r = np.asarray(r, dtype=float)
         d = (r.item() if r.size == 1 else r) - self.c
-        h, sigma, ry = self.series
+        h, sigma, ry = self.series[:3]
         # Y = Y R(Y) / (r - c) by fixed point; each pass shrinks the error
         # by about Y^4, so three passes from Y = 2/(r - c) reach rounding
         y = 2.0 / d

@@ -129,6 +129,13 @@ def test_config_unknown_key_rejected(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_config_crossing_grid_is_unknown(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("crossing_grid = 400001\n")
+    assert main(["evolve", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "unknown key 'crossing_grid'" in capsys.readouterr().err
+
+
 def test_config_bad_value_rejected(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("rel_tol = banana\n")
@@ -202,5 +209,10 @@ def test_manifest_records_stage_times(tmp_path):
     assert sum(stages.values()) <= manifest["wall_time_s"]
     diag = manifest["diagnostics"]
     assert set(diag) == {"germ_join_r", "germ_c", "germ_join_mismatch_H",
-                         "germ_join_mismatch_sigma"}
+                         "germ_join_mismatch_sigma", "sstar_min_r",
+                         "sstar_certificate_points", "sstar_min_r_vs_delta"}
     assert diag["germ_join_r"] == pytest.approx(25.0, abs=1e-12)
+    delta = json.loads((tmp_path / "delta.json").read_text())
+    assert diag["sstar_min_r_vs_delta"] == abs(diag["sstar_min_r"] - delta["crossing_r"])
+    assert diag["sstar_min_r_vs_delta"] <= 1e-5
+    assert diag["sstar_certificate_points"] > 10000

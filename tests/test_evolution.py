@@ -164,25 +164,33 @@ def test_double_crossing_window(sep):
     assert rep.sign_pattern == "+-+"
 
 
-def test_crossings_match_per_index_loop(sep):
-    # reference: walk the significant samples one by one, as a loop would
+def _unfiltered_walk(sep, t, n=20001, r_hi=30.0):
+    """Independent oracle: walk C_t sample by sample on n points over
+    [r_lo, r_hi], where its computed sign is exact; returns the sign
+    pattern and the brackets of the sign changes."""
     from cuspsoliton.evolution import _ct_split
-    rg = sep.dense_grid(20001)
-    for t in (-0.7, -0.0369, -0.02, 0.0, 1.0, 10.0):
-        vals, scale, _ = _ct_split(*sep.state_at(rg), t + 1.0)
-        for significance in (0.0, 3e-4):
-            pattern, brackets, prev = [], [], None
-            for i in np.nonzero(np.abs(vals) >= significance * scale + 1e-300)[0]:
-                sgn = "+" if vals[i] > 0 else "-"
-                if pattern and sgn != pattern[-1]:
-                    brackets.append((rg[prev], rg[i]))
-                if not pattern or sgn != pattern[-1]:
-                    pattern.append(sgn)
-                prev = i
-            rep = cs.find_crossings(sep, t, n_grid=20001, significance=significance)
-            assert rep.sign_pattern == "".join(pattern)
-            assert len(rep.crossings) == len(brackets)
-            assert all(lo <= c[0] <= hi for c, (lo, hi) in zip(rep.crossings, brackets))
+    rg = np.linspace(sep.r_lo, r_hi, n)
+    vals = _ct_split(*sep.state_at(rg), t + 1.0)[0]
+    pattern, brackets, prev = [], [], None
+    for i in np.nonzero(vals)[0]:
+        sgn = "+" if vals[i] > 0 else "-"
+        if pattern and sgn != pattern[-1]:
+            brackets.append((rg[prev], rg[i]))
+        if not pattern or sgn != pattern[-1]:
+            pattern.append(sgn)
+        prev = i
+    return "".join(pattern), brackets
+
+
+def test_crossings_match_per_index_loop(sep):
+    # -0.0369 lies in the window (t*, t* + 5.4e-4) that the old
+    # significance filter hid; every root at these t lies below r = 30
+    for t in (-0.7, -0.0369, -0.02, -0.001, 0.0, 1.0, 10.0):
+        pattern, brackets = _unfiltered_walk(sep, t)
+        rep = cs.find_crossings(sep, t)
+        assert rep.sign_pattern == pattern
+        assert len(rep.crossings) == len(brackets)
+        assert all(lo <= c[0] <= hi for c, (lo, hi) in zip(rep.crossings, brackets))
 
 
 def test_barrier_soundness(sep):
@@ -211,13 +219,12 @@ def test_crossing_threshold_against_unfiltered_scan(sep):
     lo, hi = ds.crossing_bracket
     assert lo < ds.crossing_threshold < hi and hi - lo <= 1e-4
     assert lo < -0.036992 < hi
-    assert cs.find_crossings(sep, lo - 1e-5, significance=0).count == 0
-    assert cs.find_crossings(sep, hi + 1e-5, significance=0).count == 2
+    assert len(_unfiltered_walk(sep, lo - 1e-5)[1]) == 0
+    assert len(_unfiltered_walk(sep, hi + 1e-5)[1]) == 2
     Hc, Fc, _ = sep.state_at(ds.crossing_r)
     assert abs(cs.Ct(Hc, Fc, ds.crossing_threshold)) < 1e-9
-    # the counts on the grid are find_crossings' on the same 120 001 points
-    assert ds.crossing_counts == [cs.find_crossings(sep, t, n_grid=120001).count
-                                  for t in ds.t_grid]
+    # the exact counts on the grid are the unfiltered walk's
+    assert ds.crossing_counts == [len(_unfiltered_walk(sep, t)[1]) for t in ds.t_grid]
 
 
 def test_crossing_threshold_needs_negative_sigma():
@@ -246,18 +253,15 @@ def test_history_rejects_bad_inputs(sep):
 
 
 def test_crossing_scan_matches_per_t_find_crossings(sep):
-    # one shared grid evaluation gives each t the report of its own scan;
-    # the unfiltered scan (about a thousand roots at t = 0) runs on a
-    # coarser grid to keep the suite fast
+    # one shared certificate gives each t the report of its own query
     t_values = (-0.7, -0.2, 0.0, 1.0, 10.0)
-    for significance, n_grid in ((3e-4, 400001), (0.0, 20001)):
-        reports = cs.crossing_scan(sep, t_values, n_grid, significance)
-        for t, rep in zip(t_values, reports):
-            one = cs.find_crossings(sep, t, n_grid, significance)
-            assert rep.t == one.t
-            assert rep.crossings == one.crossings
-            assert rep.sign_pattern == one.sign_pattern
-            assert rep.count == one.count
+    reports = cs.crossing_scan(sep, t_values)
+    for t, rep in zip(t_values, reports):
+        one = cs.find_crossings(sep, t)
+        assert rep.t == one.t
+        assert rep.crossings == one.crossings
+        assert rep.sign_pattern == one.sign_pattern
+        assert rep.count == one.count
 
 
 def test_failed_crossing_refinement_raises(sep, monkeypatch):
@@ -267,4 +271,90 @@ def test_failed_crossing_refinement_raises(sep, monkeypatch):
         raise ValueError("f(a) and f(b) must have different signs")
     monkeypatch.setattr(evolution, "brentq", fail)
     with pytest.raises(cs.IntegrationError, match=r"t = 10.0 changes sign on \["):
-        cs.find_crossings(sep, 10.0, n_grid=20001)
+        cs.find_crossings(sep, 10.0)
+
+
+def test_exact_crossing_picture(sep):
+    # 0 crossings below t*, 2 on (t*, 0), 1 from t = 0 on, and C_t vanishes
+    # at each root to 1e-9 of its constituents' scale
+    from cuspsoliton.evolution import _ab
+    t_star = cs.scan_delta_threshold(sep).crossing_threshold
+    rng = np.random.default_rng(41)
+    ts = np.concatenate([rng.uniform(-0.99, 200.0, 200),
+                         t_star + rng.uniform(0.0, 5.4e-4, 20)])
+    for t, rep in zip(ts, cs.crossing_scan(sep, ts)):
+        expected = 0 if t < t_star else 2 if t < 0.0 else 1
+        assert rep.count == expected, t
+        assert rep.sign_pattern == "+-+"[:expected + 1]
+        for r, _, _ in rep.crossings:
+            A, B = _ab(*sep.state_at(r))
+            assert abs(A + (t + 1.0) * B) < 1e-9 * (abs(A) + abs((t + 1.0) * B))
+
+
+def test_sstar_germ_series_is_positive(sep):
+    from fractions import Fraction
+    from cuspsoliton.phase_core import _GERM
+    q = _GERM[3]
+    assert q[:4] == [1, Fraction(9, 4), Fraction(21, 2), Fraction(921, 16)]
+    assert all(c > 0 for c in q)
+    kept = sep.legs[-1].series[3]         # cut at the join, highest power first
+    assert 4 < len(kept) < len(q) and all(c > 0 for c in kept)
+
+
+def test_sstar_germ_matches_float_sstar(sep):
+    # past the join s* comes from the exact series for 1 - s*; the float
+    # quotient A/|B| of the germ's states agrees with it on [25, 100] to
+    # the rounding of A ~ Y^2/4 (absolute 1e-16 on 1e-4 at r = 100)
+    from cuspsoliton.evolution import _SStar, _ab
+    sstar = _SStar(sep)
+    rr = np.linspace(25.0, 100.0, 1001)[1:]
+    A, B = _ab(*sep.state_at(rr))
+    exact = np.array([sstar(r) for r in rr])
+    assert np.all(exact < 1.0) and np.all(np.diff(exact) > 0.0)
+    assert np.abs(exact + A / B).max() < 1e-11
+
+
+def test_sstar_minimum_is_the_crossing_threshold(sep):
+    # r_min is the root of ds*/dr; delta's crossing_r comes from a bounded
+    # minimisation (xatol 1e-5) of the flat s*, so it is the coarser one
+    from cuspsoliton.evolution import _SStar
+    sstar = _SStar(sep)
+    ds = cs.scan_delta_threshold(sep)
+    assert ds.sstar_min_r == sstar.r_min
+    assert abs(sstar.r_min - ds.crossing_r) <= 1e-5
+    assert sstar(sstar.r_min) <= sstar(ds.crossing_r)
+    assert abs(sstar(sstar.r_min) - 1.0 - ds.crossing_threshold) < 1e-13
+
+
+def test_find_crossings_needs_negative_sigma():
+    traj = cs.integrate((1.5, 0.7), 0.0, cs.IntegratorControls(r_max=0.1))
+    with pytest.raises(cs.IntegrationError, match="B = 2F\\^2 sigma < 0"):
+        cs.find_crossings(traj, 0.0)
+
+
+def test_delta_threshold_rejects_unsorted_grid(sep):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        cs.scan_delta_threshold(sep, [-0.2, -0.1, -0.7])
+    # the barrier is lost before -0.2: the grid must start on a positive verdict
+    with pytest.raises(cs.IntegrationError, match="not bracketed"):
+        cs.scan_delta_threshold(sep, [-0.2, -0.1])
+
+
+def test_sstar_certificate_rejects_a_second_turn(sep, monkeypatch):
+    from cuspsoliton import evolution
+    slope = evolution._sstar_slope
+    # a slope that turns negative again where F < -5 (r ~ 8)
+    monkeypatch.setattr(evolution, "_sstar_slope", lambda H, F, sig, eps:
+                        np.where(F < -5.0, -1.0, 1.0) * slope(H, F, sig, eps))
+    with pytest.raises(cs.IntegrationError, match=r"turns from \+ to - at r = 8\."):
+        cs.find_crossings(sep, 0.0)
+
+
+def test_sstar_certificate_needs_a_positive_germ_series(sep):
+    from dataclasses import replace
+    germ = sep.legs[-1]
+    q = germ.series[3]
+    bad = replace(germ, series=(*germ.series[:3], [-q[0], *q[1:]]))
+    traj = replace(sep, legs=(*sep.legs[:-1], bad))
+    with pytest.raises(cs.IntegrationError, match="past r = 25 only if"):
+        cs.find_crossings(traj, 0.0)
