@@ -32,12 +32,12 @@ def main():
 
     ds = cs.scan_delta_threshold(traj)
     print("\nthresholds in t:")
-    print("  first actual crossing:    t* = min A/|B| - 1 = %.6f at r = %.3f"
+    print("  first actual crossing:    t* = min A/|B| - 1 = %.10f at r = %.6f"
           % (ds.crossing_threshold, ds.crossing_r))
-    print("                            (grid and refined minima within %.1e)"
-          % (0.5 * (ds.crossing_bracket[1] - ds.crossing_bracket[0])))
-    print("  loss of the Psi barrier:  t in (%.5f, %.5f), bisected"
+    print("                            (the certified minimum of s* = A/|B|)")
+    print("  loss of the Psi barrier:  t in (%.14f, %.14f)"
           % ds.barrier_bracket)
+    print("                            (the root of a discriminant factor, isolated exactly)")
     print("  the certificate is lost well before any crossing exists")
 
     print("\npointwise histories R(t) at two anchors:")

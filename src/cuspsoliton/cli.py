@@ -82,6 +82,7 @@ class RunConfig:
 
 
 _TUPLE_KEYS = {"t_values", "history_anchors_F"}
+_COUNT_KEYS = ("barrier_samples", "psi_points", "t_grid_n", "history_points", "table_rows")
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -124,6 +125,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("t_values must satisfy t > -1")
     if not -1.0 < cfg.t_grid_min < cfg.t_grid_max < 0.0:
         raise ConfigError("t_grid bounds must satisfy -1 < min < max < 0")
+    if not cfg.history_t_max > -1.0:
+        raise ConfigError("history_t_max must satisfy t > -1")
+    for key in _COUNT_KEYS:
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1")
     try:
         cfg.shoot_config()
     except ValueError as exc:
@@ -374,9 +380,7 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
         "t_grid": ds.t_grid, "crossing_counts": ds.crossing_counts,
         "psi_verdicts": {f"{k:.6f}": v for k, v in ds.psi_verdicts.items()},
     })
-    session.diagnostics.update(sstar_min_r=ds.sstar_min_r,
-                               sstar_certificate_points=ds.certificate_points,
-                               sstar_min_r_vs_delta=abs(ds.sstar_min_r - ds.crossing_r))
+    session.diagnostics.update(sstar_certificate_points=ds.certificate_points)
 
     hist_t = np.geomspace(0.02, cfg.history_t_max + 1.0, cfg.history_points) - 1.0
     hists = [pointwise_R_history(traj.r_at_F(Fa), hist_t, traj)

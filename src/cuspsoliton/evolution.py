@@ -20,21 +20,24 @@ y < 0, the scalar product of the curve normal with the vector field is
 
 and strict positivity over the whole branch certifies that S never crosses.
 As y -> -inf, Psi_t(y) = t/(4y) - 3t/(8y^3) + O(y^-5), which settles the
-unbounded part of the domain analytically.  Psi_t is not affine in t, so
-its loss is bisected in t; but along S, C_t = A(r) + (t+1) B(r) with A > 0
-> B, so {C_t = 0} first meets S at the closed form t* = min_r A/|B| - 1.
-Every crossing is a level set s* = t + 1 of s* = A/|B|, which is certified
-to fall to that one minimum and then rise toward 1: one root per branch.
+unbounded part of the domain analytically.  Psi_t loses positivity at an
+algebraic t_b, a root of one factor of a discriminant in t (see
+``scan_delta_threshold``).  Along S, C_t = A(r) + (t+1) B(r) with A > 0 > B,
+so {C_t = 0} first meets S at t* = min_r A/|B| - 1.  Every crossing is a
+level set s* = t + 1 of s* = A/|B|, which is certified to fall to that one
+minimum and then rise toward 1: one root per branch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar, toms748
+from scipy.optimize import brentq, toms748
 
+from .blowup import _isolate_real_roots, _poly_eval
 from .phase_core import (
     Trajectory, IntegrationError, OrbitRangeError, _GermLeg, _field, _horner, _solve,
 )
@@ -315,14 +318,14 @@ def find_crossings(traj: Trajectory, t: float, xtol: float = 1e-9) -> CrossingRe
 class DeltaScan:
     """The two thresholds in t near the birth of the flow.
 
-    ``crossing_threshold`` is the first t at which {C_t = 0} meets the
-    orbit, at r = ``crossing_r``; ``crossing_bracket`` is it plus or minus
-    the disagreement of its grid and refined estimates.  ``sstar_min_r`` is
-    the same point from the s* certificate of ``crossing_scan``, an
-    independent route; ``crossing_counts`` are that route's exact counts.
-    ``barrier_bracket`` encloses the loss of the Psi-positivity
-    certificate, bisected.  The two notions are reported separately and
-    need not coincide.
+    ``crossing_threshold`` t* is the first t at which {C_t = 0} meets the
+    orbit, at r = ``crossing_r``, the minimum of the certified s*;
+    ``crossing_bracket`` is t* plus or minus the orbit's ``rel_tol``, and
+    ``crossing_counts`` are the exact counts on ``t_grid``.
+    ``barrier_bracket`` isolates the exact t_b at which the Psi-positivity
+    certificate is lost, and ``psi_verdicts`` are its exact verdicts on
+    ``t_grid``.  The two notions are reported separately and need not
+    coincide.
     """
 
     t_grid: np.ndarray
@@ -332,19 +335,25 @@ class DeltaScan:
     crossing_bracket: tuple[float, float]
     barrier_bracket: tuple[float, float]
     psi_verdicts: dict[float, str]
-    sstar_min_r: float
     certificate_points: int
 
 
-def scan_delta_threshold(traj: Trajectory, t_grid=None,
-                         width: float = 1e-4) -> DeltaScan:
-    """The crossing threshold in closed form and the barrier threshold bisected.
+# P(s), ascending powers of s = t + 1: Psi_t's zero count changes only at its root in (0, 1)
+_PSI_DISC = [Fraction(c) for c in (4263, -6061, 17214, -29568, 648)]
 
-    With A > 0 > B certified along the orbit (``_SStar``), t* = min_r A/|B|
-    - 1: the minimum on a 120 001-point dense grid, refined by a bounded
-    minimisation between the argmin's neighbours.  The barrier bracket is
-    bisected from ``t_grid``, strictly increasing with a positive Psi
-    verdict at its first point, to ``width``.
+
+def scan_delta_threshold(traj: Trajectory, t_grid=None) -> DeltaScan:
+    """Both thresholds in closed form.
+
+    With A > 0 > B certified along the orbit (``_SStar``), t* = s*(r_min)
+    - 1.  On the branch Psi_t has the sign of G = x^2 + s(6x^2y^2 - 12x^3y
+    + 5xy + 8x^4 - 6x^2 + 1), s = t + 1, and Res_x(C_t, G) is a quintic Q in
+    u = y^2 whose discriminant is -1024 s^22 (s-1)(4s^2+1)(4s^2-6s+3)^2 P(s).
+    For 0 < s < 1 the leading coefficient 8s^5(1-s) of Q is nonzero,
+    Q(1/s) = s^2 keeps zeros off the branch end and the two x-branches meet
+    only at u = 1/s, so the zero count changes only at P's one root s_b in
+    (0, 1): Psi_t > 0 iff P(s) > 0 (P(0) > 0 > P(1)), and t_b = s_b - 1 is
+    isolated by exact sign bisection.
     """
     if t_grid is None:
         t_grid = np.linspace(-0.9, -0.01, 24)
@@ -356,35 +365,20 @@ def scan_delta_threshold(traj: Trajectory, t_grid=None,
 
     sstar = _SStar(traj)
     counts = [sstar.report(t).count for t in t_grid]
-    rg = traj.dense_grid(120001)
-    A, B = _ab(*traj.state_at(rg))
-    s_grid = -A / B
-    i = int(np.argmin(s_grid))
-    res = minimize_scalar(sstar, bounds=(rg[max(i - 1, 0)], rg[min(i + 1, rg.size - 1)]),
-                          method="bounded")
-    t_star = float(res.fun) - 1.0
+    t_star = sstar(sstar.r_min) - 1.0
     if not -1.0 < t_star < 0.0:
         raise IntegrationError(f"crossing threshold t* = {t_star:.6g} not in (-1, 0)")
-    e = max(abs(float(s_grid[i]) - float(res.fun)), traj.rel_tol)
 
-    verdicts = {float(t): scan_psi(t).verdict for t in t_grid}
-    pos = [verdicts[float(t)] == "positive" for t in t_grid]
-    if not pos[0] or all(pos):
-        raise IntegrationError("barrier transition not bracketed by t_grid")
-    j = pos.index(False)
-    lo, hi = t_grid[j - 1], t_grid[j]
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if scan_psi(mid).verdict != "positive":
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = next(p.interval for p in _isolate_real_roots(_PSI_DISC) if 0 < p.interval[0] < 1)
+    verdicts = {float(t): "positive" if _poly_eval(_PSI_DISC, Fraction(t) + 1) > 0
+                else "sign-changing" for t in t_grid}
 
     return DeltaScan(t_grid=t_grid, crossing_counts=counts,
-                     crossing_threshold=t_star, crossing_r=float(res.x),
-                     crossing_bracket=(t_star - e, t_star + e),
-                     barrier_bracket=(lo, hi), psi_verdicts=verdicts,
-                     sstar_min_r=sstar.r_min, certificate_points=sstar.points)
+                     crossing_threshold=t_star, crossing_r=sstar.r_min,
+                     crossing_bracket=(t_star - traj.rel_tol, t_star + traj.rel_tol),
+                     barrier_bracket=(math.nextafter(float(lo - 1), -math.inf),
+                                      math.nextafter(float(hi - 1), math.inf)),
+                     psi_verdicts=verdicts, certificate_points=sstar.points)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,17 @@ def test_config_invalid_controls_rejected(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("line", ["psi_points = 0", "history_points = 0", "t_grid_n = 0",
+                                  "t_grid_n = -1", "table_rows = -1", "barrier_samples = 0",
+                                  "history_t_max = -1"])
+def test_config_bad_counts_rejected(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    assert main(["all", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert line.split()[0] in err and "Traceback" not in err
+
+
 def test_load_config_defaults_and_overrides(tmp_path):
     cfg = load_config(None)
     assert cfg == RunConfig()
@@ -209,10 +220,6 @@ def test_manifest_records_stage_times(tmp_path):
     assert sum(stages.values()) <= manifest["wall_time_s"]
     diag = manifest["diagnostics"]
     assert set(diag) == {"germ_join_r", "germ_c", "germ_join_mismatch_H",
-                         "germ_join_mismatch_sigma", "sstar_min_r",
-                         "sstar_certificate_points", "sstar_min_r_vs_delta"}
+                         "germ_join_mismatch_sigma", "sstar_certificate_points"}
     assert diag["germ_join_r"] == pytest.approx(25.0, abs=1e-12)
-    delta = json.loads((tmp_path / "delta.json").read_text())
-    assert diag["sstar_min_r_vs_delta"] == abs(diag["sstar_min_r"] - delta["crossing_r"])
-    assert diag["sstar_min_r_vs_delta"] <= 1e-5
     assert diag["sstar_certificate_points"] > 10000

@@ -218,13 +218,53 @@ def test_crossing_threshold_against_unfiltered_scan(sep):
     ds = cs.scan_delta_threshold(sep)
     lo, hi = ds.crossing_bracket
     assert lo < ds.crossing_threshold < hi and hi - lo <= 1e-4
-    assert lo < -0.036992 < hi
+    assert lo < -0.0369922001 < hi
     assert len(_unfiltered_walk(sep, lo - 1e-5)[1]) == 0
     assert len(_unfiltered_walk(sep, hi + 1e-5)[1]) == 2
     Hc, Fc, _ = sep.state_at(ds.crossing_r)
     assert abs(cs.Ct(Hc, Fc, ds.crossing_threshold)) < 1e-9
     # the exact counts on the grid are the unfiltered walk's
     assert ds.crossing_counts == [len(_unfiltered_walk(sep, t)[1]) for t in ds.t_grid]
+
+
+def test_exact_psi_verdicts_match_scans(sep):
+    # the grid scan of Psi_t and the sign of P(t + 1) agree at 1 000 t
+    ts = np.sort(np.random.default_rng(17).uniform(-0.99, -0.001, 1000))
+    ds = cs.scan_delta_threshold(sep, ts)
+    assert [cs.scan_psi(t).verdict for t in ts] == [ds.psi_verdicts[t] for t in ts]
+    assert {"positive", "sign-changing"} == set(ds.psi_verdicts.values())
+
+
+def test_barrier_bracket_inside_bisected_scans(sep):
+    blo, bhi = cs.scan_delta_threshold(sep).barrier_bracket
+    assert 0.0 < bhi - blo < 1e-13
+    lo, hi = -0.7, -0.2
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        if cs.scan_psi(mid).verdict == "positive":
+            lo = mid
+        else:
+            hi = mid
+    assert lo < blo < bhi < hi
+
+
+def test_barrier_threshold_is_a_tangency(sep):
+    # at t_b the quintic has a double root u >= 1/s, where Psi_t touches 0
+    blo, bhi = cs.scan_delta_threshold(sep).barrier_bracket
+    t_b = 0.5 * (blo + bhi)
+    s = t_b + 1.0
+    # Res_x(C_t, G) in u = y^2, highest power first
+    u = np.roots([8 * s**5 * (1 - s), 28 * s**4 * (s - 1), s**3 * (42 - 50 * s),
+                  s**2 * (4 * s**2 + 53 * s - 31), s * (8 - 29 * s - 12 * s**2),
+                  9 * s**2 + 6 * s + 1])
+    u = np.sort(u[(np.abs(u.imag) < 1e-6) & (u.real >= 1.0 / s)].real)
+    assert u.size == 2 and abs(u[1] - u[0]) < 1e-6 and abs(u[0] - 2.0996) < 1e-3
+    assert abs(cs.psi(-math.sqrt(u.mean()), t_b)) < 1e-12
+    # and its minimum on a fine branch grid changes sign across t_b
+    for dt, sign in ((-1e-6, 1.0), (1e-6, -1.0)):
+        t = t_b + dt
+        y = -np.geomspace(1.0 / math.sqrt(t + 1.0), 1e3, 200001)
+        assert sign * cs.psi(y, t).min() > 0.0
 
 
 def test_crossing_threshold_needs_negative_sigma():
@@ -314,16 +354,22 @@ def test_sstar_germ_matches_float_sstar(sep):
     assert np.abs(exact + A / B).max() < 1e-11
 
 
-def test_sstar_minimum_is_the_crossing_threshold(sep):
-    # r_min is the root of ds*/dr; delta's crossing_r comes from a bounded
-    # minimisation (xatol 1e-5) of the flat s*, so it is the coarser one
-    from cuspsoliton.evolution import _SStar
+def test_crossing_threshold_against_grid_minimum(sep):
+    # independent route: argmin of A/|B| on a 120 001-point dense grid,
+    # refined by a bounded minimisation between its neighbours (xatol 1e-5
+    # on an s* that is flat there, so r is the coarser of the two)
+    from scipy.optimize import minimize_scalar
+    from cuspsoliton.evolution import _SStar, _ab
     sstar = _SStar(sep)
     ds = cs.scan_delta_threshold(sep)
-    assert ds.sstar_min_r == sstar.r_min
-    assert abs(sstar.r_min - ds.crossing_r) <= 1e-5
-    assert sstar(sstar.r_min) <= sstar(ds.crossing_r)
-    assert abs(sstar(sstar.r_min) - 1.0 - ds.crossing_threshold) < 1e-13
+    rg = sep.dense_grid(120001)
+    A, B = _ab(*sep.state_at(rg))
+    i = int(np.argmin(-A / B))
+    res = minimize_scalar(sstar, bounds=(rg[i - 1], rg[i + 1]), method="bounded")
+    assert abs(res.fun - 1.0 - ds.crossing_threshold) < 1e-13
+    assert ds.crossing_r == sstar.r_min
+    assert abs(res.x - ds.crossing_r) <= 1e-5
+    assert sstar(ds.crossing_r) <= sstar(res.x)
 
 
 def test_find_crossings_needs_negative_sigma():
@@ -335,9 +381,6 @@ def test_find_crossings_needs_negative_sigma():
 def test_delta_threshold_rejects_unsorted_grid(sep):
     with pytest.raises(ValueError, match="strictly increasing"):
         cs.scan_delta_threshold(sep, [-0.2, -0.1, -0.7])
-    # the barrier is lost before -0.2: the grid must start on a positive verdict
-    with pytest.raises(cs.IntegrationError, match="not bracketed"):
-        cs.scan_delta_threshold(sep, [-0.2, -0.1])
 
 
 def test_sstar_certificate_rejects_a_second_turn(sep, monkeypatch):
