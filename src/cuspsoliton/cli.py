@@ -123,6 +123,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown format {cfg.format!r}")
     if any(t <= -1.0 for t in cfg.t_values):
         raise ConfigError("t_values must satisfy t > -1")
+    if any(cfg.y_floor >= -1.0 / np.sqrt(t + 1.0) for t in cfg.t_values):
+        raise ConfigError("y_floor must lie below the Psi branch end -1/sqrt(t+1) "
+                          "of every t in t_values")
     if not -1.0 < cfg.t_grid_min < cfg.t_grid_max < 0.0:
         raise ConfigError("t_grid bounds must satisfy -1 < min < max < 0")
     if not cfg.history_t_max > -1.0:
@@ -358,8 +361,6 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
 
     scans = []
     for t in cfg.t_values:
-        if t <= -1.0 or cfg.y_floor >= -1.0 / np.sqrt(t + 1.0):
-            continue
         sc = scan_psi(t, cfg.y_floor, cfg.psi_points)
         scans.append({
             "t": t, "verdict": sc.verdict, "min_value": sc.min_value,
@@ -385,6 +386,7 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
     hist_t = np.geomspace(0.02, cfg.history_t_max + 1.0, cfg.history_points) - 1.0
     hists = [pointwise_R_history(traj.r_at_F(Fa), hist_t, traj)
              for Fa in cfg.history_anchors_F]
+    session.diagnostics.update(history_truncated=[h.truncated for h in hists])
     em.table("histories", ["t", "r0", "r_of_t", "R", "dRdt"],
              [np.concatenate(col) for col in zip(*[
                  (h.t, np.full_like(h.t, h.r0), h.r_of_t, h.R, h.dRdt) for h in hists])])

@@ -42,35 +42,39 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
 class _Cumulative:
-    """Cumulative integral of one dense-output component of a trajectory.
+    """Cumulative integral of a function of a trajectory's states.
 
-    Gauss-Legendre on each accepted step integrates the dense interpolant
-    essentially exactly, so the result carries the integrator's accuracy.
+    ``integrand`` maps the state rows (H, F, sigma) to the integrand; the
+    integral is taken from the first sample node, or from the last if
+    ``from_hi``.  Gauss-Legendre on each accepted step integrates the dense
+    interpolant essentially exactly, so the result carries the integrator's
+    accuracy.
     """
 
-    def __init__(self, traj: Trajectory, component: int):
+    def __init__(self, traj: Trajectory, integrand, from_hi: bool = False):
         self._traj = traj
-        self._comp = component
+        self._integrand = integrand
         r = traj.r
         mid = 0.5 * (r[:-1] + r[1:])
         half = 0.5 * np.diff(r)
         nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        vals = traj.state_at(nodes)[component].reshape(-1, len(_GL_NODES))
+        vals = integrand(traj.state_at(nodes)).reshape(-1, len(_GL_NODES))
         steps = half * (vals @ _GL_WEIGHTS)
         self.nodes = r
-        self.cum = np.concatenate([[0.0], np.cumsum(steps)])
+        if from_hi:     # summed from the anchor, so the far end loses no digits
+            self.cum = np.concatenate([-np.cumsum(steps[::-1])[::-1], [0.0]])
+        else:
+            self.cum = np.concatenate([[0.0], np.cumsum(steps)])
 
     def value_at(self, r) -> np.ndarray:
-        """Integral from the first sample node to each query point."""
+        """Integral from the anchor node to each query point."""
         rq = np.atleast_1d(np.asarray(r, dtype=float))
         idx = np.clip(np.searchsorted(self.nodes, rq) - 1, 0, len(self.nodes) - 2)
-        out = np.empty_like(rq)
-        for k, (i, rv) in enumerate(zip(idx, rq)):
-            a = self.nodes[i]
-            half = 0.5 * (rv - a)
-            pts = a + half + half * _GL_NODES
-            vals = self._traj.state_at(pts)[self._comp]
-            out[k] = self.cum[i] + half * float(vals @ _GL_WEIGHTS)
+        a = self.nodes[idx]
+        half = 0.5 * (rq - a)
+        pts = (a + half)[:, None] + half[:, None] * _GL_NODES
+        vals = self._integrand(self._traj.state_at(pts.ravel())).reshape(pts.shape)
+        out = self.cum[idx] + half * (vals @ _GL_WEIGHTS)
         return out if np.ndim(r) else float(out[0])
 
 
@@ -127,8 +131,8 @@ def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
     """
     if np.any(np.diff(traj.r) <= 0):
         raise ValueError("trajectory must be strictly monotone in r")
-    h_cum = _Cumulative(traj, 0)
-    f_cum = _Cumulative(traj, 1)
+    h_cum = _Cumulative(traj, lambda s: s[0])
+    f_cum = _Cumulative(traj, lambda s: s[1])
 
     r = traj.r
     if r[0] <= 0.0 <= r[-1]:

@@ -192,7 +192,6 @@ class IntegratorControls:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     r_min: float = -50.0
     r_max: float = 50.0
     h_floor: float | None = None       # stop when H drops below this
@@ -416,10 +415,10 @@ def _make_rhs(eps: int) -> Callable:
     return rhs
 
 
-def _solve(rhs, y0, span, rel_tol, abs_tol, max_step=math.inf, events=None):
+def _solve(rhs, y0, span, rel_tol, abs_tol, events=None):
     """Dense-output DOP853 run; failure or a non-finite state raises."""
     sol = solve_ivp(rhs, span, y0, method="DOP853", dense_output=True,
-                    rtol=rel_tol, atol=abs_tol, max_step=max_step, events=events)
+                    rtol=rel_tol, atol=abs_tol, events=events)
     if sol.status == -1 or not np.all(np.isfinite(sol.y)):
         raise IntegrationError(sol.message)
     return sol
@@ -457,7 +456,7 @@ def integrate(start, r0: float, controls: IntegratorControls,
 
     atol = [controls.abs_tol] * 2 + [1e-21]
     sol = _solve(_make_rhs(eps), y0, (r0, r_end),
-                 controls.rel_tol, atol, controls.max_step, events or None)
+                 controls.rel_tol, atol, events or None)
     termination = "r_end"
     if sol.status == 1:
         hit = [i for i, te in enumerate(sol.t_events) if len(te)]

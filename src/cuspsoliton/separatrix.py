@@ -42,7 +42,7 @@ _ISOCLINE_FACTOR = {"vertical": 1.0, "horizontal": 0.5, "oblique": 2.0}
 
 
 class ShootError(RuntimeError):
-    """The shot orbit left the band 0 < H < 1/2 (bad offset or direction)."""
+    """The shot orbit left the band 0 < H < 1/2 (bad offset)."""
 
 
 def isocline_F(kind: str, H):
@@ -83,14 +83,13 @@ def oblique_barrier_margin(H):
 class ShootConfig:
     """Parameters of the saddle shot.
 
-    ``offset`` is the distance along the unit unstable eigenvector;
-    ``direction=-1`` selects the branch entering {H < 1/2, F < 0}.
+    ``offset`` is the distance along the unit unstable eigenvector, on the
+    branch entering {H < 1/2, F < 0}.
     ``controls.r_max`` is the forward extent in the calibrated parameter
     (r = 0 at F = -1); the backward leg stops on the ``saddle_ball``.
     """
 
     offset: float = 1e-8
-    direction: int = -1
     controls: IntegratorControls = field(default_factory=lambda: IntegratorControls(
         r_max=2000.0, h_floor=1e-6))
     saddle_ball: float = 1e-9
@@ -98,8 +97,6 @@ class ShootConfig:
     def __post_init__(self):
         if not 0 < self.saddle_ball < self.offset:
             raise ValueError("offset and saddle_ball must satisfy 0 < saddle_ball < offset")
-        if self.direction not in (-1, 1):
-            raise ValueError("direction must be -1 or +1")
 
 
 def _band_guard_events(h_floor):
@@ -113,7 +110,7 @@ def _band_guard_events(h_floor):
 def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     """Compute the bounded orbit S by shooting from the saddle.
 
-    Starts at (1/2, 0) + direction * offset * (1, 3+sqrt5)/|(1, 3+sqrt5)|,
+    Starts at (1/2, 0) - offset * (1, 3+sqrt5)/|(1, 3+sqrt5)|,
     integrates backward until the state enters the ``saddle_ball`` around
     (1/2, 0), and forward until H drops below the configured floor or the
     forward extent is reached.  The parameter is calibrated so that r = 0
@@ -126,10 +123,9 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     ctl = cfg.controls
     u = np.array([1.0, SLOPE_UNSTABLE])
     u /= np.linalg.norm(u)
-    start = np.array(SADDLE) + cfg.direction * cfg.offset * u
+    start = np.array(SADDLE) - cfg.offset * u
     if not 0.0 < start[0] < 0.5:
-        raise ShootError("shot starts outside the band 0 < H < 1/2; "
-                         "check offset/direction")
+        raise ShootError("shot starts outside the band 0 < H < 1/2; check offset")
     y0 = [start[0], start[1], _sigma_init(start[0], start[1], 1)]
     rhs = _make_rhs(1)
     atol = [ctl.abs_tol, ctl.abs_tol, 1e-21]
@@ -138,10 +134,9 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     anchor = lambda r, y: y[1] + 1.0
     anchor.terminal, anchor.direction = True, -1
     guard_hi, guard_lo = _band_guard_events(ctl.h_floor)
-    probe = _solve(rhs, y0, (0.0, 1e4), ctl.rel_tol, atol, ctl.max_step,
-                   events=[anchor, guard_hi])
+    probe = _solve(rhs, y0, (0.0, 1e4), ctl.rel_tol, atol, events=[anchor, guard_hi])
     if len(probe.t_events[1]):
-        raise ShootError("orbit left the band H < 1/2; check offset/direction")
+        raise ShootError("orbit left the band H < 1/2; check offset")
     if not len(probe.t_events[0]):
         raise ShootError("orbit never reached the calibration anchor F = -1")
     r_star = float(probe.t_events[0][0])
@@ -149,10 +144,9 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     # forward leg out to the requested calibrated extent or the germ join
     raw_end = r_star + ctl.r_max
     raw_split = min(r_star + _GERM_JOIN, raw_end)
-    fwd = _solve(rhs, y0, (0.0, raw_split), ctl.rel_tol, atol,
-                 ctl.max_step, events=[guard_hi, guard_lo])
+    fwd = _solve(rhs, y0, (0.0, raw_split), ctl.rel_tol, atol, events=[guard_hi, guard_lo])
     if len(fwd.t_events[0]):
-        raise ShootError("orbit left the band H < 1/2; check offset/direction")
+        raise ShootError("orbit left the band H < 1/2; check offset")
     termination = "h_floor" if len(fwd.t_events[1]) else "r_max"
 
     # backward leg, stopped on the saddle ball; tighter absolute control
@@ -161,8 +155,7 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     ball.terminal, ball.direction = True, -1
     atol_b = [min(ctl.abs_tol, 1e-14)] * 2 + [1e-21]
     span_back = math.log(cfg.offset / cfg.saddle_ball) / EIGENVALUE_UNSTABLE + 20.0
-    bwd = _solve(rhs, y0, (0.0, -span_back), ctl.rel_tol, atol_b,
-                 ctl.max_step, events=[ball])
+    bwd = _solve(rhs, y0, (0.0, -span_back), ctl.rel_tol, atol_b, events=[ball])
     if not len(bwd.t_events[0]):
         raise ShootError("backward leg failed to reach the saddle ball")
 
@@ -173,8 +166,7 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     ]
     r = np.concatenate([tb[:-1], fwd.t]) - r_star   # shared point dropped
     y = np.concatenate([yb[:, :-1], fwd.y], axis=1)
-    meta = dict(kind="separatrix", offset=cfg.offset, direction=cfg.direction,
-                saddle_ball=cfg.saddle_ball, r_star_raw=r_star,
+    meta = dict(kind="separatrix", offset=cfg.offset, saddle_ball=cfg.saddle_ball, r_star_raw=r_star,
                 backward_limit="saddle (1/2, 0); truncated at saddle_ball")
     if fwd.status != 1 and raw_end > raw_split:
         r_join = float(r[-1])

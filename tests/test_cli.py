@@ -160,15 +160,29 @@ def test_config_invalid_controls_rejected(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+# y_floor = -0.5 lies above the Psi branch end -1/sqrt(0.3) of the default t = -0.7
 @pytest.mark.parametrize("line", ["psi_points = 0", "history_points = 0", "t_grid_n = 0",
                                   "t_grid_n = -1", "table_rows = -1", "barrier_samples = 0",
-                                  "history_t_max = -1"])
+                                  "history_t_max = -1", "y_floor = 0", "y_floor = -0.5"])
 def test_config_bad_counts_rejected(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
     assert main(["all", "--config", str(bad), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert line.split()[0] in err and "Traceback" not in err
+
+
+def test_truncated_histories_are_flagged(tmp_path):
+    # the orbit ends at r = 10, where F ~ -5.9: going back in time the
+    # anchor at F = -5.84 reaches the end of the orbit almost at once
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("r_max = 10\nhistory_anchors_F = -1, -5.84\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == 0
+    assert manifest["diagnostics"]["history_truncated"] == [False, True]
+    rows = np.loadtxt(tmp_path / "histories.csv", delimiter=",", skiprows=1)
+    assert 240 < len(rows) < 480
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
@@ -220,6 +234,8 @@ def test_manifest_records_stage_times(tmp_path):
     assert sum(stages.values()) <= manifest["wall_time_s"]
     diag = manifest["diagnostics"]
     assert set(diag) == {"germ_join_r", "germ_c", "germ_join_mismatch_H",
-                         "germ_join_mismatch_sigma", "sstar_certificate_points"}
+                         "germ_join_mismatch_sigma", "sstar_certificate_points",
+                         "history_truncated"}
+    assert diag["history_truncated"] == [False, False]
     assert diag["germ_join_r"] == pytest.approx(25.0, abs=1e-12)
     assert diag["sstar_certificate_points"] > 10000

@@ -168,9 +168,10 @@ def _unfiltered_walk(sep, t, n=20001, r_hi=30.0):
     """Independent oracle: walk C_t sample by sample on n points over
     [r_lo, r_hi], where its computed sign is exact; returns the sign
     pattern and the brackets of the sign changes."""
-    from cuspsoliton.evolution import _ct_split
+    from cuspsoliton.evolution import _ab
     rg = np.linspace(sep.r_lo, r_hi, n)
-    vals = _ct_split(*sep.state_at(rg), t + 1.0)[0]
+    A, B = _ab(*sep.state_at(rg))
+    vals = A + (t + 1.0) * B
     pattern, brackets, prev = [], [], None
     for i in np.nonzero(vals)[0]:
         sgn = "+" if vals[i] > 0 else "-"
@@ -290,6 +291,63 @@ def test_history_rejects_bad_inputs(sep):
         cs.pointwise_R_history(0.0, [-1.5, 0.0], sep)
     with pytest.raises(ValueError):
         cs.pointwise_R_history(1e9, [0.0, 1.0], sep)
+
+
+def _ode_history_r(traj, r0, t_grid):
+    """Oracle: r(t) from DOP853 on rdot = F(r), forward and backward from t = 0."""
+    from scipy.integrate import solve_ivp
+    rhs = lambda tt, y: [float(traj.state_at(y[0])[1])]
+    r = np.empty(t_grid.size)
+    for m in (t_grid >= 0.0, t_grid < 0.0):
+        if m.any():
+            end = t_grid[m][np.abs(t_grid[m]).argmax()]
+            sol = solve_ivp(rhs, (0.0, end), [r0], method="DOP853", dense_output=True,
+                            rtol=1e-10, atol=1e-12)
+            r[m] = sol.sol(t_grid[m])[0]
+    return r
+
+
+def test_history_against_ode_route(sep):
+    # inverting T = int dr/F agrees with integrating rdot = F itself, on the
+    # CLI's grid at anchors spanning the flow_queries range (measured worst
+    # 1.8e-9, relative where |r| >= 1 and absolute below)
+    tg = np.geomspace(0.02, 201.0, 240) - 1.0
+    for F_anchor in (-0.5, -1.0, -10.0, -30.0):
+        r0 = sep.r_at_F(F_anchor)
+        h = cs.pointwise_R_history(r0, tg, sep)
+        assert not h.truncated and np.array_equal(h.t, tg)
+        ode = _ode_history_r(sep, r0, tg)
+        assert np.all(np.abs(h.r_of_t - ode) <= 1e-8 * np.maximum(np.abs(ode), 1.0))
+        H, F = sep.state_at(ode)[:2]
+        ode_dRdt = [cs.dRdt(Hi, Fi, t) for Hi, Fi, t in zip(H, F, tg)]
+        assert np.array_equal(np.sign(h.dRdt), np.sign(ode_dRdt))
+
+
+def test_truncated_history_keeps_the_times_inside_the_flow_range():
+    # on an orbit ending at r = 10, the flat end is reached at once going
+    # back in time and T(r_lo) ~ 1.65e9 bounds the times going forward
+    from scipy.integrate import quad
+    traj = cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(
+        r_max=10.0, h_floor=1e-6)))
+    inv_F = lambda r: 1.0 / float(traj.state_at(r)[1])
+    T_r0 = quad(inv_F, traj.r_hi, 9.9)[0]
+    T_lo = quad(inv_F, traj.r_hi, traj.r_lo, limit=200)[0]
+    tg = np.array([-0.5, -0.1, 0.0, 1.0, 2e9])
+    inside = (T_r0 + tg >= 0.0) & (T_r0 + tg <= T_lo)
+    assert inside.tolist() == [False, False, True, True, False]
+    h = cs.pointwise_R_history(9.9, tg, traj)
+    assert h.truncated
+    assert np.array_equal(h.t, tg[inside])
+    assert abs(h.r_of_t[0] - 9.9) < 1e-12
+    assert abs(h.r_of_t[1] - _ode_history_r(traj, 9.9, h.t)[1]) < 1e-8
+    empty = cs.pointwise_R_history(9.9, [-0.5, -0.1], traj)
+    assert empty.truncated and empty.t.size == 0 and empty.sign_change_times == []
+
+
+def test_history_needs_negative_F():
+    traj = cs.integrate((1.5, 0.7), 0.0, cs.IntegratorControls(r_max=0.1))
+    with pytest.raises(cs.IntegrationError, match="needs F < 0 .* at r = 0"):
+        cs.pointwise_R_history(0.05, [0.0, 1.0], traj)
 
 
 def test_crossing_scan_matches_per_t_find_crossings(sep):

@@ -27,6 +27,30 @@ def test_quadrature_consistency_under_tolerance_halving(sep):
     assert abs(a - b) < 1e-8
 
 
+def test_cumulative_value_at_matches_per_point_loop(sep):
+    # reference: each query point through its own state_at call and a 1-D
+    # dot; one point at a time is bit-identical, a batch differs only in the
+    # summation order of the batched product
+    from cuspsoliton.geometry import _GL_NODES, _GL_WEIGHTS, _Cumulative
+
+    def loop(cum, comp, rq):
+        idx = np.clip(np.searchsorted(cum.nodes, rq) - 1, 0, len(cum.nodes) - 2)
+        out = []
+        for i, rv in zip(idx, rq):
+            half = 0.5 * (rv - cum.nodes[i])
+            vals = sep.state_at(cum.nodes[i] + half + half * _GL_NODES)[comp]
+            out.append(cum.cum[i] + half * float(vals @ _GL_WEIGHTS))
+        return np.array(out)
+
+    rq = np.concatenate([[0.0, -30.0, sep.r_lo, sep.r_hi],
+                         np.random.default_rng(5).uniform(sep.r_lo, sep.r_hi, 200)])
+    for comp in (0, 1):
+        cum = _Cumulative(sep, lambda s: s[comp])
+        ref = loop(cum, comp, rq)
+        assert [cum.value_at(r) for r in rq[:4]] == ref[:4].tolist()
+        assert np.allclose(cum.value_at(rq), ref, rtol=4e-16, atol=0.0)
+
+
 def test_profile_monotone_h(profile):
     # H > 0 along the orbit, so h must be strictly increasing
     assert np.all(np.diff(profile.h) > 0)

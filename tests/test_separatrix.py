@@ -102,9 +102,10 @@ def test_shoot_config_requires_ball_inside_offset(ball):
         cs.ShootConfig(offset=1e-8, saddle_ball=ball)
 
 
-def test_shoot_wrong_direction_raises():
+def test_shoot_offset_outside_band_raises():
+    # an offset of 3 along the unstable eigenvector starts at H < 0
     cfg = cs.ShootConfig(
-        direction=1,
+        offset=3.0,
         controls=cs.IntegratorControls(r_min=-60.0, r_max=10.0, h_floor=1e-6))
     with pytest.raises(cs.ShootError):
         cs.shoot_separatrix(cfg)
