@@ -161,6 +161,8 @@ def write_dat(path: Path, col_a, col_b) -> None:
 
 
 def _jsonable(obj):
+    if isinstance(obj, (bool, np.bool_)):      # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):

@@ -228,18 +228,19 @@ _CERT_STEP = 5e-3         # grid step of the slope certificate on integrated leg
 
 
 class _SStar:
-    """s* = A/|B| along ``traj``, certified to fall to ``r_min``, then rise.
+    """s* = A/|B| along an orbit, certified to fall to ``r_min``, then rise.
 
     On the integrated legs A > 0 > B and the sign of ds*/dr are read at the
     sample nodes and every ``_CERT_STEP`` (``points`` in all); the sign may
     turn from - to + once, at r_min.  Past the germ join 1 - s* = Y^4 q(Y^2)
     with Y = -1/F falling, so every kept coefficient of the exact q must be
     positive: then s* < 1 rises there.  Anything else raises IntegrationError.
+    Built once per orbit (``Trajectory._per_orbit``), it keeps no reference
+    to the trajectory; each evaluation is handed it.
     """
 
     def __init__(self, traj: Trajectory):
         germ = traj.legs[-1]
-        self.traj = traj
         self.q = germ.series[3] if isinstance(germ, _GermLeg) else None
         r_end = germ.r_lo if self.q else traj.r_hi
         r = np.union1d(traj.r[traj.r <= r_end], np.arange(traj.r_lo, r_end, _CERT_STEP))
@@ -256,32 +257,36 @@ class _SStar:
                                    f"- at r = {r[turns[0 if up[0] else 1] + 1]:.6g}")
         if turns.size:
             # toms748, not brentq: evolution.brentq refines crossings only
-            slope = lambda rr: float(_sstar_slope(*traj.state_at(rr), traj.eps))
+            slope = lambda rr: _sstar_slope(*traj.state_at(rr).tolist(), traj.eps)
             self.r_min = float(toms748(slope, r[turns[0]], r[turns[0] + 1], xtol=1e-12))
         else:
             self.r_min = float(r[0] if up[0] else r_end)
         self.points, self.r_join = int(r.size), r_end
+        # the branch ends and s* there, which every report starts from
+        self.ends = (traj.r_lo, self.r_min, traj.r_hi)
+        self.at_ends = [self(traj, e) for e in self.ends]
 
-    def __call__(self, r: float) -> float:
-        H, F, sig = self.traj.state_at(r)
+    def __call__(self, traj: Trajectory, r: float) -> float:
+        H, F, sig = traj.state_at(r).tolist()
         if self.q and r > self.r_join:          # exact where A/|B| cancels near 1
-            return float(1.0 - _horner(self.q, F ** -2) / F ** 4)
+            return 1.0 - _horner(self.q, F ** -2) / F ** 4
         a, b = _ab(H, F, sig)
-        return float(-a / b)
+        return -a / b
 
-    def report(self, t: float, xtol: float = 1e-9) -> CrossingReport:
+    def report(self, traj: Trajectory, t: float, xtol: float = 1e-9) -> CrossingReport:
         """One brentq of s* - (t+1) on each monotone branch straddling it."""
-        s, ends = t + 1.0, (self.traj.r_lo, self.r_min, self.traj.r_hi)
-        gaps = [self(r) - s for r in ends]
+        s, ends = t + 1.0, self.ends
+        gaps = [v - s for v in self.at_ends]
         crossings, pattern = [], "+" if gaps[0] > 0.0 else "-"
         for lo, hi, g_lo, g_hi in zip(ends, ends[1:], gaps, gaps[1:]):
             if g_lo * g_hi < 0.0:
                 try:
-                    rc = float(brentq(lambda rr: self(rr) - s, lo, hi, xtol=xtol, rtol=1e-15))
+                    rc = float(brentq(lambda rr: self(traj, rr) - s, lo, hi,
+                                      xtol=xtol, rtol=1e-15))
                 except ValueError as exc:
                     raise IntegrationError(f"C_t at t = {t} changes sign on "
                                            f"[{lo!r}, {hi!r}] but brentq failed: {exc}") from exc
-                crossings.append((rc, *(float(v) for v in self.traj.state_at(rc)[:2])))
+                crossings.append((rc, *traj.state_at(rc)[:2].tolist()))
                 pattern += "+" if g_hi > 0.0 else "-"
         return CrossingReport(t, crossings, pattern, self.points)
 
@@ -290,15 +295,15 @@ def crossing_scan(traj: Trajectory, t_values, xtol: float = 1e-9) -> list[Crossi
     """Sign changes of C_t along ``traj`` at each of ``t_values``.
 
     On the orbit C_t = |B| (s* - (t+1)) with s* = A/|B| free of t, so one
-    certificate (``_SStar``) serves every t, and each crossing is one
-    ``brentq`` root of s* = t + 1 to r-resolution ``xtol`` on a monotone
-    branch: none for t < t*, two for t* < t < 0 (one if the orbit ends
-    before the second), one for t >= 0.  A failed certificate or
-    refinement raises ``IntegrationError``.
+    certificate (``_SStar``), built once per orbit, serves every t, and
+    each crossing is one ``brentq`` root of s* = t + 1 to r-resolution
+    ``xtol`` on a monotone branch: none for t < t*, two for t* < t < 0
+    (one if the orbit ends before the second), one for t >= 0.  A failed
+    certificate or refinement raises ``IntegrationError``.
     """
     t_values = [_check_t(t) for t in t_values]
-    sstar = _SStar(traj)
-    return [sstar.report(t, xtol) for t in t_values]
+    sstar = traj._per_orbit(_SStar)
+    return [sstar.report(traj, t, xtol) for t in t_values]
 
 
 def find_crossings(traj: Trajectory, t: float, xtol: float = 1e-9) -> CrossingReport:
@@ -358,9 +363,9 @@ def scan_delta_threshold(traj: Trajectory, t_grid=None) -> DeltaScan:
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
 
-    sstar = _SStar(traj)
-    counts = [sstar.report(t).count for t in t_grid]
-    t_star = sstar(sstar.r_min) - 1.0
+    sstar = traj._per_orbit(_SStar)
+    counts = [sstar.report(traj, t).count for t in t_grid]
+    t_star = sstar.at_ends[1] - 1.0
     if not -1.0 < t_star < 0.0:
         raise IntegrationError(f"crossing threshold t* = {t_star:.6g} not in (-1, 0)")
 
@@ -394,6 +399,14 @@ class RHistory:
         return self.sign_change_times[-1] if self.sign_change_times else None
 
 
+def _flow_time(traj: Trajectory) -> _Cumulative:
+    """T(r) = int_{r_hi}^r dr/F, tabulated once per orbit from the flat end."""
+    if np.any(traj.F >= 0.0):
+        raise IntegrationError(f"the flow time int dr/F needs F < 0 on the orbit; "
+                               f"it fails at r = {traj.r[np.argmax(traj.F >= 0.0)]:.6g}")
+    return _Cumulative(traj, lambda s: 1.0 / s[1], from_hi=True)
+
+
 def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     """Track R[g(t)] at the point anchored at r(0) = r0.
 
@@ -409,19 +422,16 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
         raise ValueError("flow times must satisfy t > -1")
     if not (traj.r_lo <= r0 <= traj.r_hi):
         raise OrbitRangeError("r0 outside the computed orbit range")
-    if np.any(traj.F >= 0.0):
-        raise IntegrationError(f"the flow time int dr/F needs F < 0 on the orbit; "
-                               f"it fails at r = {traj.r[np.argmax(traj.F >= 0.0)]:.6g}")
 
-    flow_time = _Cumulative(traj, lambda s: 1.0 / s[1], from_hi=True)
-    target = flow_time.value_at(r0) + t_grid
+    flow_time = traj._per_orbit(_flow_time)
+    target = flow_time.value_at(traj, r0) + t_grid
     kept = (target >= 0.0) & (target <= flow_time.cum[0])
     tv, target = t_grid[kept], target[kept]
     # T is exponential in r at the cusp end and near linear at the flat end,
     # so r is nearly piecewise linear in log(1 + T)
     r = np.interp(np.log1p(target), np.log1p(flow_time.cum[::-1]), traj.r[::-1])
     for _ in range(4):      # measured corrections 1.4e-2, 5.8e-5, 3.3e-9, 1e-15
-        r = r - (flow_time.value_at(r) - target) * traj.state_at(r)[1]
+        r = r - (flow_time.value_at(traj, r) - target) * traj.state_at(r)[1]
 
     s = tv + 1.0
     A, B = _ab(*traj.state_at(r))

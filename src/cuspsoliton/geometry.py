@@ -48,11 +48,11 @@ class _Cumulative:
     integral is taken from the first sample node, or from the last if
     ``from_hi``.  Gauss-Legendre on each accepted step integrates the dense
     interpolant essentially exactly, so the result carries the integrator's
-    accuracy.
+    accuracy.  The table keeps no reference to the trajectory (it may live
+    in the trajectory's per-orbit memo); ``value_at`` is handed it.
     """
 
     def __init__(self, traj: Trajectory, integrand, from_hi: bool = False):
-        self._traj = traj
         self._integrand = integrand
         r = traj.r
         mid = 0.5 * (r[:-1] + r[1:])
@@ -66,14 +66,14 @@ class _Cumulative:
         else:
             self.cum = np.concatenate([[0.0], np.cumsum(steps)])
 
-    def value_at(self, r) -> np.ndarray:
-        """Integral from the anchor node to each query point."""
+    def value_at(self, traj: Trajectory, r) -> np.ndarray:
+        """Integral from the anchor node to each query point of ``traj``."""
         rq = np.atleast_1d(np.asarray(r, dtype=float))
         idx = np.clip(np.searchsorted(self.nodes, rq) - 1, 0, len(self.nodes) - 2)
         a = self.nodes[idx]
         half = 0.5 * (rq - a)
         pts = (a + half)[:, None] + half[:, None] * _GL_NODES
-        vals = self._integrand(self._traj.state_at(pts.ravel())).reshape(pts.shape)
+        vals = self._integrand(traj.state_at(pts.ravel())).reshape(pts.shape)
         out = self.cum[idx] + half * (vals @ _GL_WEIGHTS)
         return out if np.ndim(r) else float(out[0])
 
@@ -107,16 +107,17 @@ class MetricProfile:
     tail_alpha: float | None
     f_tail: float | None
     cusp_h_offset: float | None
+    _traj: Trajectory = field(repr=False, default=None)
     _h_cum: _Cumulative = field(repr=False, default=None)
     _f_cum: _Cumulative = field(repr=False, default=None)
     _h_base: float = field(repr=False, default=0.0)
     _f_base: float = field(repr=False, default=0.0)
 
     def h_at(self, r):
-        return self._h_base + self._h_cum.value_at(r)
+        return self._h_base + self._h_cum.value_at(self._traj, r)
 
     def f_at(self, r):
-        return self._f_base + self._f_cum.value_at(r)
+        return self._f_base + self._f_cum.value_at(self._traj, r)
 
 
 def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
@@ -136,9 +137,9 @@ def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
 
     r = traj.r
     if r[0] <= 0.0 <= r[-1]:
-        h_base = h_anchor - h_cum.value_at(0.0)
+        h_base = h_anchor - h_cum.value_at(traj, 0.0)
     else:
-        h_base = h_anchor - h_cum.value_at(r[0])
+        h_base = h_anchor - h_cum.value_at(traj, r[0])
     h = h_base + h_cum.cum
 
     is_sep = traj.meta.get("kind") == "separatrix"
@@ -158,7 +159,7 @@ def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
     return MetricProfile(
         r=r, h=h, f=f, h_anchor=h_anchor, f0=f0,
         tail_alpha=alpha, f_tail=f_tail, cusp_h_offset=cusp_h_offset,
-        _h_cum=h_cum, _f_cum=f_cum, _h_base=h_base, _f_base=f_base,
+        _traj=traj, _h_cum=h_cum, _f_cum=f_cum, _h_base=h_base, _f_base=f_base,
     )
 
 

@@ -28,6 +28,7 @@ Far out the bounded orbit is served by its exact germ at infinity
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -220,8 +221,11 @@ class _Leg:
         return (np.array([q.t_old for q in p]), np.array([q.h for q in p]),
                 np.stack([q.y_old for q in p], axis=1), np.stack([q.F for q in p], axis=2))
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """States (3, n) at raw solver times ``t``, bit-identical to ``sol(t)``."""
+    def __call__(self, t) -> np.ndarray:
+        """States (3, n) at raw solver times ``t``, or (3,) at one time,
+        bit-identical to ``sol(t)``."""
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return self._point(float(t))
         sol = self.sol
         t_old, h, y_old, F = self._pieces
         # OdeSolution's segment choice: lower index at a breakpoint, clamped
@@ -230,13 +234,35 @@ class _Leg:
         if not sol.ascending:
             seg = sol.n_segments - 1 - seg
         x = (t - t_old[seg]) / h[seg]
+        u = 1 - x
+        c = F[:, :, seg]
         y = np.zeros((3, t.size))
         # Dop853DenseOutput's Horner loop, in its order
         for k in range(F.shape[0] - 1, -1, -1):
-            y += F[k][:, seg]
-            y *= x if k % 2 == 0 else 1 - x
+            y += c[k]
+            y *= x if k % 2 == 0 else u
         y += y_old[:, seg]
         return y
+
+    def _point(self, t: float) -> np.ndarray:
+        # __call__ at one time in Python floats, from one segment's
+        # coefficients: the same IEEE operations without numpy's per-call cost
+        sol = self.sol
+        seg = (bisect_left if sol.side == "left" else bisect_right)(sol.ts_sorted, t) - 1
+        seg = min(max(seg, 0), sol.n_segments - 1)
+        if not sol.ascending:
+            seg = sol.n_segments - 1 - seg
+        t_old, h, y_old, F = self._pieces
+        x = (t - t_old[seg].item()) / h[seg].item()
+        u = 1 - x
+        c = F[:, :, seg].tolist()
+        y0 = y1 = y2 = 0.0
+        for k in range(len(c) - 1, -1, -1):
+            m = x if k % 2 == 0 else u
+            a0, a1, a2 = c[k]
+            y0, y1, y2 = (y0 + a0) * m, (y1 + a1) * m, (y2 + a2) * m
+        b0, b1, b2 = y_old[:, seg].tolist()
+        return np.array([y0 + b0, y1 + b1, y2 + b2])
 
 
 def _germ_series(n: int):
@@ -318,12 +344,13 @@ class _GermLeg:
         return out.reshape(3, *r.shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """A computed orbit: samples at the accepted steps plus dense output.
 
     ``r`` is strictly increasing.  ``sigma`` is the transported curvature
-    state -(H' + H^2).
+    state -(H' + H^2).  Trajectories compare by identity: a copy made by
+    ``dataclasses.replace`` is another orbit, with a per-orbit memo of its own.
     """
 
     r: np.ndarray
@@ -336,6 +363,7 @@ class Trajectory:
     termination: str
     legs: tuple[_Leg | _GermLeg, ...]
     meta: dict = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.r) <= 0):
@@ -351,15 +379,28 @@ class Trajectory:
     def r_hi(self) -> float:
         return float(self.r[-1])
 
+    def _per_orbit(self, build):
+        """``build(self)``, built on first use and kept for this orbit.
+
+        The value must not hold the trajectory: the memo would then keep
+        the orbit alive in a reference cycle.
+        """
+        memo = self._memo
+        if build not in memo:
+            memo[build] = build(self)
+        return memo[build]
+
     def state_at(self, r) -> np.ndarray:
         """Dense-output states (H, F, sigma) at ``r``; shape (3, n) or (3,).
 
         DOP853 legs are evaluated in one pass over their gathered pieces,
         bit-identical to ``OdeSolution``; a germ leg evaluates its series.
+        One point picks its leg by comparison and is evaluated in Python
+        floats, with the same operations as the array pass.
         """
-        rq = np.asarray(r, dtype=float)
-        scalar = rq.ndim == 0
-        rq = np.atleast_1d(rq)
+        if isinstance(r, float) or np.ndim(r) == 0:
+            return self._state_at_point(float(r))
+        rq = np.atleast_1d(np.asarray(r, dtype=float))
         if rq.size and (rq.min() < self.r_lo - 1e-9 or rq.max() > self.r_hi + 1e-9):
             raise OrbitRangeError(
                 f"r range [{rq.min()}, {rq.max()}] outside computed "
@@ -376,7 +417,18 @@ class Trajectory:
             m = ~done
             out[:, m] = leg(np.clip(rq[m] + leg.shift, leg.r_lo + leg.shift,
                                     leg.r_hi + leg.shift))
-        return out[:, 0] if scalar else out
+        return out
+
+    def _state_at_point(self, r: float) -> np.ndarray:
+        # the array pass's range check, leg choice and clamp, by comparison
+        r_lo, r_hi = self.r_lo, self.r_hi
+        if r < r_lo - 1e-9 or r > r_hi + 1e-9:
+            raise OrbitRangeError(f"r range [{r}, {r}] outside computed [{r_lo}, {r_hi}]")
+        for leg in self.legs:
+            if r <= leg.r_hi + 1e-12:
+                return leg(r + leg.shift)
+        leg = self.legs[-1]
+        return leg(min(max(r + leg.shift, leg.r_lo + leg.shift), leg.r_hi + leg.shift))
 
     def dense_grid(self, n: int) -> np.ndarray:
         """Uniform r-grid over the computed range (endpoints included)."""

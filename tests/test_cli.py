@@ -67,6 +67,14 @@ def test_asymptotics_command_and_range_warning(tmp_path):
     rep = json.loads((out_short / "asymptotics.json").read_text())
     flagged = [e for e in rep["flat"]["entries"] if not e["ok"]]
     assert flagged
+    assert {type(e["ok"]) for end in ("cusp", "flat") for e in rep[end]["entries"]} == {bool}
+
+
+def test_json_writes_bools_as_bools():
+    # bool is an int subclass, so it is caught before the int case
+    out = cli._jsonable({"a": True, "b": [np.bool_(False), 1, np.int64(2)], "c": (1.5,)})
+    assert out == {"a": True, "b": [False, 1, 2], "c": [1.5]}
+    assert [type(v) for v in (out["a"], *out["b"])] == [bool, bool, int, int]
 
 
 def test_blowup_command(tmp_path):
@@ -181,6 +189,7 @@ def test_truncated_histories_are_flagged(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == 0
     assert manifest["diagnostics"]["history_truncated"] == [False, True]
+    assert [type(v) for v in manifest["diagnostics"]["history_truncated"]] == [bool, bool]
     rows = np.loadtxt(tmp_path / "histories.csv", delimiter=",", skiprows=1)
     assert 240 < len(rows) < 480
 

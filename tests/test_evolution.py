@@ -1,4 +1,7 @@
+import gc
 import math
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -404,10 +407,10 @@ def test_sstar_germ_matches_float_sstar(sep):
     # quotient A/|B| of the germ's states agrees with it on [25, 100] to
     # the rounding of A ~ Y^2/4 (absolute 1e-16 on 1e-4 at r = 100)
     from cuspsoliton.evolution import _SStar, _ab
-    sstar = _SStar(sep)
+    sstar = sep._per_orbit(_SStar)
     rr = np.linspace(25.0, 100.0, 1001)[1:]
     A, B = _ab(*sep.state_at(rr))
-    exact = np.array([sstar(r) for r in rr])
+    exact = np.array([sstar(sep, r) for r in rr])
     assert np.all(exact < 1.0) and np.all(np.diff(exact) > 0.0)
     assert np.abs(exact + A / B).max() < 1e-11
 
@@ -418,16 +421,17 @@ def test_crossing_threshold_against_grid_minimum(sep):
     # on an s* that is flat there, so r is the coarser of the two)
     from scipy.optimize import minimize_scalar
     from cuspsoliton.evolution import _SStar, _ab
-    sstar = _SStar(sep)
+    sstar = sep._per_orbit(_SStar)
     ds = cs.scan_delta_threshold(sep)
     rg = sep.dense_grid(120001)
     A, B = _ab(*sep.state_at(rg))
     i = int(np.argmin(-A / B))
-    res = minimize_scalar(sstar, bounds=(rg[i - 1], rg[i + 1]), method="bounded")
+    res = minimize_scalar(lambda r: sstar(sep, r), bounds=(rg[i - 1], rg[i + 1]),
+                          method="bounded")
     assert abs(res.fun - 1.0 - ds.crossing_threshold) < 1e-13
     assert ds.crossing_r == sstar.r_min
     assert abs(res.x - ds.crossing_r) <= 1e-5
-    assert sstar(ds.crossing_r) <= sstar(res.x)
+    assert sstar(sep, ds.crossing_r) <= sstar(sep, res.x)
 
 
 def test_find_crossings_needs_negative_sigma():
@@ -442,20 +446,63 @@ def test_delta_threshold_rejects_unsorted_grid(sep):
 
 
 def test_sstar_certificate_rejects_a_second_turn(sep, monkeypatch):
+    # on a copy of the orbit: the session orbit's certificate is already built
     from cuspsoliton import evolution
     slope = evolution._sstar_slope
     # a slope that turns negative again where F < -5 (r ~ 8)
     monkeypatch.setattr(evolution, "_sstar_slope", lambda H, F, sig, eps:
                         np.where(F < -5.0, -1.0, 1.0) * slope(H, F, sig, eps))
     with pytest.raises(cs.IntegrationError, match=r"turns from \+ to - at r = 8\."):
-        cs.find_crossings(sep, 0.0)
+        cs.find_crossings(replace(sep), 0.0)
 
 
 def test_sstar_certificate_needs_a_positive_germ_series(sep):
-    from dataclasses import replace
     germ = sep.legs[-1]
     q = germ.series[3]
     bad = replace(germ, series=(*germ.series[:3], [-q[0], *q[1:]]))
     traj = replace(sep, legs=(*sep.legs[:-1], bad))
     with pytest.raises(cs.IntegrationError, match="past r = 25 only if"):
         cs.find_crossings(traj, 0.0)
+
+
+def _reaches(obj, target) -> bool:
+    # follow references through containers, instances and closures (not
+    # through classes, modules or a function's globals)
+    seen, todo = set(), [obj]
+    while todo:
+        o = todo.pop()
+        if o is target:
+            return True
+        if id(o) in seen or isinstance(o, (type, types.ModuleType)):
+            continue
+        seen.add(id(o))
+        todo.extend(o.__closure__ or () if isinstance(o, types.FunctionType)
+                    else gc.get_referents(o))
+    return False
+
+
+def test_certificate_and_flow_time_are_built_once_per_orbit(sep, monkeypatch):
+    from cuspsoliton import evolution
+    built = []
+    for name in ("_SStar", "_flow_time"):
+        monkeypatch.setattr(evolution, name, lambda traj, name=name, build=getattr(
+            evolution, name): built.append(name) or build(traj))
+    traj = replace(sep)
+    reports = [cs.find_crossings(traj, -0.01) for _ in range(2)]
+    cs.crossing_scan(traj, [-0.5, 0.5])
+    ds = [cs.scan_delta_threshold(traj) for _ in range(2)]
+    hists = [cs.pointwise_R_history(traj.r_at_F(Fa), [0.0, 1.0], traj) for Fa in (-1.0, -5.0)]
+    assert built == ["_SStar", "_flow_time"]
+    assert reports[0].crossings == reports[1].crossings
+    assert reports[0].n_grid == ds[1].certificate_points == 12176
+    # a copy builds its own, and gets the same answers from it
+    other = replace(traj)
+    assert cs.find_crossings(other, -0.01).crossings == reports[0].crossings
+    again = cs.pointwise_R_history(other.r_at_F(-5.0), [0.0, 1.0], other)
+    assert np.array_equal(again.r_of_t, hists[1].r_of_t)
+    assert built == ["_SStar", "_flow_time"] * 2
+    # the memo does not keep its orbit alive
+    assert len(traj._memo) == 2
+    for value in traj._memo.values():
+        assert not _reaches(value, traj)
+    assert _reaches([traj.state_at], traj)      # a bound method would be caught

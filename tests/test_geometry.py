@@ -47,8 +47,8 @@ def test_cumulative_value_at_matches_per_point_loop(sep):
     for comp in (0, 1):
         cum = _Cumulative(sep, lambda s: s[comp])
         ref = loop(cum, comp, rq)
-        assert [cum.value_at(r) for r in rq[:4]] == ref[:4].tolist()
-        assert np.allclose(cum.value_at(rq), ref, rtol=4e-16, atol=0.0)
+        assert [cum.value_at(sep, r) for r in rq[:4]] == ref[:4].tolist()
+        assert np.allclose(cum.value_at(sep, rq), ref, rtol=4e-16, atol=0.0)
 
 
 def test_profile_monotone_h(profile):

@@ -206,7 +206,14 @@ def test_orbit_range_queries_raise_orbit_range_error(sep):
 
 def _state_via_scipy(traj, r):
     # reference: each point through its own leg's scipy OdeSolution, the
-    # leg chosen and the last leg clamped as Trajectory.state_at does
+    # leg chosen and the last leg clamped as Trajectory.state_at does; one
+    # point goes through scipy's own one-point path
+    if np.ndim(r) == 0:
+        leg = next((leg for leg in traj.legs if r <= leg.r_hi + 1e-12), None)
+        if leg is None:
+            leg = traj.legs[-1]
+            return leg.sol(np.clip(r + leg.shift, leg.r_lo + leg.shift, leg.r_hi + leg.shift))
+        return leg.sol(r + leg.shift)
     rq = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty((3, rq.size))
     done = np.zeros(rq.size, dtype=bool)
@@ -222,6 +229,16 @@ def _state_via_scipy(traj, r):
     return out
 
 
+def _one_at_a_time(traj, rq, dop_end):
+    # each point alone through state_at's Python-float path: equal to the
+    # array pass everywhere, and to scipy's one-point path up to dop_end
+    one = np.stack([traj.state_at(float(r)) for r in rq], axis=1)
+    assert np.array_equal(one, traj.state_at(rq))
+    for r, y in zip(rq, one.T):
+        if r <= dop_end:
+            assert np.array_equal(y, _state_via_scipy(traj, float(r))), r
+
+
 def test_state_at_is_bit_identical_to_scipy(sep):
     # the DOP853 legs are evaluated by the gathered pass; the germ leg past
     # them has no OdeSolution, so the check stops at the join
@@ -229,13 +246,17 @@ def test_state_at_is_bit_identical_to_scipy(sep):
     ends = np.array([v for leg in sep.legs for v in (leg.r_lo, leg.r_hi)])
     joins = np.clip(np.concatenate([np.nextafter(ends, -np.inf), ends,
                                     np.nextafter(ends, np.inf)]), sep.r_lo, sep.r_hi)
+    clamps = np.array([sep.r_lo - 5e-10, sep.r_hi + 5e-10])
     rng = np.random.default_rng(1211)
     for rq in (sep.dense_grid(400001), rng.uniform(sep.r_lo, sep.r_hi, 200000), sep.r,
-               joins, np.array([sep.r_lo - 5e-10, sep.r_hi + 5e-10])):
+               joins, clamps):
         rq = rq[rq <= sep.legs[1].r_hi]
         assert rq.size
         assert np.array_equal(sep.state_at(rq), _state_via_scipy(sep, rq))
-    assert np.array_equal(sep.state_at(2.903), _state_via_scipy(sep, 2.903)[:, 0])
+    assert np.array_equal(sep.state_at(2.903), _state_via_scipy(sep, 2.903))
+    _one_at_a_time(sep, np.concatenate([sep.r, joins, clamps,
+                                        rng.uniform(sep.r_lo, sep.r_hi, 2000)]),
+                   sep.legs[1].r_hi)
     # a backward run stores a descending OdeSolution
     back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
                         direction="backward")
@@ -243,3 +264,14 @@ def test_state_at_is_bit_identical_to_scipy(sep):
     rq = np.concatenate([back.dense_grid(10001), back.r,
                          rng.uniform(back.r_lo, back.r_hi, 1000)])
     assert np.array_equal(back.state_at(rq), _state_via_scipy(back, rq))
+    _one_at_a_time(back, np.concatenate([rq, [back.r_lo - 5e-10, back.r_hi + 5e-10]]),
+                   np.inf)
+
+
+def test_trajectories_compare_by_identity(sep):
+    # array fields make field-wise equality ambiguous (numpy raises); a
+    # trajectory equals only itself, and a copy starts with an empty memo
+    from dataclasses import replace
+    other = replace(sep)
+    assert sep == sep and sep != other and not (other == sep)
+    assert other._memo is not sep._memo and not other._memo
