@@ -143,21 +143,23 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # deterministic writers
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+def _rows(columns, sep: str) -> str:
+    """The columns as lines of "%.16e" fields joined by ``sep``, formatted
+    by one ``%`` over the row-major values."""
+    values = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = sep.join(["%.16e"] * values.shape[1]) + "\n"
+    return row * values.shape[0] % tuple(values.ravel().tolist())
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        fh.write(_rows(columns, ","))
 
 
 def write_dat(path: Path, col_a, col_b) -> None:
     with open(path, "w") as fh:
-        for a, b in zip(col_a, col_b):
-            fh.write(f"{_fmt(float(a))} {_fmt(float(b))}\n")
+        fh.write(_rows([col_a, col_b], " "))
 
 
 def _jsonable(obj):

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq, toms748
 
 from .blowup import _isolate_real_roots, _poly_eval
-from .geometry import _Cumulative, curvatures
+from .geometry import _Cumulative
 from .phase_core import (
     Trajectory, IntegrationError, OrbitRangeError, _GermLeg, _field, _horner,
 )
@@ -399,12 +399,46 @@ class RHistory:
         return self.sign_change_times[-1] if self.sign_change_times else None
 
 
-def _flow_time(traj: Trajectory) -> _Cumulative:
-    """T(r) = int_{r_hi}^r dr/F, tabulated once per orbit from the flat end."""
+def _flow_time(traj: Trajectory):
+    """T(r) = int_{r_hi}^r dr/F, tabulated once per orbit from the flat end,
+    and its inverse r(tau), tau = log(1 + T), as quintic Hermite pieces.
+
+    The node derivatives come from the field: dr/dtau = (1 + T) F and
+    d2r/dtau2 = (1 + T) F + (1 + T)^2 F F'.  The pieces are Taylor
+    coefficients in the unit variable of each tau interval, highest first.
+    """
     if np.any(traj.F >= 0.0):
         raise IntegrationError(f"the flow time int dr/F needs F < 0 on the orbit; "
                                f"it fails at r = {traj.r[np.argmax(traj.F >= 0.0)]:.6g}")
-    return _Cumulative(traj, lambda s: 1.0 / s[1], from_hi=True)
+    T = _Cumulative(traj, lambda s: 1.0 / s[1], from_hi=True)
+    # tau rises as r falls: reversed, the nodes increase
+    w, F = 1.0 + T.cum[::-1], traj.F[::-1]
+    tau, r = np.log1p(T.cum[::-1]), traj.r[::-1]
+    d1 = w * F
+    d2 = d1 + w * d1 * _field(traj.H[::-1], F, 0.5 * traj.eps)[1]
+    h = np.diff(tau)
+    c1, c2 = h * d1[:-1], 0.5 * h * h * d2[:-1]
+    # p(u) = sum c_k u^k on [0, 1] matches r, r', r'' at both ends
+    gap = r[1:] - r[:-1] - c1 - c2
+    slope = h * d1[1:] - c1 - 2.0 * c2
+    curve = h * h * d2[1:] - 2.0 * c2
+    c3 = 10.0 * gap - 4.0 * slope + 0.5 * curve
+    c4 = -15.0 * gap + 7.0 * slope - curve
+    c5 = 6.0 * gap - 3.0 * slope + 0.5 * curve
+    return T, (tau, np.stack([c5, c4, c3, c2, c1, r[:-1]]))
+
+
+def _r_start(inverse, target: np.ndarray) -> np.ndarray:
+    """r at flow times ``target`` from ``_flow_time``'s Hermite pieces of T^-1.
+
+    T is exponential in r at the cusp end and near linear at the flat end,
+    so r is smooth in log(1 + T): on the default orbit the start is within
+    7.3e-6 of T^-1 over T's whole range.
+    """
+    tau, coef = inverse
+    x = np.log1p(target)
+    i = np.clip(np.searchsorted(tau, x) - 1, 0, tau.size - 2)
+    return _horner(coef[:, i], (x - tau[i]) / (tau[i + 1] - tau[i]))
 
 
 def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
@@ -413,9 +447,11 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     F < 0 on the orbit, so the flow time T(r) = int_{r_hi}^r dr/F is
     strictly monotone and r(t) = T^{-1}(T(r0) + t).  T is tabulated by the
     quadrature of the metric profiles, accumulated from the flat end, and
-    inverted by Newton steps; then R[g(t)] = R[g0](r(t))/(t+1) and dR/dt
-    follow from the phase states.  A t whose target T(r0) + t leaves T's
-    range [0, T(r_lo)] is dropped and the history flagged truncated.
+    inverted by two Newton steps from a quintic Hermite start in log(1 + T),
+    each step one ``state_at`` call; then R[g(t)] = R[g0](r(t))/(t+1) and
+    dR/dt follow from the final phase states.  A t whose target T(r0) + t
+    leaves T's range [0, T(r_lo)] is dropped and the history flagged
+    truncated.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     if t_grid[0] <= -1.0:
@@ -423,19 +459,19 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     if not (traj.r_lo <= r0 <= traj.r_hi):
         raise OrbitRangeError("r0 outside the computed orbit range")
 
-    flow_time = traj._per_orbit(_flow_time)
+    flow_time, inverse = traj._per_orbit(_flow_time)
     target = flow_time.value_at(traj, r0) + t_grid
     kept = (target >= 0.0) & (target <= flow_time.cum[0])
     tv, target = t_grid[kept], target[kept]
-    # T is exponential in r at the cusp end and near linear at the flat end,
-    # so r is nearly piecewise linear in log(1 + T)
-    r = np.interp(np.log1p(target), np.log1p(flow_time.cum[::-1]), traj.r[::-1])
-    for _ in range(4):      # measured corrections 1.4e-2, 5.8e-5, 3.3e-9, 1e-15
-        r = r - (flow_time.value_at(traj, r) - target) * traj.state_at(r)[1]
+    r = _r_start(inverse, target)
+    for _ in range(2):      # measured corrections 7e-6, 1.5e-11 (the next, 1e-15)
+        value, states = flow_time.value_and_states(traj, r)
+        r = r - (value - target) * states[1]
 
     s = tv + 1.0
-    A, B = _ab(*traj.state_at(r))
-    R = curvatures(traj, r).scalar / s
+    H, F, sig = traj.state_at(r)
+    A, B = _ab(H, F, sig)
+    R = (-2.0 * H ** 2 + 4.0 * sig) / s          # R[g0] = curvatures(traj, r).scalar
     dR = 2.0 / s ** 2 * (A + s * B)
     sign_changes = [float(0.5 * (tv[i] + tv[i + 1]))
                     for i in np.nonzero(np.diff(np.sign(dR)) != 0)[0]]

@@ -68,14 +68,19 @@ class _Cumulative:
 
     def value_at(self, traj: Trajectory, r) -> np.ndarray:
         """Integral from the anchor node to each query point of ``traj``."""
-        rq = np.atleast_1d(np.asarray(r, dtype=float))
-        idx = np.clip(np.searchsorted(self.nodes, rq) - 1, 0, len(self.nodes) - 2)
-        a = self.nodes[idx]
-        half = 0.5 * (rq - a)
-        pts = (a + half)[:, None] + half[:, None] * _GL_NODES
-        vals = self._integrand(traj.state_at(pts.ravel())).reshape(pts.shape)
-        out = self.cum[idx] + half * (vals @ _GL_WEIGHTS)
+        out = self.value_and_states(traj, np.atleast_1d(np.asarray(r, dtype=float)))[0]
         return out if np.ndim(r) else float(out[0])
+
+    def value_and_states(self, traj: Trajectory, r: np.ndarray):
+        """``value_at`` the points ``r`` and the states (3, n) there, from one
+        ``state_at`` call over the Gauss points and ``r`` together."""
+        idx = np.clip(np.searchsorted(self.nodes, r) - 1, 0, len(self.nodes) - 2)
+        a = self.nodes[idx]
+        half = 0.5 * (r - a)
+        pts = (a + half)[:, None] + half[:, None] * _GL_NODES
+        states = traj.state_at(np.concatenate([pts.ravel(), r]))
+        vals = self._integrand(states[:, :pts.size]).reshape(pts.shape)
+        return self.cum[idx] + half * (vals @ _GL_WEIGHTS), states[:, pts.size:]
 
 
 def _fit_tail_alpha(traj: Trajectory, lo: float = 1e-7, hi: float = 1e-4) -> float:

@@ -235,13 +235,13 @@ class _Leg:
             seg = sol.n_segments - 1 - seg
         x = (t - t_old[seg]) / h[seg]
         u = 1 - x
-        c = F[:, :, seg]
         y = np.zeros((3, t.size))
-        # Dop853DenseOutput's Horner loop, in its order
+        # Dop853DenseOutput's Horner loop, in its order; one row of
+        # coefficients gathered per step, not the whole (7, 3, n) block
         for k in range(F.shape[0] - 1, -1, -1):
-            y += c[k]
+            y += F[k].take(seg, axis=1)
             y *= x if k % 2 == 0 else u
-        y += y_old[:, seg]
+        y += y_old.take(seg, axis=1)
         return y
 
     def _point(self, t: float) -> np.ndarray:

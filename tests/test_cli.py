@@ -77,6 +77,20 @@ def test_json_writes_bools_as_bools():
     assert [type(v) for v in (out["a"], *out["b"])] == [bool, bool, int, int]
 
 
+def test_tables_match_per_cell_formatting(tmp_path):
+    # one % over all rows writes what f"{x:.16e}" writes cell by cell
+    vals = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                     np.finfo(float).max, 1.0 / 3.0])
+    cols = [vals, -vals[::-1]]
+    cli.write_csv(tmp_path / "t.csv", ["a", "b"], cols)
+    cli.write_dat(tmp_path / "t.dat", *cols)
+    rows = [(f"{x:.16e}", f"{y:.16e}") for x, y in zip(*cols)]
+    assert (tmp_path / "t.csv").read_text() == "a,b\n" + "".join(f"{x},{y}\n" for x, y in rows)
+    assert (tmp_path / "t.dat").read_text() == "".join(f"{x} {y}\n" for x, y in rows)
+    cli.write_csv(tmp_path / "empty.csv", ["a", "b"], [np.empty(0), np.empty(0)])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+
 def test_blowup_command(tmp_path):
     assert main(["blowup", "--out", str(tmp_path), "--quiet"]) == 0
     rep = json.loads((tmp_path / "blowup.json").read_text())

@@ -326,12 +326,18 @@ def test_history_against_ode_route(sep):
         assert np.array_equal(np.sign(h.dRdt), np.sign(ode_dRdt))
 
 
-def test_truncated_history_keeps_the_times_inside_the_flow_range():
+@pytest.fixture(scope="module")
+def short_orbit():
+    """The separatrix cut at r = 10: it ends on a DOP853 leg, not on the germ."""
+    return cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(
+        r_max=10.0, h_floor=1e-6)))
+
+
+def test_truncated_history_keeps_the_times_inside_the_flow_range(short_orbit):
     # on an orbit ending at r = 10, the flat end is reached at once going
     # back in time and T(r_lo) ~ 1.65e9 bounds the times going forward
     from scipy.integrate import quad
-    traj = cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(
-        r_max=10.0, h_floor=1e-6)))
+    traj = short_orbit
     inv_F = lambda r: 1.0 / float(traj.state_at(r)[1])
     T_r0 = quad(inv_F, traj.r_hi, 9.9)[0]
     T_lo = quad(inv_F, traj.r_hi, traj.r_lo, limit=200)[0]
@@ -345,6 +351,53 @@ def test_truncated_history_keeps_the_times_inside_the_flow_range():
     assert abs(h.r_of_t[1] - _ode_history_r(traj, 9.9, h.t)[1]) < 1e-8
     empty = cs.pointwise_R_history(9.9, [-0.5, -0.1], traj)
     assert empty.truncated and empty.t.size == 0 and empty.sign_change_times == []
+
+
+def test_history_start_and_two_newton_steps(sep, short_orbit):
+    # the quintic Hermite start in log(1 + T), replayed with the history's two
+    # Newton steps and a third: the replay lands on r_of_t bit for bit, the
+    # start lies within 1e-4 of it, and the corrections fall quadratically to
+    # rounding (measured at most 1.7e-6, 3.6e-12, 2.0e-15 of max(|r|, 1)),
+    # on the CLI's grid
+    from cuspsoliton.evolution import _flow_time, _r_start
+    tg = np.geomspace(0.02, 201.0, 240) - 1.0
+    cases = [(sep, sep.r_at_F(F_anchor)) for F_anchor in (-0.5, -1.0, -10.0, -30.0)]
+    cases += [(short_orbit, short_orbit.r_at_F(-1.0)), (short_orbit, 9.9)]
+    for traj, r0 in cases:
+        h = cs.pointwise_R_history(r0, tg, traj)
+        assert h.t.size >= 10
+        T, inverse = traj._per_orbit(_flow_time)
+        target = T.value_at(traj, r0) + h.t
+        r = _r_start(inverse, target)
+        assert np.all(np.abs(r - h.r_of_t) <= 1e-4)
+        steps = []
+        for _ in range(3):
+            value, states = T.value_and_states(traj, r)
+            steps.append((value - target) * states[1])
+            r = r - steps[-1]
+            if len(steps) == 2:
+                assert np.array_equal(r, h.r_of_t)
+        scale = np.maximum(np.abs(h.r_of_t), 1.0)
+        assert np.all(np.abs(steps[1]) <= 1e-10 * scale)
+        assert np.all(np.abs(steps[2]) <= 1e-12 * scale)
+
+
+def test_warm_history_makes_four_state_at_calls(sep, monkeypatch):
+    # T(r0), one call per Newton step (Gauss points and iterates together)
+    # and the final states: 4 array calls, 7 + 2 * 7 * 240 + 240 points
+    tg = np.geomspace(0.02, 201.0, 240) - 1.0
+    r0 = sep.r_at_F(-1.0)
+    cs.pointwise_R_history(r0, tg, sep)
+    state_at, points = cs.Trajectory.state_at, []
+
+    def counted(self, r):
+        if np.ndim(r):
+            points.append(np.size(r))
+        return state_at(self, r)
+    monkeypatch.setattr(cs.Trajectory, "state_at", counted)
+    cs.pointwise_R_history(r0, tg, sep)
+    assert len(points) <= 4
+    assert sum(points) <= 7 + 2 * 7 * tg.size + tg.size
 
 
 def test_history_needs_negative_F():
