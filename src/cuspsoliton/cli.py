@@ -475,7 +475,8 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         status, error = EXIT_NUMERIC, f"{type(exc).__name__}: {exc}"
     traj = session.__dict__.get("traj")          # shot only if a command read it
-    diagnostics = {k: v for k, v in traj.meta.items() if k.startswith("germ_")} if traj else {}
+    diagnostics = {k: v for k, v in traj.meta.items()
+                   if k.startswith("germ_") or k == "legs"} if traj else {}
     em.manifest(args.command, cfg, time.monotonic() - t0, session.stages, status, error,
                 {**diagnostics, **session.diagnostics})
     em.note(f"wrote {len(em.files) + 1} files to {out_dir}")

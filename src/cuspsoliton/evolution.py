@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq, toms748
 
+from ._numerics import brent
 from .blowup import _isolate_real_roots, _poly_eval
 from .geometry import _Cumulative
 from .phase_core import (
@@ -256,9 +256,8 @@ class _SStar:
             raise IntegrationError(f"s* = A/|B| must fall, then rise: ds*/dr turns from + to "
                                    f"- at r = {r[turns[0 if up[0] else 1] + 1]:.6g}")
         if turns.size:
-            # toms748, not brentq: evolution.brentq refines crossings only
             slope = lambda rr: _sstar_slope(*traj.state_at(rr).tolist(), traj.eps)
-            self.r_min = float(toms748(slope, r[turns[0]], r[turns[0] + 1], xtol=1e-12))
+            self.r_min = brent(slope, r[turns[0]].item(), r[turns[0] + 1].item(), xtol=1e-12)
         else:
             self.r_min = float(r[0] if up[0] else r_end)
         self.points, self.r_join = int(r.size), r_end
@@ -274,18 +273,18 @@ class _SStar:
         return -a / b
 
     def report(self, traj: Trajectory, t: float, xtol: float = 1e-9) -> CrossingReport:
-        """One brentq of s* - (t+1) on each monotone branch straddling it."""
+        """One Brent root of s* - (t+1) on each monotone branch straddling it."""
         s, ends = t + 1.0, self.ends
         gaps = [v - s for v in self.at_ends]
         crossings, pattern = [], "+" if gaps[0] > 0.0 else "-"
         for lo, hi, g_lo, g_hi in zip(ends, ends[1:], gaps, gaps[1:]):
             if g_lo * g_hi < 0.0:
                 try:
-                    rc = float(brentq(lambda rr: self(traj, rr) - s, lo, hi,
-                                      xtol=xtol, rtol=1e-15))
+                    rc = brent(lambda rr: self(traj, rr) - s, lo, hi, xtol=xtol, rtol=1e-15)
                 except ValueError as exc:
                     raise IntegrationError(f"C_t at t = {t} changes sign on "
-                                           f"[{lo!r}, {hi!r}] but brentq failed: {exc}") from exc
+                                           f"[{lo!r}, {hi!r}] but the root search failed: "
+                                           f"{exc}") from exc
                 crossings.append((rc, *traj.state_at(rc)[:2].tolist()))
                 pattern += "+" if g_hi > 0.0 else "-"
         return CrossingReport(t, crossings, pattern, self.points)
@@ -296,7 +295,7 @@ def crossing_scan(traj: Trajectory, t_values, xtol: float = 1e-9) -> list[Crossi
 
     On the orbit C_t = |B| (s* - (t+1)) with s* = A/|B| free of t, so one
     certificate (``_SStar``), built once per orbit, serves every t, and
-    each crossing is one ``brentq`` root of s* = t + 1 to r-resolution
+    each crossing is one Brent root of s* = t + 1 to r-resolution
     ``xtol`` on a monotone branch: none for t < t*, two for t* < t < 0
     (one if the orbit ends before the second), one for t >= 0.  A failed
     certificate or refinement raises ``IntegrationError``.

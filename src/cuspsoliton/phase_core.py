@@ -21,8 +21,9 @@ keeps sigma at full relative accuracy where the direct expression
 -(H' + H^2) loses every digit to cancellation (along the bounded orbit
 sigma decays like r^-4 while H', H^2 decay like r^-2).
 
-Far out the bounded orbit is served by its exact germ at infinity
-(``_GermLeg``) instead of stiff stepping.
+The legs are stepped by ``_numerics.Dop853``.  Far out the bounded orbit
+is served by its exact germ at infinity (``_GermLeg``) instead of stiff
+stepping.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from functools import cached_property, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+
+from ._numerics import Dop853, IntegrationError, brent
 
 __all__ = [
     "PhasePoint", "PhaseVelocity", "Jacobian2", "IntegratorControls",
@@ -54,10 +56,6 @@ EIGENVALUE_STABLE = (-1.0 - _SQRT5) / 2.0
 #: slopes dF/dH of the corresponding eigendirections
 SLOPE_UNSTABLE = 3.0 + _SQRT5
 SLOPE_STABLE = 3.0 - _SQRT5
-
-
-class IntegrationError(RuntimeError):
-    """Adaptive stepping failed (step-size underflow or non-finite state)."""
 
 
 class OrbitRangeError(ValueError):
@@ -205,34 +203,51 @@ class IntegratorControls:
             raise ValueError("require r_min < r_max")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Leg:
-    """One dense-output solution piece; raw solver time = r + shift."""
+    """One DOP853 leg; raw solver time = r + shift.
+
+    ``ts`` are the step ends in stepping order; step i is the degree-7
+    polynomial ``(t_old[i], h[i], y_old[:, i], F[:, :, i])`` that scipy's
+    ``Dop853DenseOutput`` evaluates.  ``stats`` are the run's method,
+    tolerances and counters.
+    """
 
     r_lo: float
     r_hi: float
     shift: float
-    sol: object  # scipy OdeSolution
+    ts: np.ndarray
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+    stats: dict
+
+    @classmethod
+    def from_run(cls, run: Dop853, shift: float = 0.0) -> "_Leg":
+        ts = np.array(run.ts)
+        return cls(float(min(ts[0], ts[-1]) - shift), float(max(ts[0], ts[-1]) - shift),
+                   shift, ts, *run.dense_arrays(), run.stats())
 
     @cached_property
-    def _pieces(self):
-        # the DOP853 interpolants stacked as (t_old, h, y_old, F)
-        p = self.sol.interpolants
-        return (np.array([q.t_old for q in p]), np.array([q.h for q in p]),
-                np.stack([q.y_old for q in p], axis=1), np.stack([q.F for q in p], axis=2))
+    def _sorted(self):
+        # ascending nodes and OdeSolution's segment rule: at a node the lower
+        # index wins, so a descending leg searches from the right
+        ascending = bool(self.ts[-1] >= self.ts[0])
+        ts = self.ts if ascending else self.ts[::-1]
+        return ts, ts.tolist(), ascending
 
     def __call__(self, t) -> np.ndarray:
         """States (3, n) at raw solver times ``t``, or (3,) at one time,
-        bit-identical to ``sol(t)``."""
+        bit-identical to scipy's ``OdeSolution`` over the same pieces."""
         if isinstance(t, float) or np.ndim(t) == 0:
             return self._point(float(t))
-        sol = self.sol
-        t_old, h, y_old, F = self._pieces
-        # OdeSolution's segment choice: lower index at a breakpoint, clamped
-        seg = np.searchsorted(sol.ts_sorted, t, side=sol.side) - 1
-        seg = np.clip(seg, 0, sol.n_segments - 1)
-        if not sol.ascending:
-            seg = sol.n_segments - 1 - seg
+        ts, _, ascending = self._sorted
+        t_old, h, y_old, F = self.t_old, self.h, self.y_old, self.F
+        seg = np.searchsorted(ts, t, side="left" if ascending else "right") - 1
+        seg = np.clip(seg, 0, h.size - 1)
+        if not ascending:
+            seg = h.size - 1 - seg
         x = (t - t_old[seg]) / h[seg]
         u = 1 - x
         y = np.zeros((3, t.size))
@@ -247,21 +262,20 @@ class _Leg:
     def _point(self, t: float) -> np.ndarray:
         # __call__ at one time in Python floats, from one segment's
         # coefficients: the same IEEE operations without numpy's per-call cost
-        sol = self.sol
-        seg = (bisect_left if sol.side == "left" else bisect_right)(sol.ts_sorted, t) - 1
-        seg = min(max(seg, 0), sol.n_segments - 1)
-        if not sol.ascending:
-            seg = sol.n_segments - 1 - seg
-        t_old, h, y_old, F = self._pieces
-        x = (t - t_old[seg].item()) / h[seg].item()
+        _, ts, ascending = self._sorted
+        n = self.h.size
+        seg = min(max((bisect_left if ascending else bisect_right)(ts, t) - 1, 0), n - 1)
+        if not ascending:
+            seg = n - 1 - seg
+        x = (t - self.t_old[seg].item()) / self.h[seg].item()
         u = 1 - x
-        c = F[:, :, seg].tolist()
+        c = self.F[:, :, seg].tolist()
         y0 = y1 = y2 = 0.0
         for k in range(len(c) - 1, -1, -1):
             m = x if k % 2 == 0 else u
             a0, a1, a2 = c[k]
             y0, y1, y2 = (y0 + a0) * m, (y1 + a1) * m, (y2 + a2) * m
-        b0, b1, b2 = y_old[:, seg].tolist()
+        b0, b1, b2 = self.y_old[:, seg].tolist()
         return np.array([y0 + b0, y1 + b1, y2 + b2])
 
 
@@ -327,6 +341,11 @@ class _GermLeg:
             n = next(k for k in range(1, len(t)) if t[k] and abs(t[k]) < 1e-17 * abs(sum(t[:k])))
             cut.append([float(a) for a in ser[n - 1::-1]])
         return cls(r_join, r_hi, r_join - _horner(cut[2], y * y) / y, tuple(cut))
+
+    def r_at_F(self, F: float) -> float:
+        """The r at which F = ``F`` on the germ, r = c + R(Y) with Y = -1/F."""
+        y = -1.0 / F
+        return self.c + _horner(self.series[2], y * y) / y
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """States (3, n) at calibrated ``r``; one point is evaluated in Python
@@ -435,9 +454,8 @@ class Trajectory:
         return np.linspace(self.r_lo, self.r_hi, int(n))
 
     def r_at_F(self, target: float) -> float:
-        """First r at which F crosses ``target`` (dense-output bisection)."""
-        from scipy.optimize import brentq
-
+        """First r at which F crosses ``target``: Brent's method on the dense
+        output of a DOP853 leg, the closed form on the germ."""
         g = self.F - target
         idx = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) <= 0)[0]
         if len(idx) == 0:
@@ -445,35 +463,33 @@ class Trajectory:
         i = idx[0]
         if g[i] == 0.0:
             return float(self.r[i])
-        return float(brentq(lambda rr: float(self.state_at(rr)[1]) - target,
-                            self.r[i], self.r[i + 1], xtol=1e-12, rtol=1e-15))
+        germ = self.legs[-1]
+        if isinstance(germ, _GermLeg) and self.r[i] >= germ.r_lo:
+            return germ.r_at_F(target)       # the germ inverts in closed form
+        return brent(lambda rr: self.state_at(rr)[1].item() - target,
+                     self.r[i].item(), self.r[i + 1].item(), xtol=1e-12, rtol=1e-15)
 
 
-def _sigma_init(H: float, F: float, eps: int) -> float:
-    # H' summed left to right, not through _field: at the default shot point
-    # _field's order rounds sigma_0 one ulp apart, which moves every sample
-    # of the orbit in its last bit
-    dH = H * F - 2.0 * H * H + 0.5 * eps
-    return -(dH + H * H)
+def _start(H: float, F: float, eps: int) -> tuple:
+    """The state (H, F, sigma) at a phase point, sigma = -(H' + H^2) with
+    H' from ``_field``."""
+    return H, F, -(_field(H, F, 0.5 * eps)[0] + H * H)
 
 
 def _make_rhs(eps: int) -> Callable:
     half = 0.5 * eps
 
     def rhs(r, y):
-        H, F, sig = y.tolist()   # float arithmetic: numpy scalars cost more
+        H, F, sig = y
         dH, dF = _field(H, F, half)
-        return (dH, dF, (F - H) * sig - H ** 3)
+        return dH, dF, (F - H) * sig - H ** 3
     return rhs
 
 
-def _solve(rhs, y0, span, rel_tol, abs_tol, events=None):
-    """Dense-output DOP853 run; failure or a non-finite state raises."""
-    sol = solve_ivp(rhs, span, y0, method="DOP853", dense_output=True,
-                    rtol=rel_tol, atol=abs_tol, events=events)
-    if sol.status == -1 or not np.all(np.isfinite(sol.y)):
-        raise IntegrationError(sol.message)
-    return sol
+def _atol(abs_tol: float) -> tuple:
+    # sigma decays like r^-4 along the bounded orbit, so its absolute
+    # control is far below the state's
+    return abs_tol, abs_tol, 1e-21
 
 
 def integrate(start, r0: float, controls: IntegratorControls,
@@ -487,40 +503,36 @@ def integrate(start, r0: float, controls: IntegratorControls,
     _check_eps(eps)
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    H0, F0 = float(start[0]), float(start[1])
-    y0 = [H0, F0, _sigma_init(H0, F0, eps)]
     r_end = controls.r_max if direction == "forward" else controls.r_min
     if not math.isfinite(r_end):
         raise ValueError("integration endpoint must be finite")
+    if r_end == r0:
+        raise ValueError("integration span is empty")
 
     events = []
-    names = []
     if controls.h_floor is not None:
-        ev = lambda r, y: y[0] - controls.h_floor
-        ev.terminal, ev.direction = True, -1
-        events.append(ev)
-        names.append("h_floor")
+        events.append(("h_floor", lambda r, y: y[0] - controls.h_floor, -1))
     if controls.f_ceiling is not None:
-        ev = lambda r, y: abs(y[1]) - controls.f_ceiling
-        ev.terminal, ev.direction = True, 1
-        events.append(ev)
-        names.append("f_ceiling")
+        events.append(("f_ceiling", lambda r, y: abs(y[1]) - controls.f_ceiling, 1))
 
-    atol = [controls.abs_tol] * 2 + [1e-21]
-    sol = _solve(_make_rhs(eps), y0, (r0, r_end),
-                 controls.rel_tol, atol, events or None)
-    termination = "r_end"
-    if sol.status == 1:
-        hit = [i for i, te in enumerate(sol.t_events) if len(te)]
-        termination = names[hit[0]] if hit else "event"
+    run = Dop853(_make_rhs(eps), r0, _start(float(start[0]), float(start[1]), eps), r_end,
+                 controls.rel_tol, _atol(controls.abs_tol))
+    termination = None
+    while termination is None:
+        run.step()
+        hits = [(te, name) for name, g, d in events if (te := run.root(g, d)) is not None]
+        if hits:
+            te, termination = min(hits, key=lambda hit: hit[0] * run.direction)
+            run.stop(te)
+        elif run.done:
+            termination = "r_end"
 
-    ts, ys = sol.t, sol.y
+    leg = _Leg.from_run(run)
+    ts, ys = run.samples()
     if direction == "backward":
         ts, ys = ts[::-1], ys[:, ::-1]
-    leg = _Leg(float(ts[0]), float(ts[-1]), 0.0, sol.sol)
     return Trajectory(
-        r=ts.copy(), H=ys[0].copy(), F=ys[1].copy(),
-        sigma=ys[2].copy(),
+        r=ts.copy(), H=ys[0].copy(), F=ys[1].copy(), sigma=ys[2].copy(),
         eps=eps, rel_tol=controls.rel_tol, abs_tol=controls.abs_tol,
         termination=termination, legs=(leg,),
         meta={"r0": r0, "direction": direction},

@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._numerics import Dop853, brent
 from .phase_core import (
     EIGENVALUE_UNSTABLE, SADDLE, SLOPE_UNSTABLE, IntegratorControls, Trajectory,
-    _GermLeg, _Leg, _make_rhs, _sigma_init, _solve,
+    _atol, _GermLeg, _Leg, _make_rhs, _start,
 )
 
 # The transversal contraction rate along the orbit grows like r/2, which
@@ -99,14 +99,6 @@ class ShootConfig:
             raise ValueError("offset and saddle_ball must satisfy 0 < saddle_ball < offset")
 
 
-def _band_guard_events(h_floor):
-    out_hi = lambda r, y: y[0] - 0.5
-    out_hi.terminal, out_hi.direction = True, 1
-    out_lo = lambda r, y: y[0] - (0.0 if h_floor is None else h_floor)
-    out_lo.terminal, out_lo.direction = True, -1
-    return out_hi, out_lo
-
-
 def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     """Compute the bounded orbit S by shooting from the saddle.
 
@@ -116,7 +108,8 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     forward extent is reached.  The parameter is calibrated so that r = 0
     at the unique point with F = -1 (the system is autonomous, so S is
     defined only up to translation; F is strictly monotone along S, which
-    makes the anchor unique).  Past r = 25 the orbit is its exact germ at
+    makes the anchor unique); the forward leg locates it on its own dense
+    output while it steps.  Past r = 25 the orbit is its exact germ at
     infinity, sampled every 5.0; ``meta`` records the join and its mismatch.
     """
     cfg = cfg or ShootConfig()
@@ -126,58 +119,63 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     start = np.array(SADDLE) - cfg.offset * u
     if not 0.0 < start[0] < 0.5:
         raise ShootError("shot starts outside the band 0 < H < 1/2; check offset")
-    y0 = [start[0], start[1], _sigma_init(start[0], start[1], 1)]
+    y0 = _start(float(start[0]), float(start[1]), 1)
     rhs = _make_rhs(1)
-    atol = [ctl.abs_tol, ctl.abs_tol, 1e-21]
-
-    # probe: raw parameter distance from the shot point to F = -1
+    h_floor = 0.0 if ctl.h_floor is None else ctl.h_floor
+    out_hi = lambda r, y: y[0] - 0.5
+    out_lo = lambda r, y: y[0] - h_floor
     anchor = lambda r, y: y[1] + 1.0
-    anchor.terminal, anchor.direction = True, -1
-    guard_hi, guard_lo = _band_guard_events(ctl.h_floor)
-    probe = _solve(rhs, y0, (0.0, 1e4), ctl.rel_tol, atol, events=[anchor, guard_hi])
-    if len(probe.t_events[1]):
-        raise ShootError("orbit left the band H < 1/2; check offset")
-    if not len(probe.t_events[0]):
-        raise ShootError("orbit never reached the calibration anchor F = -1")
-    r_star = float(probe.t_events[0][0])
 
-    # forward leg out to the requested calibrated extent or the germ join
-    raw_end = r_star + ctl.r_max
-    raw_split = min(r_star + _GERM_JOIN, raw_end)
-    fwd = _solve(rhs, y0, (0.0, raw_split), ctl.rel_tol, atol, events=[guard_hi, guard_lo])
-    if len(fwd.t_events[0]):
-        raise ShootError("orbit left the band H < 1/2; check offset")
-    termination = "h_floor" if len(fwd.t_events[1]) else "r_max"
+    # forward leg: until it meets F = -1 at raw r*, its bound is only a
+    # search limit; then it ends at the calibrated extent or the germ join
+    fwd = Dop853(rhs, 0.0, y0, 1e4, ctl.rel_tol, _atol(ctl.abs_tol))
+    r_star, termination = None, "r_max"
+    while not fwd.done:
+        fwd.step()
+        if fwd.root(out_hi, 1) is not None:
+            raise ShootError("orbit left the band H < 1/2; check offset")
+        if r_star is None and (r_star := fwd.root(anchor, -1)) is not None:
+            fwd.t_bound = r_star + min(_GERM_JOIN, ctl.r_max)
+            if fwd.t > fwd.t_bound:
+                fwd.stop(fwd.t_bound)
+        if (te := fwd.root(out_lo, -1)) is not None:
+            fwd.stop(te)
+            termination = "h_floor"
+    if r_star is None:
+        raise ShootError("orbit never reached the calibration anchor F = -1")
 
     # backward leg, stopped on the saddle ball; tighter absolute control
     # because transversal errors are amplified by the reverse-time dynamics
     ball = lambda r, y: math.hypot(y[0] - 0.5, y[1]) - cfg.saddle_ball
-    ball.terminal, ball.direction = True, -1
-    atol_b = [min(ctl.abs_tol, 1e-14)] * 2 + [1e-21]
     span_back = math.log(cfg.offset / cfg.saddle_ball) / EIGENVALUE_UNSTABLE + 20.0
-    bwd = _solve(rhs, y0, (0.0, -span_back), ctl.rel_tol, atol_b, events=[ball])
-    if not len(bwd.t_events[0]):
+    bwd = Dop853(rhs, 0.0, y0, -span_back, ctl.rel_tol, _atol(min(ctl.abs_tol, 1e-14)))
+    while not bwd.done:
+        bwd.step()
+        if (te := bwd.root(ball, -1)) is not None:
+            bwd.stop(te)
+            break
+    else:
         raise ShootError("backward leg failed to reach the saddle ball")
 
-    tb, yb = bwd.t[::-1], bwd.y[:, ::-1]
-    legs = [
-        _Leg(float(tb[0] - r_star), float(-r_star), r_star, bwd.sol),
-        _Leg(float(-r_star), float(fwd.t[-1] - r_star), r_star, fwd.sol),
-    ]
-    r = np.concatenate([tb[:-1], fwd.t]) - r_star   # shared point dropped
-    y = np.concatenate([yb[:, :-1], fwd.y], axis=1)
+    tb, yb = bwd.samples()
+    tf, yf = fwd.samples()
+    tb, yb = tb[::-1], yb[:, ::-1]
+    legs = [_Leg.from_run(bwd, r_star), _Leg.from_run(fwd, r_star)]
+    r = np.concatenate([tb[:-1], tf]) - r_star   # shared point dropped
+    y = np.concatenate([yb[:, :-1], yf], axis=1)
     meta = dict(kind="separatrix", offset=cfg.offset, saddle_ball=cfg.saddle_ball, r_star_raw=r_star,
-                backward_limit="saddle (1/2, 0); truncated at saddle_ball")
-    if fwd.status != 1 and raw_end > raw_split:
+                backward_limit="saddle (1/2, 0); truncated at saddle_ball",
+                legs=[dict(leg.stats, r_lo=leg.r_lo, r_hi=leg.r_hi) for leg in legs])
+    if termination != "h_floor" and ctl.r_max > _GERM_JOIN:
         r_join = float(r[-1])
-        germ = _GermLeg.matched(r_join, float(fwd.y[1, -1]), float(raw_end - r_star))
+        germ = _GermLeg.matched(r_join, float(yf[1, -1]), float(ctl.r_max))
         if ctl.h_floor is not None and germ(germ.r_hi)[0] < ctl.h_floor:
-            germ = replace(germ, r_hi=brentq(lambda rr: germ(rr)[0] - ctl.h_floor, r_join,
-                                             germ.r_hi, xtol=1e-12, rtol=1e-15))
+            germ = replace(germ, r_hi=brent(lambda rr: germ(rr)[0].item() - ctl.h_floor, r_join,
+                                            germ.r_hi, xtol=1e-12, rtol=1e-15))
             termination = "h_floor"
         nodes = np.arange(r_join, germ.r_hi, _GERM_NODE_STEP)[1:]
         nodes = np.append(nodes[nodes < germ.r_hi], germ.r_hi)
-        dev = np.abs(germ(r_join) / fwd.y[:, -1] - 1.0)
+        dev = np.abs(germ(r_join) / yf[:, -1] - 1.0)
         meta.update(germ_join_r=r_join, germ_c=germ.c, germ_join_mismatch_H=float(dev[0]),
                     germ_join_mismatch_sigma=float(dev[2]))
         legs.append(germ)

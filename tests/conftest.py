@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,71 @@ def blowup_generic():
 @pytest.fixture(scope="session")
 def blowup_t0():
     return cs.run_sequence("t0")
+
+
+def _field(H, F):
+    c = -2.0 * H * H + 0.5
+    return H * F + c, 2.0 * H * F + c
+
+
+@pytest.fixture(scope="session")
+def scipy_shot():
+    """S shot with scipy's ``solve_ivp``, the route the package took before
+    it had a stepper of its own: a probe leg to F = -1 at raw r*, DOP853
+    forward to r* + 25 and backward into the 1e-9 saddle ball, at the
+    default tolerances.  Returns a function giving the states (3, n) at
+    calibrated r in [r_lo, 25]."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(r, y):
+        H, F, sig = y.tolist()
+        dH, dF = _field(H, F)
+        return dH, dF, (F - H) * sig - H ** 3
+
+    def solve(span, atol, event=None):
+        if event:
+            event.terminal, event.direction = True, -1
+        return solve_ivp(rhs, span, y0, method="DOP853", dense_output=True,
+                         rtol=1e-10, atol=[atol, atol, 1e-21], events=event)
+
+    u = np.array([1.0, 3.0 + math.sqrt(5.0)])
+    H0, F0 = np.array([0.5, 0.0]) - 1e-8 * u / np.linalg.norm(u)
+    y0 = [H0, F0, -((H0 * F0 - 2.0 * H0 * H0 + 0.5) + H0 * H0)]
+    r_star = solve((0.0, 1e4), 1e-12, lambda r, y: y[1] + 1.0).t_events[0][0]
+    fwd = solve((0.0, r_star + 25.0), 1e-12)
+    span_back = math.log(10.0) / cs.EIGENVALUE_UNSTABLE + 20.0
+    bwd = solve((0.0, -span_back), 1e-14,
+                lambda r, y: math.hypot(y[0] - 0.5, y[1]) - 1e-9)
+
+    def states(r):
+        raw = np.asarray(r, dtype=float) + r_star
+        assert raw.min() >= bwd.t[-1] and raw.max() <= fwd.t[-1]
+        return np.where(raw >= 0.0, fwd.sol(raw), bwd.sol(raw))
+    return states
+
+
+@pytest.fixture(scope="session")
+def graph_orbit():
+    """S as the graph F = phi(H), independent of the package: scipy's DOP853
+    on dF/dH = F'/H' from H = 1/2 - 1e-7 on the unstable manifold's
+    quadratic germ F = m x + k x^2 (x = H - 1/2, m = 3 + sqrt5), down to
+    H = 0.02; on (1/2 - 1e-7, 1/2) phi is that germ.  Returns phi, which
+    takes an array of H."""
+    from scipy.integrate import solve_ivp
+
+    m = 3.0 + math.sqrt(5.0)
+    k = (m * m - 4.0 * m + 2.0) / (5.0 - 1.5 * m)
+    H0 = 0.5 - 1e-7
+
+    def slope(H, y):
+        dH, dF = _field(H, y[0])
+        return [dF / dH]
+    sol = solve_ivp(slope, (H0, 0.02), [m * (H0 - 0.5) + k * (H0 - 0.5) ** 2],
+                    method="DOP853", dense_output=True, rtol=1e-13, atol=1e-16)
+
+    def phi(H):
+        H = np.asarray(H, dtype=float)
+        assert H.min() >= 0.02 and H.max() < 0.5
+        x = H - 0.5
+        return np.where(H > H0, m * x + k * x * x, sol.sol(np.minimum(H, H0))[0])
+    return phi

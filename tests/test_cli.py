@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -258,7 +261,32 @@ def test_manifest_records_stage_times(tmp_path):
     diag = manifest["diagnostics"]
     assert set(diag) == {"germ_join_r", "germ_c", "germ_join_mismatch_H",
                          "germ_join_mismatch_sigma", "sstar_certificate_points",
-                         "history_truncated"}
+                         "history_truncated", "legs"}
+    back, fwd = diag["legs"]
+    for leg in (back, fwd):
+        assert set(leg) == {"method", "rtol", "atol", "n_steps", "n_rejected", "nfev",
+                            "r_lo", "r_hi"}
+        assert leg["method"] == "DOP853" and leg["rtol"] == 1e-10 and leg["n_steps"] > 0
+        assert leg["nfev"] == 2 + 15 * leg["n_steps"] + 12 * leg["n_rejected"]
+    assert back["atol"] == [1e-14, 1e-14, 1e-21] and fwd["atol"] == [1e-12, 1e-12, 1e-21]
+    assert back["r_hi"] == fwd["r_lo"] < 0.0 and fwd["r_hi"] == diag["germ_join_r"]
     assert diag["history_truncated"] == [False, False]
     assert diag["germ_join_r"] == pytest.approx(25.0, abs=1e-12)
     assert diag["sstar_certificate_points"] > 10000
+
+
+def test_cli_imports_and_runs_without_scipy(tmp_path):
+    # the package needs numpy only: importing the CLI loads no scipy module,
+    # and neither does a full run
+    code = ("import sys\n"
+            "from cuspsoliton import cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            f"assert cli.main(['all', '--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
+            "print(loaded())\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert (tmp_path / "manifest.json").exists()

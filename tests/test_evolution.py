@@ -423,7 +423,8 @@ def test_failed_crossing_refinement_raises(sep, monkeypatch):
 
     def fail(*args, **kwargs):
         raise ValueError("f(a) and f(b) must have different signs")
-    monkeypatch.setattr(evolution, "brentq", fail)
+    sep._per_orbit(evolution._SStar)        # the certificate's own r_min search runs unpatched
+    monkeypatch.setattr(evolution, "brent", fail)
     with pytest.raises(cs.IntegrationError, match=r"t = 10.0 changes sign on \["):
         cs.find_crossings(sep, 10.0)
 

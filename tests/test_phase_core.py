@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -174,6 +175,32 @@ def test_stop_predicates_and_termination_reason():
     assert traj2.termination == "f_ceiling"
 
 
+def test_stop_predicates_keep_their_direction():
+    # from H = 0.05 the orbit rises through H = 0.1 and falls back through
+    # it: the floor stops only the fall
+    traj = cs.integrate((0.05, -1.0), 0.0, cs.IntegratorControls(r_max=500.0, h_floor=0.1))
+    assert traj.termination == "h_floor" and traj.H.max() > 0.29
+    assert traj.H[-1] == pytest.approx(0.1, abs=1e-12) and traj.H[-2] > 0.1
+
+
+def test_sigma_start_is_correctly_rounded():
+    # sigma_0 = -(H' + H^2) at the default shot point, with H' from the
+    # field's one spelling, is the float nearest the exact value
+    from cuspsoliton.phase_core import _start
+    u = np.array([1.0, cs.SLOPE_UNSTABLE])
+    H, F = (np.array([0.5, 0.0]) - 1e-8 * u / np.linalg.norm(u)).tolist()
+    sigma = _start(H, F, 1)[2]
+    assert sigma == float(-(Fraction(H) * Fraction(F) - Fraction(H) ** 2 + Fraction(1, 2)))
+
+
+def test_r_at_F_on_both_kinds_of_leg(sep):
+    # Brent's method on the DOP853 legs, the germ's closed form past r = 25
+    for target in (-0.5, -1.0, -10.0, -13.0, -20.0, -100.0, -900.0):
+        r = sep.r_at_F(target)
+        assert (r > sep.legs[-1].r_lo) == (target < float(sep.state_at(sep.legs[-1].r_lo)[1]))
+        assert float(sep.state_at(r)[1]) == pytest.approx(target, rel=1e-13)
+
+
 def test_controls_validation():
     with pytest.raises(ValueError):
         cs.IntegratorControls(rel_tol=-1.0)
@@ -204,6 +231,22 @@ def test_orbit_range_queries_raise_orbit_range_error(sep):
     assert issubclass(cs.OrbitRangeError, ValueError)
 
 
+@functools.cache
+def _scipy_solution(leg):
+    # scipy's OdeSolution over the leg's stored pieces; Dop853DenseOutput
+    # evaluates from t_old, h, F and y_old alone, so h is set as stored
+    from scipy.integrate import OdeSolution
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+    pieces = []
+    for i in range(leg.h.size):
+        d = Dop853DenseOutput(leg.t_old[i], leg.t_old[i] + leg.h[i], leg.y_old[:, i],
+                              leg.F[:, :, i])
+        d.h = leg.h[i]
+        pieces.append(d)
+    return OdeSolution(leg.ts, pieces)
+
+
 def _state_via_scipy(traj, r):
     # reference: each point through its own leg's scipy OdeSolution, the
     # leg chosen and the last leg clamped as Trajectory.state_at does; one
@@ -212,20 +255,21 @@ def _state_via_scipy(traj, r):
         leg = next((leg for leg in traj.legs if r <= leg.r_hi + 1e-12), None)
         if leg is None:
             leg = traj.legs[-1]
-            return leg.sol(np.clip(r + leg.shift, leg.r_lo + leg.shift, leg.r_hi + leg.shift))
-        return leg.sol(r + leg.shift)
+            return _scipy_solution(leg)(np.clip(r + leg.shift, leg.r_lo + leg.shift,
+                                                leg.r_hi + leg.shift))
+        return _scipy_solution(leg)(r + leg.shift)
     rq = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty((3, rq.size))
     done = np.zeros(rq.size, dtype=bool)
     for leg in traj.legs:
         m = ~done & (rq <= leg.r_hi + 1e-12)
         if m.any():
-            out[:, m] = leg.sol(rq[m] + leg.shift)
+            out[:, m] = _scipy_solution(leg)(rq[m] + leg.shift)
             done |= m
     if not done.all():
         leg = traj.legs[-1]
-        out[:, ~done] = leg.sol(np.clip(rq[~done] + leg.shift, leg.r_lo + leg.shift,
-                                        leg.r_hi + leg.shift))
+        out[:, ~done] = _scipy_solution(leg)(np.clip(rq[~done] + leg.shift,
+                                                     leg.r_lo + leg.shift, leg.r_hi + leg.shift))
     return out
 
 
@@ -240,8 +284,9 @@ def _one_at_a_time(traj, rq, dop_end):
 
 
 def test_state_at_is_bit_identical_to_scipy(sep):
-    # the DOP853 legs are evaluated by the gathered pass; the germ leg past
-    # them has no OdeSolution, so the check stops at the join
+    # the DOP853 legs are evaluated by the gathered pass, bit-identical to
+    # scipy's OdeSolution built from the same pieces; the germ leg past them
+    # has no pieces, so the check stops at the join
     assert [type(leg) for leg in sep.legs] == [_Leg, _Leg, _GermLeg]
     ends = np.array([v for leg in sep.legs for v in (leg.r_lo, leg.r_hi)])
     joins = np.clip(np.concatenate([np.nextafter(ends, -np.inf), ends,
@@ -257,10 +302,10 @@ def test_state_at_is_bit_identical_to_scipy(sep):
     _one_at_a_time(sep, np.concatenate([sep.r, joins, clamps,
                                         rng.uniform(sep.r_lo, sep.r_hi, 2000)]),
                    sep.legs[1].r_hi)
-    # a backward run stores a descending OdeSolution
+    # a backward run stores descending step ends
     back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
                         direction="backward")
-    assert not back.legs[0].sol.ascending
+    assert not _scipy_solution(back.legs[0]).ascending
     rq = np.concatenate([back.dense_grid(10001), back.r,
                          rng.uniform(back.r_lo, back.r_hi, 1000)])
     assert np.array_equal(back.state_at(rq), _state_via_scipy(back, rq))
@@ -275,3 +320,51 @@ def test_trajectories_compare_by_identity(sep):
     other = replace(sep)
     assert sep == sep and sep != other and not (other == sep)
     assert other._memo is not sep._memo and not other._memo
+
+
+@pytest.mark.parametrize("start, kw, direction", [
+    ((0.3, -0.4), dict(r_min=-5.0, r_max=8.0), "forward"),
+    ((0.3, -0.5), dict(r_min=-3.0), "backward"),
+    ((0.4, -1.0), dict(r_max=500.0, h_floor=0.05), "forward"),
+])
+def test_stepper_takes_scipys_steps(start, kw, direction):
+    # the stepper has scipy's initial step, error norm and step control:
+    # the same accepted steps, rejections and RHS evaluations as solve_ivp,
+    # and step ends equal to rounding drift
+    from scipy.integrate import solve_ivp
+
+    def rhs(r, y):
+        H, F, sig = y.tolist()
+        return (*cs.vector_field((H, F)), (F - H) * sig - H ** 3)
+
+    ctl = cs.IntegratorControls(**kw)
+    ours = cs.integrate(start, 0.0, ctl, direction=direction)
+    ev = None
+    if ctl.h_floor is not None:
+        ev = lambda r, y: y[0] - ctl.h_floor
+        ev.terminal, ev.direction = True, -1
+    H, F = start
+    ref = solve_ivp(rhs, (0.0, ctl.r_max if direction == "forward" else ctl.r_min),
+                    [H, F, -(cs.vector_field((H, F)).dH + H * H)], method="DOP853", dense_output=True,
+                    rtol=ctl.rel_tol, atol=[ctl.abs_tol, ctl.abs_tol, 1e-21], events=ev)
+    stats = ours.legs[0].stats
+    assert stats["n_steps"] == ref.t.size - 1 and stats["nfev"] == ref.nfev
+    assert np.abs(ours.legs[0].ts - ref.t).max() < 1e-5
+
+
+def test_brent_takes_brentqs_iterates():
+    # the one root finder is scipy's brentq point for point: the same
+    # evaluations in the same order, the same root, the same sign error
+    from scipy.optimize import brentq
+
+    from cuspsoliton._numerics import brent
+    fs = [lambda x: x ** 3 - 0.7, lambda x: math.sin(x) - 0.3,
+          lambda x: math.expm1(x) - 2.0, lambda x: math.tanh(5.0 * (x - 0.4)) + 1e-3]
+    for f in fs:
+        for xtol in (2e-12, 1e-9, 8.9e-16):
+            ours, ref = [], []
+            r = brent(lambda x: ours.append(x) or f(x), -4.0, 3.5, xtol=xtol, rtol=1e-15)
+            assert r == brentq(lambda x: ref.append(x) or f(x), -4.0, 3.5, xtol=xtol, rtol=1e-15)
+            assert ours == ref
+    with pytest.raises(ValueError, match="different signs"):
+        brent(lambda x: x * x + 1.0, -1.0, 1.0)
