@@ -5,10 +5,10 @@ degree-7 dense output (Hairer, Nørsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., §II.10; the coefficients of Hairer's
 ``dop853.f``), for three states.  Its initial-step rule, error norm and step
 control (safety 0.9, step factors between 0.2 and 10) are those of scipy's
-``DOP853``, and each accepted step keeps the seven coefficient rows ``F``
+``DOP853``, and each accepted step has the seven coefficient rows ``F``
 that scipy's ``Dop853DenseOutput`` evaluates.  The stage sums run left to
-right over the nonzero weights, so the steps agree with scipy's to rounding,
-not bit for bit.
+right over the nonzero weights, as straight-line code generated from the
+tableau, so the steps agree with scipy's to rounding, not bit for bit.
 
 ``brent`` is Brent's method (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 4) in the form of scipy's ``brentq``: the same
@@ -92,9 +92,6 @@ _D = (
      (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
      (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)),
 )
-_STEP_STAGES = tuple(zip(_C[1:12], _A[1:12]))
-_EXTRA_STAGES = tuple(zip(_C[13:], _A[13:]))
-
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0          # the error estimate is of order 7
 
@@ -103,29 +100,70 @@ class IntegrationError(RuntimeError):
     """Adaptive stepping failed (step-size underflow or non-finite state)."""
 
 
-def _combine(K, row):
-    # sum of weight * K[index] over one tableau row, left to right
-    s0 = s1 = s2 = 0.0
-    for j, a in row:
-        k0, k1, k2 = K[j]
-        s0 += a * k0
-        s1 += a * k1
-        s2 += a * k2
-    return s0, s1, s2
+# The stage, solution, error and dense sums as straight-line code, generated
+# from the tableau.  ``_dense_piece`` runs on Python floats (one step) and on
+# arrays (all steps of a run at once): the same operations in the same order.
+def _sum(row):
+    # weight * k summed over a row left to right from 0.0, as a loop would;
+    # {c} stands for the state component
+    return " + ".join(["0.0", *(f"{a!r} * k{j}_{{c}}" for j, a in row)])
+
+
+def _vec(expr):
+    return "(" + ", ".join(expr.format(c=c) for c in range(3)) + ")"
+
+
+def _stage(i):
+    y = _vec(f"y{{c}} + ({_sum(_A[i])}) * h")
+    return f"    k{i}_0, k{i}_1, k{i}_2 = rhs(t + {_C[i]!r} * h, {y})"
+
+
+_KS = ", ".join(f"k{i}_{c}" for i in range(13) for c in range(3))
+_SOURCE = "\n".join([
+    "def _stages(rhs, t, y0, y1, y2, k0_0, k0_1, k0_2, h):",
+    *(_stage(i) for i in range(1, 12)),
+    "    y_new = " + _vec(f"y{{c}} + h * ({_sum(_B)})"),
+    "    k12_0, k12_1, k12_2 = rhs(t + h, y_new)",
+    f"    return y_new, ({_KS}), {_vec(_sum(_E5))}, {_vec(_sum(_E3))}",
+    f"def _dense_piece(rhs, t, h, y0, y1, y2, n0, n1, n2, {_KS}):",
+    *(_stage(i) for i in (13, 14, 15)),
+    "    dy0, dy1, dy2 = " + _vec("n{c} - y{c}"),
+    "    return (" + ", ".join(_vec(e) for e in (
+        "dy{c}", "h * k0_{c} - dy{c}", "2 * dy{c} - h * (k12_{c} + k0_{c})",
+        *(f"h * ({_sum(row)})" for row in _D))) + ")",
+])
+_generated: dict = {}
+exec(compile(_SOURCE, "<dop853 tableau>", "exec"), _generated)
+_stages, _dense_piece = _generated["_stages"], _generated["_dense_piece"]
 
 
 def _rms(v):
     return math.sqrt(sum(x * x for x in v)) / math.sqrt(len(v))
 
 
+def eval_piece(t: float, t_old: float, h: float, y_old, F) -> tuple:
+    """One degree-7 dense piece at ``t``, in Python floats: the Horner loop
+    of scipy's ``Dop853DenseOutput``, in its order."""
+    x = (t - t_old) / h
+    u = 1 - x
+    y0 = y1 = y2 = 0.0
+    for k in range(len(F) - 1, -1, -1):
+        m = x if k % 2 == 0 else u
+        a0, a1, a2 = F[k]
+        y0, y1, y2 = (y0 + a0) * m, (y1 + a1) * m, (y2 + a2) * m
+    b0, b1, b2 = y_old
+    return y0 + b0, y1 + b1, y2 + b2
+
+
 class Dop853:
     """One DOP853 run of y' = rhs(t, y) for three states, advanced by ``step``.
 
-    ``rhs(t, y)`` takes and returns 3-tuples of floats; ``atol`` holds one
-    tolerance per state.  Every accepted step keeps its dense polynomial as
-    ``(t_old, h, y_old, F)``.  ``at`` evaluates the last step's, ``root``
-    locates an event on it and ``stop`` ends the run inside it; ``t_bound``
-    may be moved between steps.
+    ``rhs(t, y)`` takes and returns 3-tuples of floats, or of arrays for
+    ``dense_arrays``; ``atol`` holds one tolerance per state.  Every accepted
+    step keeps its stages; its dense polynomial ``(t_old, h, y_old, F)`` is
+    built for all steps at once by ``dense_arrays``, and for the last step
+    alone by ``at``, ``root`` and ``stop``, which evaluate it, locate an event
+    on it and end the run inside it; ``t_bound`` may be moved between steps.
     """
 
     def __init__(self, rhs, t0: float, y0, t_bound: float, rtol: float, atol):
@@ -136,7 +174,9 @@ class Dop853:
         self.f = rhs(t0, self.y)
         self.nfev, self.n_steps, self.n_rejected = 1, 0, 0
         self.h_abs = self._initial_step()
-        self.ts, self.ys, self.pieces = [t0], [self.y], []
+        self.ts, self.ys = [t0], [self.y]
+        self._steps = []        # per step: t_old, h, y_old, y_new, the 13 stages
+        self._piece = (None, None)
 
     @property
     def done(self) -> bool:
@@ -161,43 +201,17 @@ class Dop853:
             h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
         return min(100 * h0, h1, span)
 
-    def _stages(self, t, y, f, h):
-        rhs, (y0, y1, y2) = self.rhs, y
-        K = [f]
-        for c, row in _STEP_STAGES:
-            d0, d1, d2 = _combine(K, row)
-            K.append(rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h)))
-        b0, b1, b2 = _combine(K, _B)
-        y_new = (y0 + h * b0, y1 + h * b1, y2 + h * b2)
-        K.append(rhs(t + h, y_new))
-        self.nfev += 12
-        return K, y_new
-
-    def _error_norm(self, K, h, y, y_new) -> float:
+    def _error_norm(self, e5, e3, h, y, y_new) -> float:
         rtol = self.rtol
         scale = [a + max(abs(p), abs(q)) * rtol for a, p, q in zip(self.atol, y, y_new)]
-        e5 = sum((v / s) ** 2 for v, s in zip(_combine(K, _E5), scale))
-        e3 = sum((v / s) ** 2 for v, s in zip(_combine(K, _E3), scale))
+        e5 = sum((v / s) ** 2 for v, s in zip(e5, scale))
+        e3 = sum((v / s) ** 2 for v, s in zip(e3, scale))
         if e5 == 0.0 and e3 == 0.0:
             return 0.0
         return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 3)
 
-    def _dense(self, K, t, y, y_new, h):
-        rhs, (y0, y1, y2) = self.rhs, y
-        for c, row in _EXTRA_STAGES:
-            d0, d1, d2 = _combine(K, row)
-            K.append(rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h)))
-        self.nfev += 3
-        f_old, f_new = K[0], K[12]
-        dy = [b - a for a, b in zip(y, y_new)]
-        F = (tuple(dy),
-             tuple(h * f - v for f, v in zip(f_old, dy)),
-             tuple(2 * v - h * (a + b) for v, a, b in zip(dy, f_new, f_old)),
-             *(tuple(h * v for v in _combine(K, row)) for row in _D))
-        return t, h, y, F
-
     def step(self) -> None:
-        """One accepted step toward ``t_bound``, with its dense polynomial."""
+        """One accepted step toward ``t_bound``."""
         t, y, f, d = self.t, self.y, self.f, self.direction
         min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
         h_abs, rejected = max(self.h_abs, min_step), False
@@ -209,8 +223,9 @@ class Dop853:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = abs(h)
-            K, y_new = self._stages(t, y, f, h)
-            err = self._error_norm(K, h, y, y_new)
+            y_new, K, e5, e3 = _stages(self.rhs, t, *y, *f, h)
+            self.nfev += 12
+            err = self._error_norm(e5, e3, h, y, y_new)
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
                 self.h_abs = h_abs * (min(1.0, factor) if rejected else factor)
@@ -221,27 +236,23 @@ class Dop853:
         if not all(map(math.isfinite, y_new)):
             raise IntegrationError(f"DOP853 state not finite at t = {t_new!r}")
         self.n_steps += 1
-        self.pieces.append(self._dense(K, t, y, y_new, h))
-        self.t, self.y, self.f = t_new, y_new, K[12]
+        self.nfev += 3          # the dense stages, evaluated when a piece is built
+        self._steps.append((t, h, *y, *y_new, *K))
+        self.t, self.y, self.f = t_new, y_new, K[36:39]
         self.ts.append(t_new)
         self.ys.append(y_new)
 
     def at(self, t: float) -> tuple:
         """The last step's dense polynomial at ``t``, in Dop853DenseOutput's order."""
-        t_old, h, (b0, b1, b2), F = self.pieces[-1]
-        x = (t - t_old) / h
-        u = 1 - x
-        y0 = y1 = y2 = 0.0
-        for k in range(6, -1, -1):
-            m = x if k % 2 == 0 else u
-            a0, a1, a2 = F[k]
-            y0, y1, y2 = (y0 + a0) * m, (y1 + a1) * m, (y2 + a2) * m
-        return y0 + b0, y1 + b1, y2 + b2
+        step = self._steps[-1]
+        if self._piece[0] is not step:
+            self._piece = step, _dense_piece(self.rhs, *step)
+        return eval_piece(t, step[0], step[1], step[2:5], self._piece[1])
 
     def root(self, g, direction: int) -> float | None:
         """Where g(t, y(t)) crosses zero upward (``direction`` > 0) or
         downward (< 0) on the last step, or None."""
-        t_old = self.pieces[-1][0]
+        t_old = self._steps[-1][0]
         g0, g1 = g(t_old, self.ys[-2]), g(self.t, self.y)
         if not (g0 <= 0.0 <= g1 if direction > 0 else g0 >= 0.0 >= g1):
             return None
@@ -249,8 +260,8 @@ class Dop853:
 
     def stop(self, t: float) -> None:
         """End the run at ``t``; the steps that start at or past it are dropped."""
-        while len(self.pieces) > 1 and self.direction * (t - self.pieces[-1][0]) <= 0:
-            self.pieces.pop()
+        while len(self._steps) > 1 and self.direction * (t - self._steps[-1][0]) <= 0:
+            self._steps.pop()
             self.ts.pop()
             self.ys.pop()
         self.t = self.t_bound = self.ts[-1] = t
@@ -265,10 +276,11 @@ class Dop853:
         return np.array(self.ts), np.array(self.ys).T
 
     def dense_arrays(self):
-        """The pieces ``t_old`` (n,), ``h`` (n,), ``y_old`` (3, n), ``F`` (7, 3, n)."""
-        t_old, h, y_old, F = zip(*self.pieces)
-        return (np.array(t_old), np.array(h), np.ascontiguousarray(np.array(y_old).T),
-                np.ascontiguousarray(np.array(F).transpose(1, 2, 0)))
+        """The pieces ``t_old`` (n,), ``h`` (n,), ``y_old`` (3, n), ``F`` (7, 3, n),
+        built in one elementwise pass over all steps."""
+        cols = np.array(self._steps).T
+        F = np.array(_dense_piece(self.rhs, *cols))
+        return cols[0].copy(), cols[1].copy(), cols[2:5].copy(), F
 
 
 def brent(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * EPS,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -107,112 +106,156 @@ _ZERO = CoeffAffine(Fraction(0))
 class ExactPoly:
     """Bivariate polynomial over the affine-in-s rational coefficient ring.
 
-    Stored sparsely as {(i, j): CoeffAffine} for monomials x^i y^j; the
-    constructor drops zero coefficients, so the arithmetic need not.
+    Stored sparsely as integers: the coefficient of x^i y^j is
+    (n0 + n1 s)/den for ``num[i, j] = (n0, n1)``, over one positive ``den``.
+    The form is canonical (no zero pair, den coprime to every numerator), so
+    equal polynomials have equal fields.  ``terms`` gives the coefficients
+    as {(i, j): CoeffAffine}, and the constructor takes that form.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms: dict[tuple[int, int], CoeffAffine] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        terms = terms or {}
+        den = math.lcm(*(Fraction(c).denominator for v in terms.values() for c in (v.c0, v.c1)))
+        self._set({k: (int(v.c0 * den), int(v.c1 * den)) for k, v in terms.items()}, den)
+
+    def _set(self, num: dict, den: int) -> None:
+        num = {k: v for k, v in num.items() if v[0] or v[1]}
+        g = math.gcd(den, *(n for v in num.values() for n in v))
+        self.num = {k: (a // g, b // g) for k, (a, b) in num.items()} if g > 1 else num
+        self.den = den // g
+
+    @staticmethod
+    def _of(num: dict, den: int, canonical: bool = False) -> "ExactPoly":
+        # ``canonical``: num and den are already in canonical form
+        p = ExactPoly.__new__(ExactPoly)
+        if canonical:
+            p.num, p.den = num, den
+        else:
+            p._set(num, den)
+        return p
 
     @staticmethod
     def from_terms(entries: dict[tuple[int, int], tuple]) -> "ExactPoly":
         return ExactPoly({k: CoeffAffine.of(*v) if isinstance(v, tuple) else
                           CoeffAffine.of(v) for k, v in entries.items()})
 
+    @property
+    def terms(self) -> dict[tuple[int, int], CoeffAffine]:
+        d = self.den
+        return {k: CoeffAffine(Fraction(n0, d), Fraction(n1, d))
+                for k, (n0, n1) in self.num.items()}
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, o) -> bool:
-        return isinstance(o, ExactPoly) and self.terms == o.terms
+        return isinstance(o, ExactPoly) and self.den == o.den and self.num == o.num
 
     def __add__(self, o: "ExactPoly") -> "ExactPoly":
-        out = dict(self.terms)
-        for k, v in o.terms.items():
-            out[k] = out.get(k, _ZERO) + v
-        return ExactPoly(out)
+        den = math.lcm(self.den, o.den)
+        m, mo = den // self.den, den // o.den
+        out = {k: (a * m, b * m) for k, (a, b) in self.num.items()}
+        for k, (a, b) in o.num.items():
+            c0, c1 = out.get(k, (0, 0))
+            out[k] = (c0 + a * mo, c1 + b * mo)
+        return ExactPoly._of(out, den)
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly({k: -v for k, v in self.terms.items()})
+        return ExactPoly._of({k: (-a, -b) for k, (a, b) in self.num.items()}, self.den, True)
 
     def __sub__(self, o: "ExactPoly") -> "ExactPoly":
         return self + (-o)
 
     def __mul__(self, o) -> "ExactPoly":
-        if isinstance(o, ExactPoly):
-            out: dict[tuple[int, int], CoeffAffine] = {}
-            for (i1, j1), a in self.terms.items():
-                for (i2, j2), b in o.terms.items():
-                    k = (i1 + i2, j1 + j2)
-                    out[k] = out.get(k, _ZERO) + a * b
-            return ExactPoly(out)
-        c = o if isinstance(o, CoeffAffine) else CoeffAffine.of(o)
-        return ExactPoly({k: v * c for k, v in self.terms.items()})
+        if not isinstance(o, ExactPoly):
+            c = o if isinstance(o, CoeffAffine) else CoeffAffine.of(o)
+            o = ExactPoly({(0, 0): c})
+        out: dict[tuple[int, int], tuple[int, int]] = {}
+        for (i1, j1), (a0, a1) in self.num.items():
+            for (i2, j2), (b0, b1) in o.num.items():
+                if a1 and b1:
+                    raise RingDegreeError("product would carry s^2")
+                k = (i1 + i2, j1 + j2)
+                c0, c1 = out.get(k, (0, 0))
+                out[k] = (c0 + a0 * b0, c1 + a0 * b1 + a1 * b0)
+        return ExactPoly._of(out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def shift_degrees(self, di: int, dj: int) -> "ExactPoly":
-        return ExactPoly({(i + di, j + dj): v for (i, j), v in self.terms.items()})
+        return ExactPoly._of({(i + di, j + dj): v for (i, j), v in self.num.items()}, self.den,
+                             True)
 
     def subs_x_times_y(self) -> "ExactPoly":
         """Blow-up substitution x -> x*y (monomial x^i y^j -> x^i y^{i+j})."""
-        out: dict[tuple[int, int], CoeffAffine] = {}
-        for (i, j), v in self.terms.items():
-            out[i, i + j] = out.get((i, i + j), _ZERO) + v
-        return ExactPoly(out)
+        return ExactPoly._of({(i, i + j): v for (i, j), v in self.num.items()}, self.den, True)
 
     def translate_x(self, a: Fraction) -> "ExactPoly":
-        """Substitute x -> x + a with exact binomial expansion."""
+        """Substitute x -> x + a, a = p/q, exactly: with n the x-degree, each
+        y-row c(x) becomes q^-n T(q x + p) for T(z) = q^n c(z/q), and the
+        Taylor shift T(z + p) runs by Horner in integers."""
         a = _frac(a)
-        out: dict[tuple[int, int], CoeffAffine] = {}
-        for (i, j), v in self.terms.items():
-            for k in range(i + 1):
-                out[k, j] = out.get((k, j), _ZERO) + v * (comb(i, k) * a ** (i - k))
-        return ExactPoly(out)
+        p, q = a.numerator, a.denominator
+        n = max((i for i, _ in self.num), default=0)
+        rows: dict[int, list] = {}
+        for (i, j), (c0, c1) in self.num.items():
+            w = q ** (n - i)
+            rows.setdefault(j, [[0, 0] for _ in range(n + 1)])[i] = [c0 * w, c1 * w]
+        out = {}
+        for j, t in rows.items():
+            for lo in range(n):
+                for k in range(n - 1, lo - 1, -1):
+                    t[k][0] += p * t[k + 1][0]
+                    t[k][1] += p * t[k + 1][1]
+            out.update({(k, j): (c0 * q ** k, c1 * q ** k) for k, (c0, c1) in enumerate(t)})
+        return ExactPoly._of(out, self.den * q ** n)
 
     def min_y_degree(self) -> int:
-        return min((j for (_, j) in self.terms), default=0)
+        return min((j for (_, j) in self.num), default=0)
 
     def divide_y_power(self, m: int) -> "ExactPoly":
-        if m == 0 or not self.terms:
-            return ExactPoly(dict(self.terms))
-        if any(j < m for (_, j) in self.terms):
+        if any(j < m for (_, j) in self.num):
             raise BlowupError(f"not divisible by y^{m}")
-        return ExactPoly({(i, j - m): v for (i, j), v in self.terms.items()})
+        return self.shift_degrees(0, -m)
 
     def restrict_y0(self) -> dict[int, CoeffAffine]:
         """Coefficients of the restriction to the divisor {y = 0}."""
-        return {i: v for (i, j), v in self.terms.items() if j == 0}
+        d = self.den
+        return {i: CoeffAffine(Fraction(a, d), Fraction(b, d))
+                for (i, j), (a, b) in self.num.items() if j == 0}
 
     def subs_s(self, s: Fraction) -> "ExactPoly":
-        return ExactPoly({k: v.subs_s(s) for k, v in self.terms.items()})
+        s = _frac(s)
+        p, q = s.numerator, s.denominator
+        return ExactPoly._of({k: (a * q + b * p, 0) for k, (a, b) in self.num.items()},
+                             self.den * q)
 
     def eval_exact(self, x: Fraction, y: Fraction, s: Fraction) -> Fraction:
         x, y, s = _frac(x), _frac(y), _frac(s)
-        total = Fraction(0)
-        for (i, j), v in self.terms.items():
-            total += (v.c0 + v.c1 * s) * x ** i * y ** j
-        return total
+        return sum(((a + b * s) * x ** i * y ** j for (i, j), (a, b) in self.num.items()),
+                   Fraction(0)) / self.den
 
     def eval_float(self, x: float, y: float, s: float) -> float:
-        total = 0.0
-        for (i, j), v in self.terms.items():
-            total += v.eval(s) * x ** i * y ** j
+        total, d = 0.0, self.den
+        for (i, j), (a, b) in self.num.items():
+            total += (a / d + b / d * s) * x ** i * y ** j
         return total
 
     def max_s_degree(self) -> int:
-        return 1 if any(v.c1 for v in self.terms.values()) else 0
+        return 1 if any(b for _, b in self.num.values()) else 0
 
     def text(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for (i, j) in sorted(self.terms):
+        for (i, j) in sorted(terms):
             mono = "*".join(p for p in (
                 ("x" if i == 1 else f"x^{i}") if i else "",
                 ("y" if j == 1 else f"y^{j}") if j else "") if p) or "1"
-            parts.append(f"({self.terms[(i, j)].text()})*{mono}")
+            parts.append(f"({terms[(i, j)].text()})*{mono}")
         return " + ".join(parts)
 
 
@@ -233,14 +276,11 @@ def project_to_infinity(poly: ExactPoly, degree: int | None = None) -> ExactPoly
     """
     if not poly:
         return ExactPoly()
-    D = degree if degree is not None else max(i + j for (i, j) in poly.terms)
-    out: dict[tuple[int, int], CoeffAffine] = {}
-    for (i, j), v in poly.terms.items():
-        k = (i, D - i - j)
-        if k[1] < 0:
-            raise BlowupError("degree too small to clear denominators")
-        out[k] = out.get(k, _ZERO) + v * ((-1) ** j)
-    return ExactPoly(out)
+    D = degree if degree is not None else max(i + j for (i, j) in poly.num)
+    if any(i + j > D for (i, j) in poly.num):
+        raise BlowupError("degree too small to clear denominators")
+    return ExactPoly._of({(i, D - i - j): (a, b) if j % 2 == 0 else (-a, -b)
+                          for (i, j), (a, b) in poly.num.items()}, poly.den, True)
 
 
 @dataclass(frozen=True)
@@ -640,7 +680,7 @@ def run_sequence(t_mode: str, *, curve: ExactPoly | None = None,
         raise ValueError("t_mode must be 'generic' or 't0'")
     s_value = None if t_mode == "generic" else Fraction(1)
     st = chart_to_infinity(s_value, curve=curve)
-    if st.curve and (0, 0) in st.curve.terms:
+    if (0, 0) in st.curve.num:
         raise BlowupError("curve does not pass through the blow-up point")
     translations: list[tuple[int, Fraction]] = []
 

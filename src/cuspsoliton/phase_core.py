@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._numerics import Dop853, IntegrationError, brent
+from ._numerics import Dop853, IntegrationError, brent, eval_piece
 
 __all__ = [
     "PhasePoint", "PhaseVelocity", "Jacobian2", "IntegratorControls",
@@ -267,16 +267,8 @@ class _Leg:
         seg = min(max((bisect_left if ascending else bisect_right)(ts, t) - 1, 0), n - 1)
         if not ascending:
             seg = n - 1 - seg
-        x = (t - self.t_old[seg].item()) / self.h[seg].item()
-        u = 1 - x
-        c = self.F[:, :, seg].tolist()
-        y0 = y1 = y2 = 0.0
-        for k in range(len(c) - 1, -1, -1):
-            m = x if k % 2 == 0 else u
-            a0, a1, a2 = c[k]
-            y0, y1, y2 = (y0 + a0) * m, (y1 + a1) * m, (y2 + a2) * m
-        b0, b1, b2 = self.y_old[:, seg].tolist()
-        return np.array([y0 + b0, y1 + b1, y2 + b2])
+        return np.array(eval_piece(t, self.t_old[seg].item(), self.h[seg].item(),
+                                   self.y_old[:, seg].tolist(), self.F[:, :, seg].tolist()))
 
 
 def _germ_series(n: int):
@@ -476,13 +468,19 @@ def _start(H: float, F: float, eps: int) -> tuple:
     return H, F, -(_field(H, F, 0.5 * eps)[0] + H * H)
 
 
+def _cube(H):
+    # libm's pow, also per element of an array: numpy's power can differ
+    # from it in the last bit
+    return H ** 3 if isinstance(H, float) else np.array([x ** 3 for x in H.tolist()])
+
+
 def _make_rhs(eps: int) -> Callable:
     half = 0.5 * eps
 
     def rhs(r, y):
         H, F, sig = y
         dH, dF = _field(H, F, half)
-        return dH, dF, (F - H) * sig - H ** 3
+        return dH, dF, (F - H) * sig - _cube(H)
     return rhs
 
 

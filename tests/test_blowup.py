@@ -1,4 +1,6 @@
 import ast
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +49,97 @@ def test_translate_group_property():
     a = F(3, 7)
     assert p.translate_x(a).translate_x(-a) == p
     assert p.translate_x(F(0)) == p
+
+
+# the Fraction arithmetic of the ring, as a reference: {(i, j): (c0, c1)}
+# for the coefficient c0 + c1 s of x^i y^j, without zero pairs
+
+def _ref_of(p):
+    return {k: (v.c0, v.c1) for k, v in p.terms.items()}
+
+
+def _ref_clean(d):
+    return {k: v for k, v in d.items() if v[0] or v[1]}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, (b0, b1) in b.items():
+        c0, c1 = out.get(k, (0, 0))
+        out[k] = (c0 + sign * b0, c1 + sign * b1)
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (i1, j1), (a0, a1) in a.items():
+        for (i2, j2), (b0, b1) in b.items():
+            c0, c1 = out.get((i1 + i2, j1 + j2), (0, 0))
+            out[i1 + i2, j1 + j2] = (c0 + a0 * b0, c1 + a0 * b1 + a1 * b0)
+    return _ref_clean(out)
+
+
+def _ref_translate(a, t):
+    out = {}
+    for (i, j), (c0, c1) in a.items():
+        for k in range(i + 1):
+            w = math.comb(i, k) * t ** (i - k)
+            d0, d1 = out.get((k, j), (0, 0))
+            out[k, j] = (d0 + c0 * w, d1 + c1 * w)
+    return _ref_clean(out)
+
+
+def _canonical(p):
+    nums = [n for pair in p.num.values() for n in pair]
+    return (p.den > 0 and math.gcd(p.den, *nums) == 1
+            and all(a or b for a, b in p.num.values()))
+
+
+def test_integer_ring_matches_the_fraction_reference():
+    rng = random.Random(4513)
+
+    def rational():
+        return F(rng.randint(-40, 40), rng.randint(1, 24))
+
+    def sparse(s_free):
+        return _ref_clean({(rng.randint(0, 6), rng.randint(0, 6)):
+                           (rational(), F(0) if s_free else rational())
+                           for _ in range(rng.randint(0, 7))})
+
+    def exact(d):
+        return cs.ExactPoly({k: cs.CoeffAffine(*v) for k, v in d.items()})
+
+    for _ in range(200):
+        a, b = sparse(rng.random() < 0.3), sparse(True)
+        pa, pb = exact(a), exact(b)
+        m = pa.min_y_degree()
+        shifts = (rng.randint(0, 3), rng.randint(0, 3))
+        t = (F(rng.randint(-9, 9), 2 ** rng.randint(0, 5)) if rng.random() < 0.5
+             else F(rng.randint(-9, 9), rng.choice([3, 5, 7, 9, 15, 21])))
+        s = rational()
+        pairs = [
+            (pa + pb, _ref_add(a, b)),
+            (pa - pb, _ref_add(a, b, -1)),
+            (pa * pb, _ref_mul(a, b)),
+            (pb * pa, _ref_mul(b, a)),
+            (pa * s, _ref_mul(a, {(0, 0): (s, F(0))})),
+            (pa.shift_degrees(*shifts),
+             {(i + shifts[0], j + shifts[1]): v for (i, j), v in a.items()}),
+            (pa.subs_x_times_y(), {(i, i + j): v for (i, j), v in a.items()}),
+            (pa.divide_y_power(m), {(i, j - m): v for (i, j), v in a.items()}),
+            (pa.translate_x(t), _ref_translate(a, t)),
+            (pa.subs_s(s), _ref_clean({k: (c0 + c1 * s, F(0)) for k, (c0, c1) in a.items()})),
+        ]
+        for got, want in pairs:
+            assert _ref_of(got) == want
+            assert _canonical(got) and cs.ExactPoly(got.terms) == got
+        assert (pa == pb) == (a == b) and bool(pa) == bool(a)
+        if a:
+            with pytest.raises(cs.BlowupError):
+                pa.divide_y_power(m + 1)
+        if any(v[1] for v in a.values()):
+            with pytest.raises(cs.RingDegreeError):
+                pa * exact({(0, 0): (F(0), F(1))})
 
 
 def test_blowup_of_node_curve():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -80,18 +81,45 @@ def test_json_writes_bools_as_bools():
     assert [type(v) for v in (out["a"], *out["b"])] == [bool, bool, int, int]
 
 
-def test_tables_match_per_cell_formatting(tmp_path):
-    # one % over all rows writes what f"{x:.16e}" writes cell by cell
-    vals = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
-                     np.finfo(float).max, 1.0 / 3.0])
-    cols = [vals, -vals[::-1]]
-    cli.write_csv(tmp_path / "t.csv", ["a", "b"], cols)
-    cli.write_dat(tmp_path / "t.dat", *cols)
-    rows = [(f"{x:.16e}", f"{y:.16e}") for x, y in zip(*cols)]
-    assert (tmp_path / "t.csv").read_text() == "a,b\n" + "".join(f"{x},{y}\n" for x, y in rows)
-    assert (tmp_path / "t.dat").read_text() == "".join(f"{x} {y}\n" for x, y in rows)
-    cli.write_csv(tmp_path / "empty.csv", ["a", "b"], [np.empty(0), np.empty(0)])
-    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+def _cases(n_random):
+    # seeded random bit patterns of both signs; every power of ten in range
+    # with its 1-ulp neighbours, among them the doubles just below a power
+    # of ten whose 17 digits round up to a 10^17 significand; special values
+    bits = np.random.default_rng(2012).integers(0, 2 ** 64, n_random, dtype=np.uint64)
+    pows = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([pows, np.nextafter(pows, 0.0), np.nextafter(pows, np.inf)])
+    near = near[np.isfinite(near)]
+    up = [x for x in near if f"{x:.16e}".startswith("1.0000000000000000e")
+          and Fraction(x) < Fraction(10) ** int(f"{x:e}".split("e")[1])]
+    assert up
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               np.finfo(float).max, -np.finfo(float).max, 1.0 / 3.0]
+    return np.concatenate([near, -near, special, bits.view(float)])
+
+
+def test_tables_match_per_cell_formatting(tmp_path, monkeypatch):
+    # the writers write what f"{x:.16e}" writes cell by cell: 10^6 random
+    # bit patterns through the long-double path, and with that path switched
+    # off the same cases but for the first 10^5 patterns through Python's
+    # alone (its dtoa takes 1-3 us a field, which bounds the test's time)
+    vals = _cases(10 ** 6)
+    cells = [f"{x:.16e}" for x in vals.tolist()]
+    structured = vals.size - 10 ** 6
+    for ld, n in ((cli._LONG_DOUBLE, vals.size), (False, structured + 10 ** 5)):
+        monkeypatch.setattr(cli, "_LONG_DOUBLE", ld)
+        half = n // 2
+        cols = [vals[:half], vals[half:2 * half]]
+        cli.write_csv(tmp_path / "t.csv", ["a", "b"], cols)
+        cli.write_dat(tmp_path / "t.dat", *cols)
+        for name, sep, head in (("t.csv", ",", ["a,b"]), ("t.dat", " ", [])):
+            lines = (tmp_path / name).read_text().split("\n")
+            want = head + [f"{x}{sep}{y}" for x, y in zip(cells[:half], cells[half:2 * half])]
+            assert len(lines) == len(want) + 1 and lines[-1] == ""
+            assert not [(a, b) for a, b in zip(lines, want) if a != b][:5]
+        cli.write_csv(tmp_path / "empty.csv", ["a", "b"], [np.empty(0), np.empty(0)])
+        assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+        cli.write_dat(tmp_path / "empty.dat", np.empty(0), np.empty(0))
+        assert (tmp_path / "empty.dat").read_text() == ""
 
 
 def test_blowup_command(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 import cuspsoliton as cs
 from cuspsoliton.blowup import BASE_P, BASE_Q, CURVE_XY
-from cuspsoliton.phase_core import _GermLeg, _Leg
+from cuspsoliton.phase_core import _GermLeg, _Leg, _make_rhs
 
 SQRT5 = math.sqrt(5.0)
 
@@ -311,6 +311,50 @@ def test_state_at_is_bit_identical_to_scipy(sep):
     assert np.array_equal(back.state_at(rq), _state_via_scipy(back, rq))
     _one_at_a_time(back, np.concatenate([rq, [back.r_lo - 5e-10, back.r_hi + 5e-10]]),
                    np.inf)
+
+
+def test_dense_pieces_built_after_the_run_equal_the_on_demand_ones(monkeypatch):
+    # dense_arrays builds every step's piece in one elementwise pass over
+    # arrays; at, root and stop build the last step's in Python floats.
+    # Both must be the same IEEE operations: bit-identical pieces, for an
+    # ascending leg of the shot and a descending backward run
+    from cuspsoliton import _numerics, phase_core, separatrix
+
+    runs, built = [], {}
+
+    class Recording(_numerics.Dop853):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+        def step(self):
+            super().step()
+            self.at(self.t)
+            built[id(self._steps[-1])] = self._piece[1]
+
+    monkeypatch.setattr(separatrix, "Dop853", Recording)
+    monkeypatch.setattr(phase_core, "Dop853", Recording)
+    shot = cs.shoot_separatrix()
+    back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
+                        direction="backward")
+    fwd, bwd = runs[0], runs[2]         # the shot's forward leg, the backward run
+    assert fwd.direction > 0 and bwd.direction < 0 and len(fwd._steps) > 200
+    for run, leg in ((fwd, shot.legs[1]), (bwd, back.legs[0])):
+        t_old, h, y_old, F = run.dense_arrays()
+        assert F.shape == (7, 3, len(run._steps)) and F.flags.c_contiguous
+        assert np.array_equal(F, leg.F) and np.array_equal(y_old, leg.y_old)
+        for i, step in enumerate(run._steps):
+            assert (t_old[i], h[i], *y_old[:, i]) == step[:5]
+            assert np.array(built[id(step)]).tobytes() == F[:, :, i].tobytes()
+
+
+def test_array_rhs_cubes_as_the_scalar_rhs():
+    # sigma' = (F - H) sigma - H^3: numpy's power can differ from libm's pow
+    # in the last bit, so the array pass cubes per element as Python does
+    rhs = _make_rhs(1)
+    y = np.random.default_rng(853).uniform(-3.0, 3.0, (3, 200000))
+    want = np.array([rhs(0.0, v) for v in zip(*y.tolist())]).T
+    assert np.array(rhs(0.0, tuple(y))).tobytes() == want.tobytes()
 
 
 def test_trajectories_compare_by_identity(sep):
