@@ -15,9 +15,9 @@ import cuspsoliton as cs
 def main():
     traj = cs.shoot_separatrix()
     print(f"separatrix: r in [{traj.r_lo:.3f}, {traj.r_hi:.1f}] "
-          f"(r = 0 where F = -1), {len(traj.r)} accepted steps")
-    print(f"  backward end: ({traj.H[0]:.12f}, {traj.F[0]:.3e})  "
-          "~ the saddle limit")
+          f"(r = 0 where F = -1), {len(traj.r)} samples")
+    print(f"  saddle end:   ({traj.H[0]:.12f}, {traj.F[0]:.3e})  "
+          "~ the saddle limit, on the series")
     print(f"  forward end:  ({traj.H[-1]:.6e}, {traj.F[-1]:.4f})  "
           "~ the vertical asymptote H -> 0")
 

@@ -6,8 +6,6 @@ curvatures follow algebraically.  The script checks the pinching
 Q = R + |grad f|^2 + f, and the asymptotic laws at both ends.
 """
 
-import math
-
 import numpy as np
 
 import cuspsoliton as cs
@@ -18,10 +16,9 @@ def main():
     prof = cs.reconstruct_profiles(traj)
     print("profile anchors: h(0) = %.1f, f -> f0 = %.1f at the cusp end" %
           (prof.h_anchor, prof.f0))
-    print("  fitted decay rate of |F| near the saddle: %.9f "
-          "(the unstable eigenvalue is %.9f)" %
-          (prof.tail_alpha, (-1 + math.sqrt(5)) / 2))
-    print("  measured lim (h - r/2) = %.9f" % prof.cusp_h_offset)
+    print("  tail of f below r = %.3f, exact on the cusp series: %.9e"
+          % (traj.r_lo, prof.f_tail))
+    print("  lim (h - r/2) = %.9f" % prof.cusp_h_offset)
 
     table = cs.curvatures(traj)
     print("\ncurvatures at selected r:")

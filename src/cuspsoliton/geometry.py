@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase_core import (EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, OrbitRangeError,
-                         Trajectory, vector_field)
+from .phase_core import EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, Trajectory, _CuspLeg, vector_field
 
 __all__ = [
     "MetricProfile", "CurvatureTable", "SolitonResiduals",
@@ -83,23 +82,13 @@ class _Cumulative:
         return self.cum[idx] + half * (vals @ _GL_WEIGHTS), states[:, pts.size:]
 
 
-def _fit_tail_alpha(traj: Trajectory, lo: float = 1e-7, hi: float = 1e-4) -> float:
-    """Exponential rate of |F| in the near-saddle window lo <= |F| <= hi."""
-    m = (np.abs(traj.F) >= lo) & (np.abs(traj.F) <= hi)
-    if m.sum() < 8:
-        m = (np.abs(traj.F) >= lo / 100) & (np.abs(traj.F) <= hi * 100)
-    if m.sum() < 2:
-        raise OrbitRangeError("not enough near-saddle samples to fit the tail rate")
-    slope = np.polyfit(traj.r[m], np.log(np.abs(traj.F[m])), 1)[0]
-    return float(slope)
-
-
 @dataclass
 class MetricProfile:
     """Co-sampled (r, h, f) for a trajectory, plus the gauge anchors.
 
     ``f0`` is the prescribed limit of f at the cusp end (free additive
-    gauge); ``cusp_h_offset`` is the measured limit of h - r/2 there.  For
+    gauge); ``f_tail`` is the integral of F below the first sample and
+    ``cusp_h_offset`` the limit of h - r/2, both from the cusp series.  For
     non-separatrix orbits there is no cusp end: f is anchored directly at
     the first sample and the cusp fields are None.
     """
@@ -109,7 +98,6 @@ class MetricProfile:
     f: np.ndarray
     h_anchor: float
     f0: float
-    tail_alpha: float | None
     f_tail: float | None
     cusp_h_offset: float | None
     _traj: Trajectory = field(repr=False, default=None)
@@ -131,9 +119,9 @@ def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
 
     h is anchored by h(0) = h_anchor.  For a separatrix trajectory, f is
     anchored through the cusp limit: f(r_lo) = f0 + tail, where the tail
-    int_{-inf}^{r_lo} F is estimated as F(r_lo)/alpha from the fitted
-    exponential decay rate alpha.  The analogous tail for H - 1/2 yields
-    the cusp offset c1 = lim (h - r/2).
+    int_{-inf}^{r_lo} F = sum_k F_k theta^k / (k lambda) is exact on the
+    cusp series.  The same tail of H - 1/2 yields the cusp offset
+    c1 = lim (h - r/2).
     """
     if np.any(np.diff(traj.r) <= 0):
         raise ValueError("trajectory must be strictly monotone in r")
@@ -147,23 +135,15 @@ def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
         h_base = h_anchor - h_cum.value_at(traj, r[0])
     h = h_base + h_cum.cum
 
-    is_sep = traj.meta.get("kind") == "separatrix"
-    if is_sep:
-        alpha = _fit_tail_alpha(traj)
-        f_tail = float(traj.F[0]) / alpha
-        f_base = f0 + f_tail
-        h_tail = (float(traj.H[0]) - 0.5) / alpha
-        cusp_h_offset = float(h[0] - r[0] / 2.0 - h_tail)
-    else:
-        alpha = None
-        f_tail = None
-        f_base = f0
-        cusp_h_offset = None
+    cusp = traj.legs[0]
+    h_tail, f_tail = cusp.tails(r[0]) if isinstance(cusp, _CuspLeg) else (None, None)
+    f_base = f0 if f_tail is None else f0 + f_tail
+    cusp_h_offset = None if f_tail is None else float(h[0] - r[0] / 2.0 - h_tail)
     f = f_base + f_cum.cum
 
     return MetricProfile(
         r=r, h=h, f=f, h_anchor=h_anchor, f0=f0,
-        tail_alpha=alpha, f_tail=f_tail, cusp_h_offset=cusp_h_offset,
+        f_tail=f_tail, cusp_h_offset=cusp_h_offset,
         _traj=traj, _h_cum=h_cum, _f_cum=f_cum, _h_base=h_base, _f_base=f_base,
     )
 
@@ -339,8 +319,7 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
 
     cusp = AsymptoticsReport("cusp", entries_c, alpha_fit=alpha_report,
                              extras={"f0": profile.f0,
-                                     "cusp_h_offset": profile.cusp_h_offset,
-                                     "tail_alpha": profile.tail_alpha})
+                                     "cusp_h_offset": profile.cusp_h_offset})
 
     entries_f: list[RatioEntry] = []
 

@@ -21,9 +21,9 @@ keeps sigma at full relative accuracy where the direct expression
 -(H' + H^2) loses every digit to cancellation (along the bounded orbit
 sigma decays like r^-4 while H', H^2 decay like r^-2).
 
-The legs are stepped by ``_numerics.Dop853``.  Far out the bounded orbit
-is served by its exact germ at infinity (``_GermLeg``) instead of stiff
-stepping.
+The legs are stepped by ``_numerics.Dop853``.  The bounded orbit's two
+ends are exact series: the saddle's unstable manifold (``_CuspLeg``) and,
+instead of stiff stepping far out, the germ at infinity (``_GermLeg``).
 """
 
 from __future__ import annotations
@@ -310,6 +310,51 @@ def _horner(coeffs, x):
 
 
 @dataclass(frozen=True)
+class _CuspLeg:
+    """The cusp end of S, the unstable manifold of (1/2, 0); takes calibrated r.
+
+    (H - 1/2, F) = sum_k p_k theta^k, theta = theta_hi e^{lambda (r - r_hi)},
+    p_1 = (1, 3 + sqrt5), (k lambda - J) p_k = N_k with N_k the order-k part
+    of the field's quadratic terms and det(k lambda - J) = (k - 1)(k + 1 -
+    k lambda): the parametrization method (Cabré, Fontich & de la Llave,
+    Indiana Univ. Math. J. 52, 2003).  sigma = -(H' + H^2) is near -1/4 here.
+    """
+
+    r_lo: float
+    r_hi: float
+    theta: float            # theta at r_hi
+    series: tuple           # p_k of H - 1/2 and of F, highest power first
+    stats: dict
+    shift: float = 0.0
+
+    @classmethod
+    def at(cls, theta: float, n: int = 12) -> "_CuspLeg":
+        """n terms through theta at r = 0; stats has the first omitted term."""
+        xs, ys = [0.0, 1.0], [0.0, SLOPE_UNSTABLE]
+        for k in range(2, n + 2):
+            xy, xx = (sum(xs[i] * v[k - i] for i in range(1, k)) for v in (ys, xs))
+            a, b, kl = xy - 2.0 * xx, 2.0 * (xy - xx), k * EIGENVALUE_UNSTABLE
+            det = (k - 1) * (k + 1 - kl)
+            xs.append(((kl - 1.0) * a + 0.5 * b) / det)
+            ys.append(((kl + 2.0) * b - 2.0 * a) / det)
+        est = math.hypot(xs[-1], ys[-1]) / math.hypot(1.0, SLOPE_UNSTABLE) * abs(theta) ** n
+        return cls(0.0, 0.0, theta, (xs[n:0:-1], ys[n:0:-1]),
+                   {"method": "series", "terms": n, "theta_start": theta, "truncation": est})
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """States (3, ...) at calibrated ``r``, one point as the array pass."""
+        th = self.theta * np.exp(EIGENVALUE_UNSTABLE * (np.asarray(r, dtype=float) - self.r_hi))
+        x, y = (th * _horner(ser, th) for ser in self.series)
+        return np.array(_start(0.5 + x, y, 1))
+
+    def tails(self, r: float) -> tuple:
+        """int_{-inf}^r of H - 1/2 and of F: sum_k p_k theta^k / (k lambda)."""
+        th = self.theta * math.exp(EIGENVALUE_UNSTABLE * (r - self.r_hi))
+        return tuple(sum(p * th ** k / k for k, p in enumerate(ser[::-1], 1)) / EIGENVALUE_UNSTABLE
+                     for ser in self.series)
+
+
+@dataclass(frozen=True)
 class _GermLeg:
     """The flat end of S from its germ, r = c + R(-1/F); takes calibrated r.
 
@@ -372,7 +417,7 @@ class Trajectory:
     rel_tol: float
     abs_tol: float
     termination: str
-    legs: tuple[_Leg | _GermLeg, ...]
+    legs: tuple[_CuspLeg | _Leg | _GermLeg, ...]
     meta: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -404,10 +449,10 @@ class Trajectory:
     def state_at(self, r) -> np.ndarray:
         """Dense-output states (H, F, sigma) at ``r``; shape (3, n) or (3,).
 
-        DOP853 legs are evaluated in one pass over their gathered pieces,
-        bit-identical to ``OdeSolution``; a germ leg evaluates its series.
-        One point picks its leg by comparison and is evaluated in Python
-        floats, with the same operations as the array pass.
+        A point goes to the first leg with r <= its r_hi, the last leg takes
+        the rest.  DOP853 legs are evaluated in one pass over their gathered
+        pieces, bit-identical to ``OdeSolution``; series legs sum their
+        series.  One point takes the array pass's operations, in floats.
         """
         if isinstance(r, float) or np.ndim(r) == 0:
             return self._state_at_point(float(r))
@@ -417,29 +462,20 @@ class Trajectory:
                 f"r range [{rq.min()}, {rq.max()}] outside computed "
                 f"[{self.r_lo}, {self.r_hi}]")
         out = np.empty((3, rq.size))
-        done = np.zeros(rq.size, dtype=bool)
-        for leg in self.legs:
-            m = ~done & (rq <= leg.r_hi + 1e-12)
+        which = np.searchsorted([leg.r_hi for leg in self.legs[:-1]], rq)
+        for i, leg in enumerate(self.legs):
+            m = which == i
             if np.any(m):
                 out[:, m] = leg(rq[m] + leg.shift)
-                done |= m
-        if not np.all(done):  # numerical edge: clamp to last leg
-            leg = self.legs[-1]
-            m = ~done
-            out[:, m] = leg(np.clip(rq[m] + leg.shift, leg.r_lo + leg.shift,
-                                    leg.r_hi + leg.shift))
         return out
 
     def _state_at_point(self, r: float) -> np.ndarray:
-        # the array pass's range check, leg choice and clamp, by comparison
+        # the array pass's range check and leg choice, by comparison
         r_lo, r_hi = self.r_lo, self.r_hi
         if r < r_lo - 1e-9 or r > r_hi + 1e-9:
             raise OrbitRangeError(f"r range [{r}, {r}] outside computed [{r_lo}, {r_hi}]")
-        for leg in self.legs:
-            if r <= leg.r_hi + 1e-12:
-                return leg(r + leg.shift)
-        leg = self.legs[-1]
-        return leg(min(max(r + leg.shift, leg.r_lo + leg.shift), leg.r_hi + leg.shift))
+        leg = next((leg for leg in self.legs[:-1] if r <= leg.r_hi), self.legs[-1])
+        return leg(r + leg.shift)
 
     def dense_grid(self, n: int) -> np.ndarray:
         """Uniform r-grid over the computed range (endpoints included)."""
@@ -463,8 +499,7 @@ class Trajectory:
 
 
 def _start(H: float, F: float, eps: int) -> tuple:
-    """The state (H, F, sigma) at a phase point, sigma = -(H' + H^2) with
-    H' from ``_field``."""
+    """(H, F, sigma) at a phase point, sigma = -(H' + H^2) with _field's H'."""
     return H, F, -(_field(H, F, 0.5 * eps)[0] + H * H)
 
 

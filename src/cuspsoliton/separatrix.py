@@ -19,8 +19,8 @@ import numpy as np
 
 from ._numerics import Dop853, brent
 from .phase_core import (
-    EIGENVALUE_UNSTABLE, SADDLE, SLOPE_UNSTABLE, IntegratorControls, Trajectory,
-    _atol, _GermLeg, _Leg, _make_rhs, _start,
+    EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, IntegratorControls, Trajectory,
+    _atol, _CuspLeg, _GermLeg, _Leg, _make_rhs,
 )
 
 # The transversal contraction rate along the orbit grows like r/2, which
@@ -28,6 +28,7 @@ from .phase_core import (
 # exact germ at infinity, matched to the integrated state there.
 _GERM_JOIN = 25.0          # calibrated r at which the germ takes over
 _GERM_NODE_STEP = 5.0
+_CUSP_NODE_STEP = 1.0      # r between the series' table nodes below the start
 
 __all__ = [
     "ShootConfig", "BarrierReport", "ShootError",
@@ -42,7 +43,7 @@ _ISOCLINE_FACTOR = {"vertical": 1.0, "horizontal": 0.5, "oblique": 2.0}
 
 
 class ShootError(RuntimeError):
-    """The shot orbit left the band 0 < H < 1/2 (bad offset)."""
+    """The shot failed: an offset past the cusp series, or S left 0 < H < 1/2."""
 
 
 def isocline_F(kind: str, H):
@@ -83,10 +84,9 @@ def oblique_barrier_margin(H):
 class ShootConfig:
     """Parameters of the saddle shot.
 
-    ``offset`` is the distance along the unit unstable eigenvector, on the
-    branch entering {H < 1/2, F < 0}.
-    ``controls.r_max`` is the forward extent in the calibrated parameter
-    (r = 0 at F = -1); the backward leg stops on the ``saddle_ball``.
+    Stepping starts on S at distance ``offset`` from (1/2, 0), and the tables
+    at distance ``saddle_ball``, both on the unstable manifold's series.
+    ``controls.r_max`` is the calibrated forward extent (r = 0 at F = -1).
     """
 
     offset: float = 1e-8
@@ -102,33 +102,29 @@ class ShootConfig:
 def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     """Compute the bounded orbit S by shooting from the saddle.
 
-    Starts at (1/2, 0) - offset * (1, 3+sqrt5)/|(1, 3+sqrt5)|,
-    integrates backward until the state enters the ``saddle_ball`` around
-    (1/2, 0), and forward until H drops below the configured floor or the
-    forward extent is reached.  The parameter is calibrated so that r = 0
-    at the unique point with F = -1 (the system is autonomous, so S is
-    defined only up to translation; F is strictly monotone along S, which
-    makes the anchor unique); the forward leg locates it on its own dense
-    output while it steps.  Past r = 25 the orbit is its exact germ at
-    infinity, sampled every 5.0; ``meta`` records the join and its mismatch.
+    S is the unstable manifold of (1/2, 0), a series in theta ~ e^{lambda r}
+    (``_CuspLeg``).  One DOP853 leg starts on it at theta = -offset/|p_1|
+    and runs until H drops below the floor or the forward extent is
+    reached; below the start the series is tabulated every 1.0 in r from
+    where theta is saddle_ball/offset of its start value.  r = 0 at the one
+    point with F = -1 (F is monotone along S), which the leg locates on its
+    dense output while it steps.  Past r = 25 S is its exact germ at infinity, sampled every
+    5.0; ``meta`` records the join and its mismatch.
     """
     cfg = cfg or ShootConfig()
     ctl = cfg.controls
-    u = np.array([1.0, SLOPE_UNSTABLE])
-    u /= np.linalg.norm(u)
-    start = np.array(SADDLE) - cfg.offset * u
-    if not 0.0 < start[0] < 0.5:
-        raise ShootError("shot starts outside the band 0 < H < 1/2; check offset")
-    y0 = _start(float(start[0]), float(start[1]), 1)
+    cusp = _CuspLeg.at(-cfg.offset / math.hypot(1.0, SLOPE_UNSTABLE))
+    if (cut := cusp.stats["truncation"]) > 1e-16:
+        raise ShootError(f"the cusp series is truncated by {cut:.1e} at the start; check offset")
     rhs = _make_rhs(1)
     h_floor = 0.0 if ctl.h_floor is None else ctl.h_floor
     out_hi = lambda r, y: y[0] - 0.5
     out_lo = lambda r, y: y[0] - h_floor
     anchor = lambda r, y: y[1] + 1.0
 
-    # forward leg: until it meets F = -1 at raw r*, its bound is only a
-    # search limit; then it ends at the calibrated extent or the germ join
-    fwd = Dop853(rhs, 0.0, y0, 1e4, ctl.rel_tol, _atol(ctl.abs_tol))
+    # until F = -1 at raw r*, the bound is a search limit; then it is the
+    # calibrated extent or the germ join
+    fwd = Dop853(rhs, 0.0, cusp(0.0).tolist(), 1e4, ctl.rel_tol, _atol(ctl.abs_tol))
     r_star, termination = None, "r_max"
     while not fwd.done:
         fwd.step()
@@ -144,27 +140,15 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     if r_star is None:
         raise ShootError("orbit never reached the calibration anchor F = -1")
 
-    # backward leg, stopped on the saddle ball; tighter absolute control
-    # because transversal errors are amplified by the reverse-time dynamics
-    ball = lambda r, y: math.hypot(y[0] - 0.5, y[1]) - cfg.saddle_ball
-    span_back = math.log(cfg.offset / cfg.saddle_ball) / EIGENVALUE_UNSTABLE + 20.0
-    bwd = Dop853(rhs, 0.0, y0, -span_back, ctl.rel_tol, _atol(min(ctl.abs_tol, 1e-14)))
-    while not bwd.done:
-        bwd.step()
-        if (te := bwd.root(ball, -1)) is not None:
-            bwd.stop(te)
-            break
-    else:
-        raise ShootError("backward leg failed to reach the saddle ball")
-
-    tb, yb = bwd.samples()
+    cusp = replace(cusp, r_hi=-r_star, r_lo=math.log(cfg.saddle_ball / cfg.offset)
+                   / EIGENVALUE_UNSTABLE - r_star)
+    nodes = np.arange(cusp.r_lo, cusp.r_hi, _CUSP_NODE_STEP)
+    nodes = nodes[nodes < cusp.r_hi]
     tf, yf = fwd.samples()
-    tb, yb = tb[::-1], yb[:, ::-1]
-    legs = [_Leg.from_run(bwd, r_star), _Leg.from_run(fwd, r_star)]
-    r = np.concatenate([tb[:-1], tf]) - r_star   # shared point dropped
-    y = np.concatenate([yb[:, :-1], yf], axis=1)
+    legs = [cusp, _Leg.from_run(fwd, r_star)]
+    r = np.concatenate([nodes, tf - r_star])
+    y = np.concatenate([cusp(nodes), yf], axis=1)
     meta = dict(kind="separatrix", offset=cfg.offset, saddle_ball=cfg.saddle_ball, r_star_raw=r_star,
-                backward_limit="saddle (1/2, 0); truncated at saddle_ball",
                 legs=[dict(leg.stats, r_lo=leg.r_lo, r_hi=leg.r_hi) for leg in legs])
     if termination != "h_floor" and ctl.r_max > _GERM_JOIN:
         r_join = float(r[-1])

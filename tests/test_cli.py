@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cuspsoliton as cs
 from cuspsoliton import cli
 from cuspsoliton.cli import main, load_config, ConfigError, RunConfig
 
@@ -122,6 +124,19 @@ def test_tables_match_per_cell_formatting(tmp_path, monkeypatch):
         assert (tmp_path / "empty.dat").read_text() == ""
 
 
+def test_a_significand_rounding_up_to_ten_meets_the_upper_guard(monkeypatch):
+    # numpy's log10 puts the doubles whose 17 digits round up to 10^17 in
+    # the decade above, where the lower guard sends them to Python; with E
+    # one low instead, y lies within 0.5 of 1e17, and only the upper guard
+    # (1e17 - 0.52 in long double, which float64 rounds to 1e17) keeps them
+    # off the fast path
+    vals = _cases(0)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+    text = cli._fields(vals, np.full(vals.size, ord("\n"), np.uint8))
+    assert text.split("\n")[:-1] == [f"{x:.16e}" for x in vals.tolist()]
+
+
 def test_blowup_command(tmp_path):
     assert main(["blowup", "--out", str(tmp_path), "--quiet"]) == 0
     rep = json.loads((tmp_path / "blowup.json").read_text())
@@ -204,6 +219,16 @@ def test_config_invalid_saddle_ball_rejected(tmp_path, capsys, ball):
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "saddle_ball" in err and "Traceback" not in err
+
+
+def test_small_saddle_ball_shoots(tmp_path):
+    # the tables start on the cusp series wherever the ball lies: a ball of
+    # 1e-10 once sent a reverse-time leg into the saddle and exited 3
+    cfg = tmp_path / "ball.cfg"
+    cfg.write_text("saddle_ball = 1e-10\n")
+    assert main(["separatrix", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    H = np.loadtxt(tmp_path / "separatrix.csv", delimiter=",", skiprows=1)[0, 1]
+    assert 0.5 - H == pytest.approx(1e-10 / math.hypot(1.0, cs.SLOPE_UNSTABLE), rel=1e-5)
 
 
 def test_config_invalid_controls_rejected(tmp_path):
@@ -290,14 +315,19 @@ def test_manifest_records_stage_times(tmp_path):
     assert set(diag) == {"germ_join_r", "germ_c", "germ_join_mismatch_H",
                          "germ_join_mismatch_sigma", "sstar_certificate_points",
                          "history_truncated", "legs"}
-    back, fwd = diag["legs"]
-    for leg in (back, fwd):
-        assert set(leg) == {"method", "rtol", "atol", "n_steps", "n_rejected", "nfev",
-                            "r_lo", "r_hi"}
-        assert leg["method"] == "DOP853" and leg["rtol"] == 1e-10 and leg["n_steps"] > 0
-        assert leg["nfev"] == 2 + 15 * leg["n_steps"] + 12 * leg["n_rejected"]
-    assert back["atol"] == [1e-14, 1e-14, 1e-21] and fwd["atol"] == [1e-12, 1e-12, 1e-21]
-    assert back["r_hi"] == fwd["r_lo"] < 0.0 and fwd["r_hi"] == diag["germ_join_r"]
+    cusp, fwd = diag["legs"]
+    assert set(cusp) == {"method", "terms", "theta_start", "truncation", "r_lo", "r_hi"}
+    assert cusp["method"] == "series" and cusp["terms"] == 12
+    assert cusp["theta_start"] < 0.0 and cusp["truncation"] < 1e-16
+    assert set(fwd) == {"method", "rtol", "atol", "n_steps", "n_rejected", "nfev",
+                        "r_lo", "r_hi"}
+    assert fwd["method"] == "DOP853" and fwd["rtol"] == 1e-10 and fwd["n_steps"] > 0
+    assert fwd["nfev"] == 2 + 15 * fwd["n_steps"] + 12 * fwd["n_rejected"]
+    assert fwd["atol"] == [1e-12, 1e-12, 1e-21]
+    assert cusp["r_hi"] == fwd["r_lo"] < 0.0 and fwd["r_hi"] == diag["germ_join_r"]
+    # the tables start where theta has shrunk by saddle_ball/offset = 1/10
+    assert cusp["r_lo"] == pytest.approx(cusp["r_hi"] - math.log(10.0) / cs.EIGENVALUE_UNSTABLE,
+                                         abs=1e-12)
     assert diag["history_truncated"] == [False, False]
     assert diag["germ_join_r"] == pytest.approx(25.0, abs=1e-12)
     assert diag["sstar_certificate_points"] > 10000

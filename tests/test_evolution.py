@@ -548,7 +548,7 @@ def test_certificate_and_flow_time_are_built_once_per_orbit(sep, monkeypatch):
     hists = [cs.pointwise_R_history(traj.r_at_F(Fa), [0.0, 1.0], traj) for Fa in (-1.0, -5.0)]
     assert built == ["_SStar", "_flow_time"]
     assert reports[0].crossings == reports[1].crossings
-    assert reports[0].n_grid == ds[1].certificate_points == 12176
+    assert reports[0].n_grid == ds[1].certificate_points == 12175
     # a copy builds its own, and gets the same answers from it
     other = replace(traj)
     assert cs.find_crossings(other, -0.01).crossings == reports[0].crossings

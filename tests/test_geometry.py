@@ -61,7 +61,16 @@ def test_profile_anchors(sep, profile):
     # f approaches f0 from below at the cusp end
     assert profile.f[0] < profile.f0
     assert profile.f0 - profile.f[0] < 1e-8
-    assert profile.tail_alpha == pytest.approx((-1 + SQRT5) / 2, rel=1e-3)
+
+
+def test_cusp_tails_integrate_the_series(sep, profile):
+    # f_tail is the integral of F below r_lo; Gauss-Legendre on 80 unit
+    # steps of the cusp leg below r_lo leaves out e^{-80 lambda} of it
+    from cuspsoliton.geometry import _GL_NODES, _GL_WEIGHTS
+    pts = (sep.r_lo - np.arange(79.5, 0.0, -1.0))[:, None] + 0.5 * _GL_NODES
+    F = sep.legs[0](pts.ravel())[1].reshape(pts.shape)
+    assert profile.f_tail == pytest.approx(0.5 * (F @ _GL_WEIGHTS).sum(), rel=1e-13)
+    assert profile.f_tail == pytest.approx(float(sep.F[0]) / cs.EIGENVALUE_UNSTABLE, rel=1e-8)
 
 
 def test_curvatures_at_saddle_end(sep, curvature_table):
@@ -138,6 +147,19 @@ def test_cusp_asymptotics(sep, profile):
         (-1 + SQRT5) / 2, rel=1e-3)
 
 
+def test_cusp_ratios_on_the_exact_tails(sep, profile):
+    # with the tails from the series f_dev/h_dev meets the eigenvector slope
+    # up to the rounding of h (about 1e-15 against h_dev = 4e-9 at r = -30);
+    # log_F_slope's -4.5e-5 residual is the next order of the law on the
+    # nodes of [-30, -10], not an error: the series itself fits the same
+    cusp, _ = cs.check_asymptotics(sep, profile)
+    assert abs(cusp.entry("f_dev_over_h_dev").residual) < 1e-6
+    m = (sep.r >= -30.0) & (sep.r <= -10.0)
+    exact = np.polyfit(sep.r[m], np.log(-sep.legs[0](sep.r[m])[1]), 1)[0]
+    assert cusp.entry("log_F_slope").measured == pytest.approx(exact, abs=1e-6)
+    assert exact - cs.EIGENVALUE_UNSTABLE == pytest.approx(-4.5e-5, abs=1e-6)
+
+
 def test_flat_asymptotics(sep, profile):
     _, flat = cs.check_asymptotics(sep, profile)
     assert flat.entry("HF").measured == pytest.approx(-0.5, abs=1e-3)
@@ -168,9 +190,3 @@ def test_reconstruct_rejects_non_monotone(sep):
     with pytest.raises(ValueError):
         cs.reconstruct_profiles(Fake())
 
-
-def test_tail_fit_without_near_saddle_samples_is_an_orbit_range_error():
-    from cuspsoliton.geometry import _fit_tail_alpha
-    traj = cs.integrate((0.4, -1.0), 0.0, cs.IntegratorControls(r_max=1.0))
-    with pytest.raises(cs.OrbitRangeError, match="near-saddle samples"):
-        _fit_tail_alpha(traj)

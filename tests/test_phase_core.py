@@ -7,7 +7,7 @@ import pytest
 
 import cuspsoliton as cs
 from cuspsoliton.blowup import BASE_P, BASE_Q, CURVE_XY
-from cuspsoliton.phase_core import _GermLeg, _Leg, _make_rhs
+from cuspsoliton.phase_core import _CuspLeg, _GermLeg, _Leg, _make_rhs
 
 SQRT5 = math.sqrt(5.0)
 
@@ -248,76 +248,68 @@ def _scipy_solution(leg):
 
 
 def _state_via_scipy(traj, r):
-    # reference: each point through its own leg's scipy OdeSolution, the
-    # leg chosen and the last leg clamped as Trajectory.state_at does; one
-    # point goes through scipy's own one-point path
+    # reference: each point through scipy's OdeSolution of its leg, the first
+    # leg with r <= its r_hi or else the last, as Trajectory.state_at picks;
+    # one point goes through scipy's own one-point path
     if np.ndim(r) == 0:
-        leg = next((leg for leg in traj.legs if r <= leg.r_hi + 1e-12), None)
-        if leg is None:
-            leg = traj.legs[-1]
-            return _scipy_solution(leg)(np.clip(r + leg.shift, leg.r_lo + leg.shift,
-                                                leg.r_hi + leg.shift))
+        leg = next((leg for leg in traj.legs[:-1] if r <= leg.r_hi), traj.legs[-1])
         return _scipy_solution(leg)(r + leg.shift)
     rq = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty((3, rq.size))
     done = np.zeros(rq.size, dtype=bool)
     for leg in traj.legs:
-        m = ~done & (rq <= leg.r_hi + 1e-12)
+        m = ~done & ((rq <= leg.r_hi) | (leg is traj.legs[-1]))
         if m.any():
             out[:, m] = _scipy_solution(leg)(rq[m] + leg.shift)
             done |= m
-    if not done.all():
-        leg = traj.legs[-1]
-        out[:, ~done] = _scipy_solution(leg)(np.clip(rq[~done] + leg.shift,
-                                                     leg.r_lo + leg.shift, leg.r_hi + leg.shift))
     return out
 
 
-def _one_at_a_time(traj, rq, dop_end):
+def _one_at_a_time(traj, rq, dop_lo, dop_hi):
     # each point alone through state_at's Python-float path: equal to the
-    # array pass everywhere, and to scipy's one-point path up to dop_end
+    # array pass everywhere, and to scipy's one-point path on (dop_lo, dop_hi]
     one = np.stack([traj.state_at(float(r)) for r in rq], axis=1)
     assert np.array_equal(one, traj.state_at(rq))
     for r, y in zip(rq, one.T):
-        if r <= dop_end:
+        if dop_lo < r <= dop_hi:
             assert np.array_equal(y, _state_via_scipy(traj, float(r))), r
 
 
 def test_state_at_is_bit_identical_to_scipy(sep):
-    # the DOP853 legs are evaluated by the gathered pass, bit-identical to
-    # scipy's OdeSolution built from the same pieces; the germ leg past them
-    # has no pieces, so the check stops at the join
-    assert [type(leg) for leg in sep.legs] == [_Leg, _Leg, _GermLeg]
+    # the DOP853 leg is evaluated by the gathered pass, bit-identical to
+    # scipy's OdeSolution built from the same pieces; the series legs at
+    # either end have no pieces, so the check stops at both joins
+    assert [type(leg) for leg in sep.legs] == [_CuspLeg, _Leg, _GermLeg]
+    lo, hi = sep.legs[1].r_lo, sep.legs[1].r_hi
     ends = np.array([v for leg in sep.legs for v in (leg.r_lo, leg.r_hi)])
     joins = np.clip(np.concatenate([np.nextafter(ends, -np.inf), ends,
                                     np.nextafter(ends, np.inf)]), sep.r_lo, sep.r_hi)
-    clamps = np.array([sep.r_lo - 5e-10, sep.r_hi + 5e-10])
+    beyond = np.array([sep.r_lo - 5e-10, sep.r_hi + 5e-10])
     rng = np.random.default_rng(1211)
-    for rq in (sep.dense_grid(400001), rng.uniform(sep.r_lo, sep.r_hi, 200000), sep.r,
-               joins, clamps):
-        rq = rq[rq <= sep.legs[1].r_hi]
+    for rq in (sep.dense_grid(400001), rng.uniform(sep.r_lo, sep.r_hi, 200000), sep.r, joins):
+        rq = rq[(rq > lo) & (rq <= hi)]
         assert rq.size
         assert np.array_equal(sep.state_at(rq), _state_via_scipy(sep, rq))
     assert np.array_equal(sep.state_at(2.903), _state_via_scipy(sep, 2.903))
-    _one_at_a_time(sep, np.concatenate([sep.r, joins, clamps,
-                                        rng.uniform(sep.r_lo, sep.r_hi, 2000)]),
-                   sep.legs[1].r_hi)
-    # a backward run stores descending step ends
+    _one_at_a_time(sep, np.concatenate([sep.r, joins, beyond,
+                                        rng.uniform(sep.r_lo, sep.r_hi, 2000)]), lo, hi)
+    # a backward run stores descending step ends; past its ends the one
+    # leg's end pieces extrapolate, as scipy's do
     back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
                         direction="backward")
     assert not _scipy_solution(back.legs[0]).ascending
     rq = np.concatenate([back.dense_grid(10001), back.r,
-                         rng.uniform(back.r_lo, back.r_hi, 1000)])
+                         rng.uniform(back.r_lo, back.r_hi, 1000),
+                         [back.r_lo - 5e-10, back.r_hi + 5e-10]])
     assert np.array_equal(back.state_at(rq), _state_via_scipy(back, rq))
-    _one_at_a_time(back, np.concatenate([rq, [back.r_lo - 5e-10, back.r_hi + 5e-10]]),
-                   np.inf)
+    _one_at_a_time(back, rq, -np.inf, np.inf)
 
 
 def test_dense_pieces_built_after_the_run_equal_the_on_demand_ones(monkeypatch):
     # dense_arrays builds every step's piece in one elementwise pass over
     # arrays; at, root and stop build the last step's in Python floats.
-    # Both must be the same IEEE operations: bit-identical pieces, for an
-    # ascending leg of the shot and a descending backward run
+    # Both must be the same IEEE operations: bit-identical pieces, for the
+    # shot's ascending leg and a descending backward run
     from cuspsoliton import _numerics, phase_core, separatrix
 
     runs, built = [], {}
@@ -337,7 +329,7 @@ def test_dense_pieces_built_after_the_run_equal_the_on_demand_ones(monkeypatch):
     shot = cs.shoot_separatrix()
     back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
                         direction="backward")
-    fwd, bwd = runs[0], runs[2]         # the shot's forward leg, the backward run
+    fwd, bwd = runs                     # the shot's one leg, the backward run
     assert fwd.direction > 0 and bwd.direction < 0 and len(fwd._steps) > 200
     for run, leg in ((fwd, shot.legs[1]), (bwd, back.legs[0])):
         t_old, h, y_old, F = run.dense_arrays()
@@ -412,3 +404,35 @@ def test_brent_takes_brentqs_iterates():
             assert ours == ref
     with pytest.raises(ValueError, match="different signs"):
         brent(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_cusp_series_is_the_unstable_manifold():
+    # checks apart from the recursion: the manifold as the graph F = m x +
+    # k x^2 + ... over x = H - 1/2 has k = (m^2 - 4m + 2)/(5 - 1.5m) from
+    # the invariance equation at second order; and with x' = lambda x the
+    # series is invariant, lambda theta p'(theta) = V(p(theta)), on |theta| <= 1e-2
+    leg = _CuspLeg.at(-1e-2)
+    xs, ys = (np.array(ser[::-1]) for ser in leg.series)        # p_1 first
+    m, lam = cs.SLOPE_UNSTABLE, cs.EIGENVALUE_UNSTABLE
+    assert (xs[0], ys[0]) == (1.0, m) and len(xs) == leg.stats["terms"] == 12
+    assert ys[1] - ys[0] * xs[1] == pytest.approx((m * m - 4 * m + 2) / (5 - 1.5 * m), rel=1e-14)
+    k = np.arange(1, 13)
+    for th in np.linspace(-1e-2, 1e-2, 401):
+        x, y = xs @ th ** k, ys @ th ** k
+        dx, dy = lam * (k * xs) @ th ** k, lam * (k * ys) @ th ** k
+        assert abs(dx - (-2 * x + y / 2 + x * y - 2 * x * x)) < 1e-15
+        assert abs(dy - (y + 2 * x * y - 2 * x - 2 * x * x)) < 1e-15
+    assert leg.stats["truncation"] < 1e-18
+
+
+def test_cusp_leg_takes_the_series_per_point(sep):
+    # the leg is the series at theta = theta_start e^{lambda (r - r_hi)},
+    # its sigma -(H' + H^2) from the state; the step leg starts on it
+    cusp, fwd = sep.legs[:2]
+    assert cusp.r_hi == fwd.r_lo and np.array_equal(cusp(cusp.r_hi), fwd.y_old[:, 0])
+    rq = np.linspace(cusp.r_lo, cusp.r_hi, 41)
+    H, F, sigma = cusp(rq)
+    th = cusp.theta * np.exp(cs.EIGENVALUE_UNSTABLE * (rq - cusp.r_hi))
+    assert np.abs(F / (cs.SLOPE_UNSTABLE * th) - 1.0).max() < 1e-8
+    assert np.abs(sigma + cs.vector_field((H, F)).dH + H * H).max() < 1e-16
+    assert sep.meta["legs"][0] == dict(cusp.stats, r_lo=cusp.r_lo, r_hi=cusp.r_hi)

@@ -102,8 +102,27 @@ def test_shoot_config_requires_ball_inside_offset(ball):
         cs.ShootConfig(offset=1e-8, saddle_ball=ball)
 
 
+def test_shot_with_a_small_ball_starts_its_tables_on_the_series():
+    # the tables start where theta has shrunk by saddle_ball/offset below the
+    # start, on the cusp series; a reverse-time leg into the saddle failed here
+    cfg = cs.ShootConfig(offset=1e-7, saddle_ball=1e-7 / 300, controls=cs.IntegratorControls(
+        rel_tol=1e-12, r_max=2000.0, h_floor=1e-6))
+    traj = cs.shoot_separatrix(cfg)
+    r_start = traj.legs[1].r_lo
+    assert traj.r_lo == pytest.approx(
+        r_start + math.log(cfg.saddle_ball / cfg.offset) / cs.EIGENVALUE_UNSTABLE, abs=1e-12)
+    assert float(traj.state_at(0.0)[0]) == pytest.approx(0.332837502355, abs=1e-9)
+
+
+def test_shoot_offset_past_the_series_reach_raises():
+    # at offset 0.2 the start lies in the band, but the series' first
+    # omitted term is 9e-13 of its first there
+    with pytest.raises(cs.ShootError, match="truncated by 9.4e-13"):
+        cs.shoot_separatrix(cs.ShootConfig(offset=0.2))
+
+
 def test_shoot_offset_outside_band_raises():
-    # an offset of 3 along the unstable eigenvector starts at H < 0
+    # an offset of 3 along S would start at H < 0, past the series' radius
     cfg = cs.ShootConfig(
         offset=3.0,
         controls=cs.IntegratorControls(r_min=-60.0, r_max=10.0, h_floor=1e-6))
