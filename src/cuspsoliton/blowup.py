@@ -18,7 +18,9 @@ exactly one critical point, a rational one, so the point the orbit germ
 follows is forced and no orbit is needed: exact translations recenter it
 at the origin.  Everything here is exact: the coefficient ring is pairs
 (c0, c1) representing c0 + c1 s with rational entries, and no operation
-may leave it.
+may leave it.  Real roots on the divisor are isolated by Sturm sequences
+over the rationals (``_real_roots``), a rational root as its exact value;
+no floating-point root finder is involved.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = [
     "CoeffAffine", "ExactPoly", "SRational", "DivisorPoint",
@@ -407,11 +407,13 @@ def translate(st: BlowupState, a: Fraction) -> BlowupState:
 
 
 # ---------------------------------------------------------------------------
-# locating points on the divisor
+# locating points on the divisor: a univariate polynomial over Q is its list
+# of coefficients in ascending powers, with a nonzero last entry ([] for 0)
 
 @dataclass(frozen=True)
 class DivisorPoint:
-    """A critical point abscissa on {y = 0}: exact rational or isolated."""
+    """A real root on {y = 0}: its exact value if rational, else an
+    isolating interval (lo, hi] narrower than 2^-46 around it."""
 
     value: Fraction | None
     interval: tuple[Fraction, Fraction] | None
@@ -430,8 +432,7 @@ class DivisorPoint:
 def _uni_coeffs(d: dict[int, CoeffAffine]) -> list[Fraction]:
     if any(v.c1 for v in d.values()):
         raise BlowupError("expected s-free univariate restriction")
-    n = max(d)
-    return [d.get(i, _ZERO).c0 for i in range(n + 1)]
+    return [d.get(i, _ZERO).c0 for i in range(max(d, default=-1) + 1)]
 
 
 def _poly_eval(cs: list[Fraction], x: Fraction) -> Fraction:
@@ -441,111 +442,99 @@ def _poly_eval(cs: list[Fraction], x: Fraction) -> Fraction:
     return total
 
 
-def _poly_div_root(cs: list[Fraction], r: Fraction) -> list[Fraction]:
-    out = [Fraction(0)] * (len(cs) - 1)
-    acc = Fraction(0)
-    for i in range(len(cs) - 1, 0, -1):
-        acc = cs[i] + acc * r
-        out[i - 1] = acc
+def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b != 0."""
+    q, r = [Fraction(0)] * max(len(a) - len(b) + 1, 0), list(a)
+    while len(r) >= len(b):
+        k, c = len(r) - len(b), r[-1] / b[-1]
+        q[k] = c
+        for i, bi in enumerate(b):
+            r[k + i] -= c * bi
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def _gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Monic greatest common divisor, by Euclid."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _real_roots(cs: list[Fraction]) -> list[DivisorPoint]:
+    """The distinct real roots of a nonzero polynomial over Q, in increasing order.
+
+    They are the simple roots of the square-free part p = cs/gcd(cs, cs'),
+    and a linear p gives its root in closed form.  Otherwise Sturm's theorem
+    (Basu, Pollack & Roy, *Algorithms in Real Algebraic Geometry*, sec. 2.2)
+    counts p's roots in (lo, hi] as V(lo) - V(hi), V the sign variations of
+    the chain p, p', -rem(p, p'), ..., and bisection from a power of two
+    above the Cauchy bound isolates each root.  Sign bisection of p narrows
+    it below 2^-46 and 1/(2 lead^2), lead the leading coefficient of p in
+    primitive integer form.  A rational root's denominator divides lead, and
+    such rationals lie 1/lead^2 apart, so the root is rational iff the
+    fraction nearest the midpoint with denominator at most lead is a zero.
+    """
+    p = _divmod(cs, _gcd(cs, [i * c for i, c in enumerate(cs)][1:]))[0]
+    if len(p) < 2:
+        return []
+    if len(p) == 2:
+        x = -p[0] / p[1]
+        return [DivisorPoint(value=x, interval=None, approx=float(x))]
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (_poly_eval(q, x) for q in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = Fraction(2 ** math.ceil(1 + max(abs(c / p[-1]) for c in p)).bit_length())
+    todo, isolated = [(-bound, bound, variations(-bound), variations(bound))], []
+    while todo:  # depth first, left half on top: the intervals come out in order
+        lo, hi, vlo, vhi = todo.pop()
+        if vlo - vhi == 1:
+            isolated.append((lo, hi))
+        elif vlo - vhi > 1:
+            mid = (lo + hi) / 2
+            vmid = variations(mid)
+            todo += [(mid, hi, vmid, vhi), (lo, mid, vlo, vmid)]
+
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
+    lead = abs(ints[-1]) // math.gcd(*ints)
+    width = min(Fraction(1, 2 ** 46), Fraction(1, 2 * lead * lead + 1))
+    out = []
+    for lo, hi in isolated:
+        fhi = _poly_eval(p, hi)
+        while fhi and hi - lo > width:
+            mid = (lo + hi) / 2
+            fmid = _poly_eval(p, mid)
+            if not fmid or (fmid > 0) == (fhi > 0):
+                hi, fhi = mid, fmid
+            else:
+                lo = mid
+        mid = (lo + hi) / 2 if fhi else hi
+        x = mid.limit_denominator(lead)
+        if lo < x <= hi and not _poly_eval(p, x):
+            out.append(DivisorPoint(value=x, interval=None, approx=float(x)))
+        else:
+            out.append(DivisorPoint(value=None, interval=(lo, hi), approx=float(mid)))
     return out
 
 
-def _rational_roots(cs: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """All rational roots (with deflation); returns (roots, remaining poly)."""
-    roots: list[Fraction] = []
-    while len(cs) > 1:
-        while len(cs) > 1 and cs[0] == 0:
-            roots.append(Fraction(0))
-            cs = cs[1:]
-        if len(cs) <= 1:
-            break
-        den = math.lcm(*(c.denominator for c in cs))
-        ics = [int(c * den) for c in cs]
-        g = math.gcd(*(abs(c) for c in ics if c)) or 1
-        ics = [c // g for c in ics]
-        a0, an = abs(ics[0]), abs(ics[-1])
-        found = next((cand for p in _divisors(a0) for q in _divisors(an)
-                      for cand in (Fraction(p, q), Fraction(-p, q))
-                      if _poly_eval(cs, cand) == 0), None)
-        if found is None:
-            break
-        roots.append(found)
-        cs = _poly_div_root(cs, found)
-    return roots, cs
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _isolate_real_roots(cs: list[Fraction]) -> list[DivisorPoint]:
-    """Isolate real roots of an s-free polynomial with exact sign bisection."""
-    deg = len(cs) - 1
-    if deg <= 0:
-        return []
-    seeds = np.roots([float(c) for c in reversed(cs)])
-    points = []
-    for z in seeds:
-        if abs(z.imag) > 1e-9:
-            continue
-        x0 = z.real
-        lo, hi = Fraction(x0 - 1e-5).limit_denominator(10 ** 12), \
-            Fraction(x0 + 1e-5).limit_denominator(10 ** 12)
-        flo, fhi = _poly_eval(cs, lo), _poly_eval(cs, hi)
-        if flo == 0 or fhi == 0 or (flo < 0) == (fhi < 0):
-            continue  # even multiplicity or spurious
-        for _ in range(30):
-            mid = (lo + hi) / 2
-            fm = _poly_eval(cs, mid)
-            if fm == 0:
-                lo = hi = mid
-                break
-            if (fm < 0) == (flo < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        points.append(DivisorPoint(value=None, interval=(lo, hi),
-                                   approx=float((lo + hi) / 2)))
-    return points
-
-
 def divisor_critical_points(st: BlowupState) -> list[DivisorPoint]:
-    """Common zeros of P and Q restricted to the divisor {y = 0}.
+    """Common zeros of P and Q restricted to the divisor {y = 0}: the real
+    roots of the gcd of the two restrictions, in increasing order.
 
-    Rational roots are exact; irrational ones carry an isolating interval.
     The field is s-independent throughout the sequence, so the
     restrictions are honest rational univariate polynomials.
     """
-    P0 = st.P.restrict_y0()
-    Q0 = st.Q.restrict_y0()
+    P0, Q0 = st.P.restrict_y0(), st.Q.restrict_y0()
     if not P0 and not Q0:
         raise BlowupError("whole divisor is critical; cannot isolate points")
-    polys = [_uni_coeffs(d) for d in (P0, Q0) if d]
-
-    def roots_of(cs):
-        rational, rest = _rational_roots(list(cs))
-        return rational, _isolate_real_roots(rest)
-
-    rats0, irrs0 = roots_of(polys[0])
-    if len(polys) == 1:
-        rats, irrs = rats0, irrs0
-    else:
-        rats1, irrs1 = roots_of(polys[1])
-        rats = [r for r in rats0 if r in rats1]
-        irrs = [p for p in irrs0
-                if any(abs(p.approx - q.approx) < 1e-7 for q in irrs1)]
-    out = [DivisorPoint(value=r, interval=None, approx=float(r)) for r in set(rats)]
-    return sorted(out + irrs, key=lambda p: p.approx)
+    return _real_roots(_gcd(_uni_coeffs(P0), _uni_coeffs(Q0)))
 
 
 @dataclass(frozen=True)
@@ -600,9 +589,10 @@ class SRational:
 def curve_divisor_intersection(st: BlowupState) -> list:
     """Abscissas where the strict transform of the curve meets {y = 0}.
 
-    Returns Fractions for exact rational roots and SRational objects for
-    roots depending on s.  A zero restriction or an s-dependent higher
-    degree factor is an engine limit and raises.
+    Returns Fractions for exact rational roots, SRational objects for
+    roots depending on s and DivisorPoints for irrational roots.  A zero
+    restriction or an s-dependent higher degree factor is an engine limit
+    and raises.
     """
     d = st.curve.restrict_y0()
     if not d:
@@ -622,9 +612,7 @@ def curve_divisor_intersection(st: BlowupState) -> list:
         roots.append(r)
         return roots
     if all(not v.c1 for v in d.values()):
-        rats, rest = _rational_roots(_uni_coeffs(d))
-        roots.extend(rats)
-        roots.extend(p for p in _isolate_real_roots(rest))
+        roots.extend(p.value if p.is_rational else p for p in _real_roots(_uni_coeffs(d)))
         return roots
     raise BlowupError("cannot solve s-dependent restriction of degree >= 2 exactly")
 

@@ -106,8 +106,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         try:
             if key in _TUPLE_KEYS:
                 parsed = tuple(float(v) for v in val.split(",") if v.strip())
-            elif isinstance(cur, bool):
-                parsed = val.lower() in ("1", "true", "yes")
             elif isinstance(cur, int):
                 parsed = int(val)
             elif isinstance(cur, float):

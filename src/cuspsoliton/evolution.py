@@ -30,6 +30,7 @@ minimum and then rise toward 1: one root per branch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._numerics import brent
-from .blowup import _isolate_real_roots, _poly_eval
+from .blowup import _poly_eval, _real_roots
 from .geometry import _Cumulative
 from .phase_core import (
     Trajectory, IntegrationError, OrbitRangeError, _GermLeg, _field, _horner,
@@ -318,10 +319,10 @@ class DeltaScan:
     orbit, at r = ``crossing_r``, the minimum of the certified s*;
     ``crossing_bracket`` is t* plus or minus the orbit's ``rel_tol``, and
     ``crossing_counts`` are the exact counts on ``t_grid``.
-    ``barrier_bracket`` isolates the exact t_b at which the Psi-positivity
-    certificate is lost, and ``psi_verdicts`` are its exact verdicts on
-    ``t_grid``.  The two notions are reported separately and need not
-    coincide.
+    ``barrier_bracket`` brackets the exact t_b at which the Psi-positivity
+    certificate is lost, isolated by Sturm sequence and rounded outward to
+    floats, and ``psi_verdicts`` are its exact verdicts on ``t_grid``.  The
+    two notions are reported separately and need not coincide.
     """
 
     t_grid: np.ndarray
@@ -336,9 +337,13 @@ class DeltaScan:
 
 # P(s), ascending powers of s = t + 1: Psi_t's zero count changes only at its root in (0, 1)
 _PSI_DISC = [Fraction(c) for c in (4263, -6061, 17214, -29568, 648)]
-# t_b = s_b - 1, isolated once by exact sign bisection and rounded outward by one ulp
-_T_B = next((math.nextafter(float(lo - 1), -math.inf), math.nextafter(float(hi - 1), math.inf))
-            for lo, hi in (p.interval for p in _isolate_real_roots(_PSI_DISC)) if 0 < lo < 1)
+
+
+@functools.cache
+def _t_b_bracket() -> tuple[float, float]:
+    """t_b = s_b - 1, isolated once by Sturm sequence and rounded outward by one ulp."""
+    lo, hi = next(p.interval for p in _real_roots(_PSI_DISC) if 0 < p.approx < 1)
+    return math.nextafter(float(lo - 1), -math.inf), math.nextafter(float(hi - 1), math.inf)
 
 
 def scan_delta_threshold(traj: Trajectory, t_grid=None) -> DeltaScan:
@@ -352,7 +357,7 @@ def scan_delta_threshold(traj: Trajectory, t_grid=None) -> DeltaScan:
     Q(1/s) = s^2 keeps zeros off the branch end and the two x-branches meet
     only at u = 1/s, so the zero count changes only at P's one root s_b in
     (0, 1): Psi_t > 0 iff P(s) > 0 (P(0) > 0 > P(1)), and t_b = s_b - 1 is
-    isolated by exact sign bisection.
+    isolated by Sturm sequence.
     """
     if t_grid is None:
         t_grid = np.linspace(-0.9, -0.01, 24)
@@ -374,7 +379,7 @@ def scan_delta_threshold(traj: Trajectory, t_grid=None) -> DeltaScan:
     return DeltaScan(t_grid=t_grid, crossing_counts=counts,
                      crossing_threshold=t_star, crossing_r=sstar.r_min,
                      crossing_bracket=(t_star - traj.rel_tol, t_star + traj.rel_tol),
-                     barrier_bracket=_T_B,
+                     barrier_bracket=_t_b_bracket(),
                      psi_verdicts=verdicts, certificate_points=sstar.points)
 
 

@@ -529,7 +529,8 @@ def integrate(start, r0: float, controls: IntegratorControls,
               eps: int = 1, direction: str = "forward") -> Trajectory:
     """Integrate the system from ``start`` at r = r0.
 
-    Forward runs extend to ``controls.r_max``, backward runs to
+    ``start`` is (H, F, sigma), or (H, F) with sigma = -(H' + H^2) from
+    them.  Forward runs extend to ``controls.r_max``, backward runs to
     ``controls.r_min``; a stop predicate (H floor, |F| ceiling) may end the
     run earlier, and the reason is recorded in ``termination``.
     """
@@ -548,7 +549,8 @@ def integrate(start, r0: float, controls: IntegratorControls,
     if controls.f_ceiling is not None:
         events.append(("f_ceiling", lambda r, y: abs(y[1]) - controls.f_ceiling, 1))
 
-    run = Dop853(_make_rhs(eps), r0, _start(float(start[0]), float(start[1]), eps), r_end,
+    start = tuple(map(float, start))
+    run = Dop853(_make_rhs(eps), r0, start if len(start) == 3 else _start(*start, eps), r_end,
                  controls.rel_tol, _atol(controls.abs_tol))
     termination = None
     while termination is None:

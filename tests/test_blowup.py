@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cuspsoliton as cs
-from cuspsoliton.blowup import BASE_P, BASE_Q
+from cuspsoliton.blowup import BASE_P, BASE_Q, _poly_eval, _real_roots
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -203,6 +203,103 @@ def test_curve_divisor_intersection_of_chart():
     st = cs.chart_to_infinity()
     roots = cs.curve_divisor_intersection(st)
     assert F(0) in roots and F(-1) in roots
+
+
+# ---------------------------------------------------------------------------
+# exact real roots
+
+X2_2 = [F(-2), F(0), F(1)]  # x^2 - 2, ascending powers
+
+
+def times(*factors):
+    out = [F(1)]
+    for f in factors:
+        prod = [F(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def divisor_state(P0, Q0):
+    # a state whose field restricts to P0 and Q0 on {y = 0}
+    return cs.BlowupState(P=poly({(i, 0): c for i, c in enumerate(P0)}),
+                          Q=poly({(i, 0): c for i, c in enumerate(Q0)}), curve=cs.ExactPoly())
+
+
+def assert_isolates(point, square_free, root):
+    # an irrational point: a simple root of square_free changes its sign
+    # across the narrow interval, which holds root
+    lo, hi = point.interval
+    assert not point.is_rational and 0 < hi - lo <= F(1, 2 ** 46)
+    assert _poly_eval(square_free, lo) * _poly_eval(square_free, hi) < 0
+    assert point.approx == pytest.approx(root, rel=1e-13)
+
+
+def test_real_roots_of_a_double_factor():
+    pts = _real_roots(times(X2_2, X2_2))
+    assert len(pts) == 2
+    assert_isolates(pts[0], X2_2, -math.sqrt(2))
+    assert_isolates(pts[1], X2_2, math.sqrt(2))
+
+
+def test_real_roots_close_together():
+    p = [F("-2e-12"), F(0), F(1)]
+    pts = _real_roots(p)
+    assert len(pts) == 2
+    assert_isolates(pts[0], p, -math.sqrt(2e-12))
+    assert_isolates(pts[1], p, math.sqrt(2e-12))
+
+
+def test_real_roots_rational_and_irrational():
+    pts = _real_roots(times([F(-1), F(3)], X2_2))
+    assert [p.value for p in pts] == [None, F(1, 3), None]
+    assert_isolates(pts[0], X2_2, -math.sqrt(2))
+    assert_isolates(pts[2], X2_2, math.sqrt(2))
+
+
+def test_real_roots_rational_with_a_large_denominator():
+    # lead = 98765431 > 2^23: narrowing to 2^-46 alone leaves fractions
+    # nearer the midpoint than the root, so the width also falls below 1/(2 lead^2)
+    root = F(12345678, 98765431)
+    pts = _real_roots(times([-root, F(1)], X2_2))
+    assert [p.value for p in pts] == [None, root, None]
+
+
+def test_real_roots_irrational_next_to_a_rational_one():
+    # x^4 - 2(10x - 1)^2 (Mignotte) has two irrational roots within 7.1e-4
+    # of 1/10, which is the nearest fraction with denominator <= 10 to both
+    mignotte = [F(-2), F(40), F(-200), F(0), F(1)]
+    pts = _real_roots(times([F(-1), F(10)], mignotte))
+    assert [p.value for p in pts] == [None, None, F(1, 10), None, None]
+    for p in pts[1], pts[3]:
+        lo, hi = p.interval
+        assert abs(p.approx - 0.1) < 7.2e-4
+        assert _poly_eval(mignotte, lo) * _poly_eval(mignotte, hi) < 0
+
+
+def test_real_roots_of_a_linear_square_free_part():
+    # (7x - 2)^2: the square-free part 7x - 2 gives its root in closed form
+    assert [p.value for p in _real_roots(times([F(-2), F(7)], [F(-2), F(7)]))] == [F(2, 7)]
+    assert _real_roots([F(3)]) == [] and _real_roots([F(1), F(0), F(1)]) == []
+
+
+def test_divisor_critical_points_with_close_roots():
+    st = divisor_state(times(X2_2, [F("-2.0000001"), F(0), F(1)]), times(X2_2, [F(3), F(1)]))
+    pts = cs.divisor_critical_points(st)
+    assert len(pts) == 2
+    assert_isolates(pts[0], X2_2, -math.sqrt(2))
+    assert_isolates(pts[1], X2_2, math.sqrt(2))
+
+
+def test_divisor_critical_points_are_exactly_common():
+    x2_3 = [F(-3), F(0), F(1)]
+    st = divisor_state(times(X2_2, x2_3), times([F("-2.0000001"), F(0), F(1)], x2_3))
+    pts = cs.divisor_critical_points(st)
+    assert len(pts) == 2
+    assert_isolates(pts[0], x2_3, -math.sqrt(3))
+    assert_isolates(pts[1], x2_3, math.sqrt(3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import types
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cuspsoliton as cs
+from cuspsoliton.blowup import _poly_eval
 
 
 def test_dRdt_at_cusp_soliton_state():
@@ -250,6 +256,23 @@ def test_barrier_bracket_inside_bisected_scans(sep):
         else:
             hi = mid
     assert lo < blo < bhi < hi
+
+
+def test_barrier_bracket_holds_t_b_exactly():
+    # P(s) changes sign from + to - across the bracket, s = t + 1, in Fractions
+    lo, hi = cs.evolution._t_b_bracket()
+    P = cs.evolution._PSI_DISC
+    assert _poly_eval(P, Fraction(lo) + 1) > 0 > _poly_eval(P, Fraction(hi) + 1)
+    assert 0.0 < hi - lo < 2e-14
+
+
+def test_barrier_bracket_is_built_on_first_use():
+    code = "from cuspsoliton import evolution\nprint(evolution._t_b_bracket.cache_info().currsize)"
+    src = str(Path(cs.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0"
 
 
 def test_barrier_threshold_is_a_tangency(sep):

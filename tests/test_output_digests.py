@@ -2,8 +2,9 @@
 in csv and in plot format, the manifest aside, and the stepper's counters.
 
 The digests were recorded on x86-64 with numpy 2.4.6 (the orbit-derived
-files once the cusp end became the unstable manifold's series, the others
-at commit 72e7dc3), and they pin that platform: the libm and numpy of
+files once the cusp end became the unstable manifold's series, delta.json
+once t_b was isolated by Sturm sequence, the others at commit 72e7dc3),
+and they pin that platform: the libm and numpy of
 another may move last bits.  A deliberate change of any output edits
 these tables.
 """
@@ -29,7 +30,7 @@ _REPORTS = {
     "crossings.json":
         "94ccd8c2abe3c966db64b08b040b40398199d5a3ae7dbd104e2311743dcf26df",
     "delta.json":
-        "ff381d837981930647b0a55b4e6c5695c203a3268a798020ce167396eb7657fb",
+        "4127044d0e4754bf62656139aef4468d3f6087097a9b6ab52e7c4fa0d0ea14d2",
     "identities.json":
         "c06de7407fb6f2090d26357daa8cb9075f507183ce34b9482e50c1d0b6cf5d04",
     "psi_scans.json":

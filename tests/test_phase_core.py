@@ -122,6 +122,15 @@ def test_integrate_stationary_at_saddle():
     assert traj.termination == "r_end"
 
 
+def test_integrate_keeps_a_given_sigma():
+    ctl = cs.IntegratorControls(r_max=2.0)
+    two = cs.integrate((0.3, -0.4), 0.0, ctl)
+    three = cs.integrate((0.3, -0.4, two.sigma[0]), 0.0, ctl)
+    assert np.array_equal(three.sigma, two.sigma) and np.array_equal(three.H, two.H)
+    moved = cs.integrate((0.3, -0.4, two.sigma[0] + 1e-3), 0.0, ctl)
+    assert moved.sigma[0] == two.sigma[0] + 1e-3
+
+
 def test_integrate_offset_enters_lower_region():
     delta = 1e-8
     start = (0.5 - delta, -delta * (3 + SQRT5))
