@@ -81,12 +81,17 @@ class RunConfig:
         )
 
 
-_TUPLE_KEYS = {"t_values", "history_anchors_F"}
-_COUNT_KEYS = ("barrier_samples", "psi_points", "t_grid_n", "history_points", "table_rows")
+def _psi_table_name(t: float) -> str:
+    """The name of the Psi table at flow time t: psi_t_{t:+.3f}, with +, -, . as p, m, _."""
+    return f"psi_t_{t:+.3f}".replace("+", "p").replace("-", "m").replace(".", "_")
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Parse a flat key=value file; unknown keys are rejected."""
+    """Parse a flat key=value file; unknown keys are rejected.
+
+    A key takes the type of its default: a tuple is a comma-separated float
+    list, and an int is a count of at least 1.
+    """
     known = {f.name: f.type for f in fields(RunConfig)}
     data: dict = {}
     if path:
@@ -104,7 +109,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     for key, val in data.items():
         cur = getattr(cfg, key)
         try:
-            if key in _TUPLE_KEYS:
+            if isinstance(cur, tuple):
                 parsed = tuple(float(v) for v in val.split(",") if v.strip())
             elif isinstance(cur, int):
                 parsed = int(val)
@@ -121,6 +126,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown format {cfg.format!r}")
     if any(t <= -1.0 for t in cfg.t_values):
         raise ConfigError("t_values must satisfy t > -1")
+    names = [_psi_table_name(t) for t in cfg.t_values]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"t_values must differ in their psi table names, got {names}")
     if any(cfg.y_floor >= -1.0 / np.sqrt(t + 1.0) for t in cfg.t_values):
         raise ConfigError("y_floor must lie below the Psi branch end -1/sqrt(t+1) "
                           "of every t in t_values")
@@ -128,9 +136,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("t_grid bounds must satisfy -1 < min < max < 0")
     if not cfg.history_t_max > -1.0:
         raise ConfigError("history_t_max must satisfy t > -1")
-    for key in _COUNT_KEYS:
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1")
+    for f in fields(RunConfig):
+        if isinstance(f.default, int) and getattr(cfg, f.name) < 1:
+            raise ConfigError(f"{f.name} must be at least 1")
     try:
         cfg.shoot_config()
     except ValueError as exc:
@@ -416,8 +424,7 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
             "tail_match": sc.tail_match,
         })
         if em.fmt != "json":
-            em.table(f"psi_t_{t:+.3f}".replace("+", "p").replace("-", "m")
-                     .replace(".", "_"), ["y", "psi"], [sc.y, sc.values])
+            em.table(_psi_table_name(t), ["y", "psi"], [sc.y, sc.values])
     em.report("psi_scans", scans)
 
     tg = np.linspace(cfg.t_grid_min, cfg.t_grid_max, cfg.t_grid_n)

@@ -200,10 +200,10 @@ def _check_ab(r, A, B):
                                    f"it fails at r = {r[np.argmax(bad)]:.6g}")
 
 
-def _sstar_slope(H, F, sig, eps):
+def _sstar_slope(H, F, sig):
     """A B' - A' B, of the sign of ds*/dr (s* = -A/B), with H', F' from the
     field and sigma' = (F - H) sigma - H^3."""
-    dH, dF = _field(H, F, 0.5 * eps)
+    dH, dF = _field(H, F, 0.5)
     A, B = _ab(H, F, sig)
     dA = 2.0 * (dH * F + H * dF - H * dH)
     dB = 4.0 * F * dF * sig + 2.0 * F ** 2 * ((F - H) * sig - H ** 3)
@@ -226,6 +226,7 @@ class CrossingReport:
 
 
 _CERT_STEP = 5e-3         # grid step of the slope certificate on integrated legs
+_CROSSING_XTOL = 1e-9     # r-resolution of each crossing's Brent root
 
 
 class _SStar:
@@ -251,13 +252,13 @@ class _SStar:
         if self.q and min(self.q) <= 0.0:
             raise IntegrationError(f"s* rises past r = {r_end:.6g} only if (1 - s*)/Y^4 "
                                    f"has positive coefficients; the germ's do not")
-        up = _sstar_slope(*states, traj.eps) > 0.0
+        up = _sstar_slope(*states) > 0.0
         turns = np.nonzero(up[1:] != up[:-1])[0]
         if turns.size > 1 or (turns.size and up[0]):
             raise IntegrationError(f"s* = A/|B| must fall, then rise: ds*/dr turns from + to "
                                    f"- at r = {r[turns[0 if up[0] else 1] + 1]:.6g}")
         if turns.size:
-            slope = lambda rr: _sstar_slope(*traj.state_at(rr).tolist(), traj.eps)
+            slope = lambda rr: _sstar_slope(*traj.state_at(rr).tolist())
             self.r_min = brent(slope, r[turns[0]].item(), r[turns[0] + 1].item(), xtol=1e-12)
         else:
             self.r_min = float(r[0] if up[0] else r_end)
@@ -273,7 +274,7 @@ class _SStar:
         a, b = _ab(H, F, sig)
         return -a / b
 
-    def report(self, traj: Trajectory, t: float, xtol: float = 1e-9) -> CrossingReport:
+    def report(self, traj: Trajectory, t: float) -> CrossingReport:
         """One Brent root of s* - (t+1) on each monotone branch straddling it."""
         s, ends = t + 1.0, self.ends
         gaps = [v - s for v in self.at_ends]
@@ -281,7 +282,8 @@ class _SStar:
         for lo, hi, g_lo, g_hi in zip(ends, ends[1:], gaps, gaps[1:]):
             if g_lo * g_hi < 0.0:
                 try:
-                    rc = brent(lambda rr: self(traj, rr) - s, lo, hi, xtol=xtol, rtol=1e-15)
+                    rc = brent(lambda rr: self(traj, rr) - s, lo, hi, xtol=_CROSSING_XTOL,
+                               rtol=1e-15)
                 except ValueError as exc:
                     raise IntegrationError(f"C_t at t = {t} changes sign on "
                                            f"[{lo!r}, {hi!r}] but the root search failed: "
@@ -291,24 +293,24 @@ class _SStar:
         return CrossingReport(t, crossings, pattern, self.points)
 
 
-def crossing_scan(traj: Trajectory, t_values, xtol: float = 1e-9) -> list[CrossingReport]:
+def crossing_scan(traj: Trajectory, t_values) -> list[CrossingReport]:
     """Sign changes of C_t along ``traj`` at each of ``t_values``.
 
     On the orbit C_t = |B| (s* - (t+1)) with s* = A/|B| free of t, so one
     certificate (``_SStar``), built once per orbit, serves every t, and
-    each crossing is one Brent root of s* = t + 1 to r-resolution
-    ``xtol`` on a monotone branch: none for t < t*, two for t* < t < 0
+    each crossing is one Brent root of s* = t + 1 to r-resolution 1e-9
+    on a monotone branch: none for t < t*, two for t* < t < 0
     (one if the orbit ends before the second), one for t >= 0.  A failed
     certificate or refinement raises ``IntegrationError``.
     """
     t_values = [_check_t(t) for t in t_values]
     sstar = traj._per_orbit(_SStar)
-    return [sstar.report(traj, t, xtol) for t in t_values]
+    return [sstar.report(traj, t) for t in t_values]
 
 
-def find_crossings(traj: Trajectory, t: float, xtol: float = 1e-9) -> CrossingReport:
+def find_crossings(traj: Trajectory, t: float) -> CrossingReport:
     """Sign changes of C_t along ``traj`` at one t (see ``crossing_scan``)."""
-    return crossing_scan(traj, [t], xtol)[0]
+    return crossing_scan(traj, [t])[0]
 
 
 @dataclass
@@ -419,7 +421,7 @@ def _flow_time(traj: Trajectory):
     w, F = 1.0 + T.cum[::-1], traj.F[::-1]
     tau, r = np.log1p(T.cum[::-1]), traj.r[::-1]
     d1 = w * F
-    d2 = d1 + w * d1 * _field(traj.H[::-1], F, 0.5 * traj.eps)[1]
+    d2 = d1 + w * d1 * _field(traj.H[::-1], F, 0.5)[1]
     h = np.diff(tau)
     c1, c2 = h * d1[:-1], 0.5 * h * h * d2[:-1]
     # p(u) = sum c_k u^k on [0, 1] matches r, r', r'' at both ends

@@ -177,8 +177,6 @@ def curvatures(traj: Trajectory, r=None) -> CurvatureTable:
     transported curvature state, which keeps full relative accuracy where
     the direct expressions in (H, H') cancel.
     """
-    if traj.eps != 1:
-        raise ValueError("curvature formulas assume the expanding normalization")
     if r is None:
         rr, H, F, sig = traj.r, traj.H, traj.F, traj.sigma
     else:
@@ -279,15 +277,17 @@ class AsymptoticsReport:
 
 
 def check_asymptotics(traj: Trajectory, profile: MetricProfile,
-                      r_cusp: float = -30.0, r_flat: float = 500.0,
-                      trend_points: int = 9) -> tuple[AsymptoticsReport, AsymptoticsReport]:
+                      r_cusp: float = -30.0, r_flat: float = 500.0
+                      ) -> tuple[AsymptoticsReport, AsymptoticsReport]:
     """Measure the asymptotic laws at both ends of the separatrix.
 
     Cusp end: h ~ r/2, f -> f0, and the deviations decay along the saddle
     eigendirection, so (f - f0)/(h - r/2 - c1) tends to the eigenvector
     slope 3 + sqrt5 (its reciprocal is reported as well); |F| decays like
     e^{alpha r}.  Flat end: H ~ 1/r, F ~ -r/2, HF -> -1/2, F' -> -1/2,
-    h ~ ln r, f ~ -r^2/4, H/F -> 0.
+    h ~ ln r, f ~ -r^2/4, H/F -> 0; the H r trend is read at 9 points of
+    [r_hi/10, r_hi].  A probe outside [r_lo, r_hi] marks that end's probed
+    entries not ok, "insufficient range".
     """
     if profile.cusp_h_offset is None:
         raise ValueError("asymptotics need a separatrix profile")
@@ -296,7 +296,7 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
     def cusp_entry(name, r_at, measured, target, ok=True, note=""):
         entries_c.append(RatioEntry(name, r_at, measured, target, ok, note))
 
-    if r_cusp < traj.r_lo:
+    if not traj.r_lo <= r_cusp <= traj.r_hi:
         for name, tgt in (("h_over_half_r", 1.0),
                           ("f_dev_over_h_dev", SLOPE_UNSTABLE),
                           ("h_dev_over_f_dev", 1.0 / SLOPE_UNSTABLE)):
@@ -327,7 +327,7 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
         entries_f.append(RatioEntry(name, r_at, measured, target, ok, note))
 
     r_hi = traj.r_hi
-    if r_flat > r_hi:
+    if not traj.r_lo <= r_flat <= r_hi:
         for name, tgt in (("H_times_r", 1.0), ("HF", -0.5), ("F_prime", -0.5),
                           ("F_over_neg_half_r", 1.0)):
             flat_entry(name, r_flat, math.nan, tgt, ok=False,
@@ -339,7 +339,7 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
         flat_entry("HF", r_flat, float(Hp * Fp), -0.5)
         flat_entry("F_prime", r_flat, float(vector_field((Hp, Fp)).dF), -0.5)
         flat_entry("F_over_neg_half_r", r_flat, float(Fp / (-r_flat / 2.0)), 1.0)
-        rg = np.geomspace(r_hi / 10.0, r_hi, trend_points)
+        rg = np.geomspace(r_hi / 10.0, r_hi, 9)
         Hg = traj.state_at(rg)[0]
         trend = {"trend_r": rg, "trend_H_times_r_minus_1": np.abs(Hg * rg - 1.0)}
 

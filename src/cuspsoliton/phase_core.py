@@ -32,8 +32,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from typing import Callable, NamedTuple
+from functools import cache, cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -271,6 +271,7 @@ class _Leg:
                                    self.y_old[:, seg].tolist(), self.F[:, :, seg].tolist()))
 
 
+@cache
 def _germ_series(n: int):
     """Exact series in Y^2 of H/Y, sigma/Y^4, Y R(Y) and (1 - s*)/Y^4 along the germ.
 
@@ -302,9 +303,6 @@ def _germ_series(n: int):
             [ek / (2 * k - 1) for k, ek in enumerate(e)], q)
 
 
-_GERM = _germ_series(20)
-
-
 def _horner(coeffs, x):
     return reduce(lambda acc, a: acc * x + a, coeffs)
 
@@ -328,8 +326,9 @@ class _CuspLeg:
     shift: float = 0.0
 
     @classmethod
-    def at(cls, theta: float, n: int = 12) -> "_CuspLeg":
-        """n terms through theta at r = 0; stats has the first omitted term."""
+    def at(cls, theta: float) -> "_CuspLeg":
+        """12 terms through theta at r = 0; stats has the first omitted term."""
+        n = 12
         xs, ys = [0.0, 1.0], [0.0, SLOPE_UNSTABLE]
         for k in range(2, n + 2):
             xy, xx = (sum(xs[i] * v[k - i] for i in range(1, k)) for v in (ys, xs))
@@ -345,7 +344,7 @@ class _CuspLeg:
         """States (3, ...) at calibrated ``r``, one point as the array pass."""
         th = self.theta * np.exp(EIGENVALUE_UNSTABLE * (np.asarray(r, dtype=float) - self.r_hi))
         x, y = (th * _horner(ser, th) for ser in self.series)
-        return np.array(_start(0.5 + x, y, 1))
+        return np.array(_start(0.5 + x, y))
 
     def tails(self, r: float) -> tuple:
         """int_{-inf}^r of H - 1/2 and of F: sum_k p_k theta^k / (k lambda)."""
@@ -373,7 +372,7 @@ class _GermLeg:
         """The germ through F_join at r_join; a series ends before its first
         nonzero term below 1e-17 of its partial sum there."""
         y, cut = -1.0 / F_join, []
-        for ser in _GERM:
+        for ser in _germ_series(20):
             t = [float(a) * (y * y) ** k for k, a in enumerate(ser)]
             n = next(k for k in range(1, len(t)) if t[k] and abs(t[k]) < 1e-17 * abs(sum(t[:k])))
             cut.append([float(a) for a in ser[n - 1::-1]])
@@ -413,9 +412,7 @@ class Trajectory:
     H: np.ndarray
     F: np.ndarray
     sigma: np.ndarray
-    eps: int
     rel_tol: float
-    abs_tol: float
     termination: str
     legs: tuple[_CuspLeg | _Leg | _GermLeg, ...]
     meta: dict = field(default_factory=dict)
@@ -498,9 +495,9 @@ class Trajectory:
                      self.r[i].item(), self.r[i + 1].item(), xtol=1e-12, rtol=1e-15)
 
 
-def _start(H: float, F: float, eps: int) -> tuple:
+def _start(H: float, F: float) -> tuple:
     """(H, F, sigma) at a phase point, sigma = -(H' + H^2) with _field's H'."""
-    return H, F, -(_field(H, F, 0.5 * eps)[0] + H * H)
+    return H, F, -(_field(H, F, 0.5)[0] + H * H)
 
 
 def _cube(H):
@@ -509,14 +506,11 @@ def _cube(H):
     return H ** 3 if isinstance(H, float) else np.array([x ** 3 for x in H.tolist()])
 
 
-def _make_rhs(eps: int) -> Callable:
-    half = 0.5 * eps
-
-    def rhs(r, y):
-        H, F, sig = y
-        dH, dF = _field(H, F, half)
-        return dH, dF, (F - H) * sig - _cube(H)
-    return rhs
+def _rhs(r, y):
+    """(H', F', sigma') of the expanding system, the integrator's right-hand side."""
+    H, F, sig = y
+    dH, dF = _field(H, F, 0.5)
+    return dH, dF, (F - H) * sig - _cube(H)
 
 
 def _atol(abs_tol: float) -> tuple:
@@ -526,15 +520,14 @@ def _atol(abs_tol: float) -> tuple:
 
 
 def integrate(start, r0: float, controls: IntegratorControls,
-              eps: int = 1, direction: str = "forward") -> Trajectory:
-    """Integrate the system from ``start`` at r = r0.
+              direction: str = "forward") -> Trajectory:
+    """Integrate the expanding (eps = +1) system from ``start`` at r = r0.
 
     ``start`` is (H, F, sigma), or (H, F) with sigma = -(H' + H^2) from
     them.  Forward runs extend to ``controls.r_max``, backward runs to
     ``controls.r_min``; a stop predicate (H floor, |F| ceiling) may end the
     run earlier, and the reason is recorded in ``termination``.
     """
-    _check_eps(eps)
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     r_end = controls.r_max if direction == "forward" else controls.r_min
@@ -550,7 +543,7 @@ def integrate(start, r0: float, controls: IntegratorControls,
         events.append(("f_ceiling", lambda r, y: abs(y[1]) - controls.f_ceiling, 1))
 
     start = tuple(map(float, start))
-    run = Dop853(_make_rhs(eps), r0, start if len(start) == 3 else _start(*start, eps), r_end,
+    run = Dop853(_rhs, r0, start if len(start) == 3 else _start(*start), r_end,
                  controls.rel_tol, _atol(controls.abs_tol))
     termination = None
     while termination is None:
@@ -568,7 +561,6 @@ def integrate(start, r0: float, controls: IntegratorControls,
         ts, ys = ts[::-1], ys[:, ::-1]
     return Trajectory(
         r=ts.copy(), H=ys[0].copy(), F=ys[1].copy(), sigma=ys[2].copy(),
-        eps=eps, rel_tol=controls.rel_tol, abs_tol=controls.abs_tol,
-        termination=termination, legs=(leg,),
+        rel_tol=controls.rel_tol, termination=termination, legs=(leg,),
         meta={"r0": r0, "direction": direction},
     )

@@ -20,7 +20,7 @@ import numpy as np
 from ._numerics import Dop853, brent
 from .phase_core import (
     EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, IntegratorControls, Trajectory,
-    _atol, _CuspLeg, _GermLeg, _Leg, _make_rhs,
+    _atol, _CuspLeg, _GermLeg, _Leg, _rhs,
 )
 
 # The transversal contraction rate along the orbit grows like r/2, which
@@ -116,7 +116,6 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     cusp = _CuspLeg.at(-cfg.offset / math.hypot(1.0, SLOPE_UNSTABLE))
     if (cut := cusp.stats["truncation"]) > 1e-16:
         raise ShootError(f"the cusp series is truncated by {cut:.1e} at the start; check offset")
-    rhs = _make_rhs(1)
     h_floor = 0.0 if ctl.h_floor is None else ctl.h_floor
     out_hi = lambda r, y: y[0] - 0.5
     out_lo = lambda r, y: y[0] - h_floor
@@ -124,7 +123,7 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
 
     # until F = -1 at raw r*, the bound is a search limit; then it is the
     # calibrated extent or the germ join
-    fwd = Dop853(rhs, 0.0, cusp(0.0).tolist(), 1e4, ctl.rel_tol, _atol(ctl.abs_tol))
+    fwd = Dop853(_rhs, 0.0, cusp(0.0).tolist(), 1e4, ctl.rel_tol, _atol(ctl.abs_tol))
     r_star, termination = None, "r_max"
     while not fwd.done:
         fwd.step()
@@ -166,8 +165,7 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
         r, y = np.append(r, nodes), np.concatenate([y, germ(nodes)], axis=1)
     traj = Trajectory(
         r=r, H=y[0].copy(), F=y[1].copy(), sigma=y[2].copy(),
-        eps=1, rel_tol=ctl.rel_tol, abs_tol=ctl.abs_tol,
-        termination=termination, legs=tuple(legs), meta=meta,
+        rel_tol=ctl.rel_tol, termination=termination, legs=tuple(legs), meta=meta,
     )
     if np.any(traj.H <= 0.0) or np.any(traj.H >= 0.5):
         raise ShootError("computed samples left the band 0 < H < 1/2")

@@ -413,7 +413,7 @@ GERM_DIGITS = [
 
 @pytest.mark.parametrize("s_value", [None, F(1)], ids=["generic", "t0"])
 def test_field_walk_has_one_rational_critical_point(s_value):
-    # blow up the field past separation, up to run_sequence's max_steps:
+    # blow up the field past separation, up to run_sequence's 24 blow-ups:
     # the tracked critical point is forced at every step it may reach
     st = cs.chart_to_infinity(s_value)
     translations = []
@@ -429,7 +429,7 @@ def test_field_walk_has_one_rational_critical_point(s_value):
 
 def test_germ_series_has_the_blowup_digits():
     # the orbit's far field is served from the same germ the walk proves
-    assert [(2 * k, a) for k, a in enumerate(cs.phase_core._GERM[0], 1)][:12] == GERM_DIGITS
+    assert [(2 * k, a) for k, a in enumerate(cs.phase_core._germ_series(20)[0], 1)][:12] == GERM_DIGITS
 
 
 def test_run_sequence_takes_no_orbit():

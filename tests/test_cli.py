@@ -76,6 +76,20 @@ def test_asymptotics_command_and_range_warning(tmp_path):
     assert {type(e["ok"]) for end in ("cusp", "flat") for e in rep[end]["entries"]} == {bool}
 
 
+@pytest.mark.parametrize("line, end", [("r_cusp_probe = 3000", "cusp"),
+                                       ("r_flat_probe = -40", "flat")])
+def test_asymptotics_probe_past_the_far_end(tmp_path, line, end):
+    # a probe beyond either end of the orbit is insufficient range, not a
+    # numeric failure: exit 4 with the report written
+    cfgfile = tmp_path / "probe.cfg"
+    cfgfile.write_text(line + "\n")
+    assert main(["asymptotics", "--config", str(cfgfile),
+                 "--out", str(tmp_path), "--quiet"]) == 4
+    rep = json.loads((tmp_path / "asymptotics.json").read_text())
+    assert any(e["note"] == "insufficient range" for e in rep[end]["entries"])
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == 4
+
+
 def test_json_writes_bools_as_bools():
     # bool is an int subclass, so it is caught before the int case
     out = cli._jsonable({"a": True, "b": [np.bool_(False), 1, np.int64(2)], "c": (1.5,)})
@@ -229,6 +243,25 @@ def test_small_saddle_ball_shoots(tmp_path):
     assert main(["separatrix", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
     H = np.loadtxt(tmp_path / "separatrix.csv", delimiter=",", skiprows=1)[0, 1]
     assert 0.5 - H == pytest.approx(1e-10 / math.hypot(1.0, cs.SLOPE_UNSTABLE), rel=1e-5)
+
+
+def test_config_psi_table_name_clash_rejected(tmp_path, capsys):
+    # both flow times round to psi_t_m0_700: one table would overwrite the other
+    assert main(["evolve", "--t", "-0.7001", "--t", "-0.7002", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "psi_t_m0_700" in err and "Traceback" not in err
+
+
+def test_import_builds_no_series():
+    # exact series and tables are built on first use, not at import
+    code = ("import cuspsoliton.cli\nfrom cuspsoliton import evolution, phase_core\n"
+            "print(phase_core._germ_series.cache_info().currsize, "
+            "evolution._t_b_bracket.cache_info().currsize)")
+    src = str(Path(cs.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "0"]
 
 
 def test_config_invalid_controls_rejected(tmp_path):

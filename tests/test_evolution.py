@@ -471,8 +471,8 @@ def test_exact_crossing_picture(sep):
 
 def test_sstar_germ_series_is_positive(sep):
     from fractions import Fraction
-    from cuspsoliton.phase_core import _GERM
-    q = _GERM[3]
+    from cuspsoliton.phase_core import _germ_series
+    q = _germ_series(20)[3]
     assert q[:4] == [1, Fraction(9, 4), Fraction(21, 2), Fraction(921, 16)]
     assert all(c > 0 for c in q)
     kept = sep.legs[-1].series[3]         # cut at the join, highest power first
@@ -527,8 +527,8 @@ def test_sstar_certificate_rejects_a_second_turn(sep, monkeypatch):
     from cuspsoliton import evolution
     slope = evolution._sstar_slope
     # a slope that turns negative again where F < -5 (r ~ 8)
-    monkeypatch.setattr(evolution, "_sstar_slope", lambda H, F, sig, eps:
-                        np.where(F < -5.0, -1.0, 1.0) * slope(H, F, sig, eps))
+    monkeypatch.setattr(evolution, "_sstar_slope", lambda H, F, sig:
+                        np.where(F < -5.0, -1.0, 1.0) * slope(H, F, sig))
     with pytest.raises(cs.IntegrationError, match=r"turns from \+ to - at r = 8\."):
         cs.find_crossings(replace(sep), 0.0)
 

@@ -7,7 +7,7 @@ import pytest
 
 import cuspsoliton as cs
 from cuspsoliton.blowup import BASE_P, BASE_Q, CURVE_XY
-from cuspsoliton.phase_core import _CuspLeg, _GermLeg, _Leg, _make_rhs
+from cuspsoliton.phase_core import _CuspLeg, _GermLeg, _Leg, _rhs
 
 SQRT5 = math.sqrt(5.0)
 
@@ -198,7 +198,7 @@ def test_sigma_start_is_correctly_rounded():
     from cuspsoliton.phase_core import _start
     u = np.array([1.0, cs.SLOPE_UNSTABLE])
     H, F = (np.array([0.5, 0.0]) - 1e-8 * u / np.linalg.norm(u)).tolist()
-    sigma = _start(H, F, 1)[2]
+    sigma = _start(H, F)[2]
     assert sigma == float(-(Fraction(H) * Fraction(F) - Fraction(H) ** 2 + Fraction(1, 2)))
 
 
@@ -352,10 +352,9 @@ def test_dense_pieces_built_after_the_run_equal_the_on_demand_ones(monkeypatch):
 def test_array_rhs_cubes_as_the_scalar_rhs():
     # sigma' = (F - H) sigma - H^3: numpy's power can differ from libm's pow
     # in the last bit, so the array pass cubes per element as Python does
-    rhs = _make_rhs(1)
     y = np.random.default_rng(853).uniform(-3.0, 3.0, (3, 200000))
-    want = np.array([rhs(0.0, v) for v in zip(*y.tolist())]).T
-    assert np.array(rhs(0.0, tuple(y))).tobytes() == want.tobytes()
+    want = np.array([_rhs(0.0, v) for v in zip(*y.tolist())]).T
+    assert np.array(_rhs(0.0, tuple(y))).tobytes() == want.tobytes()
 
 
 def test_trajectories_compare_by_identity(sep):
