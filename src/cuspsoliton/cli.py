@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -217,8 +218,8 @@ def write_dat(path: Path, col_a, col_b) -> None:
 def _jsonable(obj):
     if isinstance(obj, (bool, np.bool_)):      # before int: bool is an int subclass
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
+    if isinstance(obj, (np.floating, float)):       # strict JSON: NaN, +-inf as null
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -234,7 +235,7 @@ def _jsonable(obj):
 
 def write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -402,7 +403,7 @@ def cmd_asymptotics(session: _Session, em: Emitter) -> int:
         cusp.entry("f_dev_over_h_dev").measured,
         cusp.entry("f_dev_over_h_dev").target))
     if insufficient:
-        em.note("asymptotics: some probes outside the computed range")
+        em.note("asymptotics: some probes outside the computed range or at r = 0")
         return EXIT_RANGE
     return EXIT_OK
 

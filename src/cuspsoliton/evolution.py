@@ -109,16 +109,18 @@ def ct_branch_x(y, t: float):
     end = _branch_domain_end(t)
     if np.any(y > end + 1e-12):
         raise ValueError(f"branch domain is y <= {end}")
+    sy2 = s * y ** 2
     A = 2.0 * s * y ** 2 - 1.0
-    halfB = y * (1.0 - s * y ** 2)         # >= 0 on the domain
-    C0 = 1.0 - s * y ** 2                  # <= 0 on the domain
+    halfB = y * (1.0 - sy2)                # >= 0 on the domain
+    C0 = 1.0 - sy2                         # <= 0 on the domain
     rad = np.sqrt(np.maximum(halfB ** 2 - A * C0, 0.0))
     q = -(halfB + rad)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(q != 0.0, C0 / np.where(q != 0.0, q, 1.0), 0.0)
     for _ in range(2):
-        val = Ct(x, y, t)
-        dv = grad_Ct(x, y, t)[0]
+        # Ct and the x-component of grad_Ct, in their operations
+        val = (2.0 * x * y - x ** 2 + 1.0) + sy2 * (-2.0 * x * y + 2.0 * x ** 2 - 1.0)
+        dv = 2.0 * y - 2.0 * x + sy2 * (-2.0 * y + 4.0 * x)
         step = np.where(dv != 0.0, val / np.where(dv != 0.0, dv, 1.0), 0.0)
         x = x - step
     return float(x[0]) if scalar else x
@@ -443,7 +445,7 @@ def _r_start(inverse, target: np.ndarray) -> np.ndarray:
     """
     tau, coef = inverse
     x = np.log1p(target)
-    i = np.clip(np.searchsorted(tau, x) - 1, 0, tau.size - 2)
+    i = np.minimum(np.maximum(np.searchsorted(tau, x) - 1, 0), tau.size - 2)
     return _horner(coef[:, i], (x - tau[i]) / (tau[i + 1] - tau[i]))
 
 

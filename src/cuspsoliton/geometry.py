@@ -73,7 +73,7 @@ class _Cumulative:
     def value_and_states(self, traj: Trajectory, r: np.ndarray):
         """``value_at`` the points ``r`` and the states (3, n) there, from one
         ``state_at`` call over the Gauss points and ``r`` together."""
-        idx = np.clip(np.searchsorted(self.nodes, r) - 1, 0, len(self.nodes) - 2)
+        idx = np.minimum(np.maximum(np.searchsorted(self.nodes, r) - 1, 0), len(self.nodes) - 2)
         a = self.nodes[idx]
         half = 0.5 * (r - a)
         pts = (a + half)[:, None] + half[:, None] * _GL_NODES
@@ -287,7 +287,8 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
     e^{alpha r}.  Flat end: H ~ 1/r, F ~ -r/2, HF -> -1/2, F' -> -1/2,
     h ~ ln r, f ~ -r^2/4, H/F -> 0; the H r trend is read at 9 points of
     [r_hi/10, r_hi].  A probe outside [r_lo, r_hi] marks that end's probed
-    entries not ok, "insufficient range".
+    entries not ok, "insufficient range"; a probe at r = 0 marks the entry
+    that divides by it not ok, "probe at r = 0".
     """
     if profile.cusp_h_offset is None:
         raise ValueError("asymptotics need a separatrix profile")
@@ -308,7 +309,8 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
         f_c = float(profile.f_at(r_cusp))
         h_dev = h_c - r_cusp / 2.0 - profile.cusp_h_offset
         f_dev = f_c - profile.f0
-        cusp_entry("h_over_half_r", r_cusp, h_c / (r_cusp / 2.0), 1.0)
+        cusp_entry("h_over_half_r", r_cusp, h_c / (r_cusp / 2.0) if r_cusp else math.nan, 1.0,
+                   ok=bool(r_cusp), note="" if r_cusp else "probe at r = 0")
         cusp_entry("f_dev_over_h_dev", r_cusp, f_dev / h_dev, SLOPE_UNSTABLE)
         cusp_entry("h_dev_over_f_dev", r_cusp, h_dev / f_dev, 1.0 / SLOPE_UNSTABLE)
         m = (traj.r >= r_cusp) & (traj.r <= r_cusp + 20.0) & (traj.F < 0)
@@ -338,7 +340,9 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
         flat_entry("H_times_r", r_flat, float(Hp * r_flat), 1.0)
         flat_entry("HF", r_flat, float(Hp * Fp), -0.5)
         flat_entry("F_prime", r_flat, float(vector_field((Hp, Fp)).dF), -0.5)
-        flat_entry("F_over_neg_half_r", r_flat, float(Fp / (-r_flat / 2.0)), 1.0)
+        flat_entry("F_over_neg_half_r", r_flat,
+                   float(Fp / (-r_flat / 2.0)) if r_flat else math.nan, 1.0,
+                   ok=bool(r_flat), note="" if r_flat else "probe at r = 0")
         rg = np.geomspace(r_hi / 10.0, r_hi, 9)
         Hg = traj.state_at(rg)[0]
         trend = {"trend_r": rg, "trend_H_times_r_minus_1": np.abs(Hg * rg - 1.0)}

@@ -245,7 +245,7 @@ class _Leg:
         ts, _, ascending = self._sorted
         t_old, h, y_old, F = self.t_old, self.h, self.y_old, self.F
         seg = np.searchsorted(ts, t, side="left" if ascending else "right") - 1
-        seg = np.clip(seg, 0, h.size - 1)
+        seg = np.minimum(np.maximum(seg, 0), h.size - 1)
         if not ascending:
             seg = h.size - 1 - seg
         x = (t - t_old[seg]) / h[seg]
@@ -447,19 +447,29 @@ class Trajectory:
         """Dense-output states (H, F, sigma) at ``r``; shape (3, n) or (3,).
 
         A point goes to the first leg with r <= its r_hi, the last leg takes
-        the rest.  DOP853 legs are evaluated in one pass over their gathered
-        pieces, bit-identical to ``OdeSolution``; series legs sum their
-        series.  One point takes the array pass's operations, in floats.
+        the rest; a NaN or infinite r raises ``OrbitRangeError``.  An array
+        whose min and max share a leg is one call of that leg, one that
+        straddles a join is split by leg.  DOP853 legs are evaluated in one
+        pass over their gathered pieces, bit-identical to ``OdeSolution``;
+        series legs sum their series.  One point takes the array pass's
+        operations, in floats.
         """
         if isinstance(r, float) or np.ndim(r) == 0:
             return self._state_at_point(float(r))
         rq = np.atleast_1d(np.asarray(r, dtype=float))
-        if rq.size and (rq.min() < self.r_lo - 1e-9 or rq.max() > self.r_hi + 1e-9):
+        if not rq.size:
+            return np.empty((3, 0))
+        lo, hi = rq.min(), rq.max()          # NaN if any point is NaN
+        if not (self.r_lo - 1e-9 <= lo and hi <= self.r_hi + 1e-9):
             raise OrbitRangeError(
-                f"r range [{rq.min()}, {rq.max()}] outside computed "
-                f"[{self.r_lo}, {self.r_hi}]")
+                f"r range [{lo}, {hi}] outside computed [{self.r_lo}, {self.r_hi}]")
+        ends = [leg.r_hi for leg in self.legs[:-1]]
+        i = bisect_left(ends, lo)
+        if i == bisect_left(ends, hi):
+            leg = self.legs[i]
+            return leg(rq + leg.shift)
         out = np.empty((3, rq.size))
-        which = np.searchsorted([leg.r_hi for leg in self.legs[:-1]], rq)
+        which = np.searchsorted(ends, rq)
         for i, leg in enumerate(self.legs):
             m = which == i
             if np.any(m):
@@ -469,7 +479,7 @@ class Trajectory:
     def _state_at_point(self, r: float) -> np.ndarray:
         # the array pass's range check and leg choice, by comparison
         r_lo, r_hi = self.r_lo, self.r_hi
-        if r < r_lo - 1e-9 or r > r_hi + 1e-9:
+        if not r_lo - 1e-9 <= r <= r_hi + 1e-9:
             raise OrbitRangeError(f"r range [{r}, {r}] outside computed [{r_lo}, {r_hi}]")
         leg = next((leg for leg in self.legs[:-1] if r <= leg.r_hi), self.legs[-1])
         return leg(r + leg.shift)

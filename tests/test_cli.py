@@ -90,6 +90,42 @@ def test_asymptotics_probe_past_the_far_end(tmp_path, line, end):
     assert json.loads((tmp_path / "manifest.json").read_text())["status"] == 4
 
 
+@pytest.mark.parametrize("line, end, name", [("r_cusp_probe = 0", "cusp", "h_over_half_r"),
+                                             ("r_flat_probe = 0", "flat", "F_over_neg_half_r")])
+def test_asymptotics_probe_at_zero(tmp_path, line, end, name):
+    # the one ratio that divides by the probe radius is not measured there:
+    # exit 4 with the report and the manifest written, the other entries ok
+    cfgfile = tmp_path / "probe.cfg"
+    cfgfile.write_text(line + "\n")
+    assert main(["asymptotics", "--config", str(cfgfile),
+                 "--out", str(tmp_path), "--quiet"]) == 4
+    rep = _strict_json(tmp_path / "asymptotics.json")
+    assert [(e["name"], e["measured"], e["note"]) for e in rep[end]["entries"]
+            if not e["ok"]] == [(name, None, "probe at r = 0")]
+    assert all(e["ok"] for e in rep["flat" if end == "cusp" else "cusp"]["entries"])
+    assert _strict_json(tmp_path / "manifest.json")["status"] == 4
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{constant} in {path.name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("line", ["r_cusp_probe = 3000", "r_max = 100"])
+def test_reports_are_strict_json(tmp_path, line):
+    # an unmeasured ratio is NaN in the report; JSON has no NaN, so it is null
+    cfgfile = tmp_path / "probe.cfg"
+    cfgfile.write_text(line + "\n")
+    assert main(["asymptotics", "--config", str(cfgfile),
+                 "--out", str(tmp_path), "--quiet"]) == 4
+    for path in tmp_path.glob("*.json"):
+        _strict_json(path)
+    rep = _strict_json(tmp_path / "asymptotics.json")
+    assert None in [e["measured"] for end in ("cusp", "flat") for e in rep[end]["entries"]]
+    assert cli._jsonable([np.nan, np.inf, -np.inf, np.float64(1.5)]) == [None, None, None, 1.5]
+
+
 def test_json_writes_bools_as_bools():
     # bool is an int subclass, so it is caught before the int case
     out = cli._jsonable({"a": True, "b": [np.bool_(False), 1, np.int64(2)], "c": (1.5,)})

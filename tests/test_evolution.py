@@ -104,6 +104,31 @@ def test_branch_regression_value():
     assert cs.ct_branch_x(-2.0, 10.0) == pytest.approx(0.224505582443577, abs=1e-12)
 
 
+def _branch_reference(y, t):
+    # the cancellation-free root, then two Newton steps through Ct and grad_Ct
+    s = t + 1.0
+    A = 2.0 * s * y ** 2 - 1.0
+    halfB = y * (1.0 - s * y ** 2)
+    C0 = 1.0 - s * y ** 2
+    q = -(halfB + np.sqrt(np.maximum(halfB ** 2 - A * C0, 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(q != 0.0, C0 / np.where(q != 0.0, q, 1.0), 0.0)
+    for _ in range(2):
+        val, dv = cs.Ct(x, y, t), cs.grad_Ct(x, y, t)[0]
+        x = x - np.where(dv != 0.0, val / np.where(dv != 0.0, dv, 1.0), 0.0)
+    return x
+
+
+def test_branch_polish_is_the_Ct_newton_step_bit_for_bit():
+    # ct_branch_x spells C_t and dC_t/dx out inline; on scan_psi's default
+    # grids it must give the bits of the polish through Ct and grad_Ct
+    for t in np.concatenate([np.geomspace(1e-4, 201.0, 48) - 1.0, [0.0, 200.0]]).tolist():
+        y = cs.scan_psi(t).y
+        got, ref = cs.ct_branch_x(y, t), _branch_reference(y, t)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), t
+        assert cs.ct_branch_x(float(y[7]), t) == ref[7]
+
+
 def test_branch_domain_error():
     with pytest.raises(ValueError):
         cs.ct_branch_x(-0.5, 0.0)

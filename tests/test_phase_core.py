@@ -314,6 +314,62 @@ def test_state_at_is_bit_identical_to_scipy(sep):
     _one_at_a_time(back, rq, -np.inf, np.inf)
 
 
+def _per_leg(traj, rq):
+    # reference: each point to the first leg with r <= its r_hi, else the
+    # last, and each leg called once on its own points
+    which = np.array([next((i for i, leg in enumerate(traj.legs[:-1]) if r <= leg.r_hi),
+                           len(traj.legs) - 1) for r in rq.tolist()])
+    out = np.empty((3, rq.size))
+    for i, leg in enumerate(traj.legs):
+        if np.any(which == i):
+            out[:, which == i] = leg(rq[which == i] + leg.shift)
+    return out, np.unique(which).size
+
+
+def test_state_at_calls_each_leg_once_per_array(sep, monkeypatch):
+    # an array within one leg is one call of that leg on the whole array; an
+    # array straddling a join is split by leg.  Either way the states equal
+    # the per-leg reference and the one-point path, bit for bit, and the
+    # result is the caller's own array
+    cusp, step, germ = sep.legs
+    cases = []
+    for lo, leg in zip((sep.r_lo - 5e-10, cusp.r_hi, step.r_hi), sep.legs):
+        hi = leg.r_hi if leg is not germ else sep.r_hi + 5e-10
+        inside = np.linspace(lo, hi, 301)[1 if leg is not cusp else 0:]
+        cases.append(("inside", inside))
+        cases += [("inside", np.array([v])) for v in (lo, hi, np.nextafter(hi, -np.inf))]
+    for join in (cusp.r_hi, step.r_hi):
+        near = np.array([np.nextafter(join, -np.inf), join, np.nextafter(join, np.inf)])
+        cases += [("inside", near[:2]), ("inside", near[2:]), ("across", near),
+                  ("across", near[::-1]), ("across", np.linspace(join - 1.0, join + 1.0, 41))]
+    cases.append(("across", np.concatenate([sep.dense_grid(2001), [sep.r_lo - 5e-10,
+                                                                 sep.r_hi + 5e-10]])))
+    calls = []
+    for leg_type in (_CuspLeg, _Leg, _GermLeg):
+        orig = leg_type.__call__
+        monkeypatch.setattr(leg_type, "__call__",
+                            lambda leg, r, orig=orig: calls.append(id(leg)) or orig(leg, r))
+    for kind, rq in cases:
+        calls.clear()
+        got = sep.state_at(rq)
+        called = list(calls)
+        ref, n_legs = _per_leg(sep, rq)
+        assert len(called) == len(set(called)) == n_legs, rq
+        assert (n_legs == 1) == (kind == "inside"), rq
+        assert np.array_equal(got, ref), rq
+        assert np.array_equal(got, np.stack([sep.state_at(float(r)) for r in rq], axis=1)), rq
+        got[:] = 0.0
+        assert np.array_equal(sep.state_at(rq), ref), rq
+
+
+@pytest.mark.parametrize("r", [[0.0, np.nan], np.nan, [np.inf], -np.inf, [0.0, -np.inf]])
+def test_state_at_rejects_non_finite_r(sep, r):
+    # a NaN or infinite r is outside the orbit on both paths; a NaN among
+    # finite points must not move them to another leg
+    with pytest.raises(cs.OrbitRangeError, match="outside computed"):
+        sep.state_at(np.array(r) if isinstance(r, list) else r)
+
+
 def test_dense_pieces_built_after_the_run_equal_the_on_demand_ones(monkeypatch):
     # dense_arrays builds every step's piece in one elementwise pass over
     # arrays; at, root and stop build the last step's in Python floats.
