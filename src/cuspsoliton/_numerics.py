@@ -97,7 +97,12 @@ _EXPONENT = -1.0 / 8.0          # the error estimate is of order 7
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive stepping failed (step-size underflow or non-finite state)."""
+    """Adaptive stepping failed (step-size underflow or non-finite state);
+    ``t`` is the solver time of the failure, when there is one."""
+
+    def __init__(self, msg: str, t: float | None = None):
+        super().__init__(msg if t is None else f"{msg} at t = {t!r}")
+        self.msg, self.t = msg, t
 
 
 # The stage, solution, error and dense sums as straight-line code, generated
@@ -156,43 +161,39 @@ def eval_piece(t: float, t_old: float, h: float, y_old, F) -> tuple:
 
 
 class Dop853:
-    """One DOP853 run of y' = rhs(t, y) for three states, advanced by ``step``.
+    """One forward DOP853 run of y' = rhs(t, y) for three states, by ``step`` or ``advance``.
 
     ``rhs(t, y)`` takes and returns 3-tuples of floats, or of arrays for
-    ``dense_arrays``; ``atol`` holds one tolerance per state.  Every accepted
-    step keeps its stages; its dense polynomial ``(t_old, h, y_old, F)`` is
-    built for all steps at once by ``dense_arrays``, and for the last step
-    alone by ``at``, ``root`` and ``stop``, which evaluate it, locate an event
-    on it and end the run inside it; ``t_bound`` may be moved between steps.
+    ``dense_arrays``; ``atol`` holds one tolerance per state; ``t_bound`` lies
+    above ``t0`` (a backward run steps the negated field) and may be moved
+    between steps.  Every accepted step keeps its stages; its dense
+    polynomial ``(t_old, h, y_old, F)`` is built for all steps at once by
+    ``dense_arrays``, and for the last step alone by ``at``, ``root`` and
+    ``stop``, which evaluate it, locate an event on it and end the run inside
+    it.  A non-finite start state or field raises ``IntegrationError``.
     """
 
     def __init__(self, rhs, t0: float, y0, t_bound: float, rtol: float, atol):
         self.rhs, self.rtol, self.atol = rhs, rtol, tuple(atol)
         self.t_bound = t_bound
-        self.direction = 1.0 if t_bound >= t0 else -1.0
         self.t, self.y = t0, tuple(y0)
         self.f = rhs(t0, self.y)
+        if not all(map(math.isfinite, self.y + self.f)):
+            raise IntegrationError("DOP853 start state or field not finite", t0)
         self.nfev, self.n_steps, self.n_rejected = 1, 0, 0
         self.h_abs = self._initial_step()
-        self.ts, self.ys = [t0], [self.y]
         self._steps = []        # per step: t_old, h, y_old, y_new, the 13 stages
         self._piece = (None, None)
 
-    @property
-    def done(self) -> bool:
-        return self.direction * (self.t - self.t_bound) >= 0.0
-
     def _initial_step(self) -> float:
         # Hairer, Nørsett & Wanner §II.4, as scipy's select_initial_step
-        t0, y0, f0, d = self.t, self.y, self.f, self.direction
-        span = abs(self.t_bound - t0)
-        if span == 0.0:
-            return 0.0
+        t0, y0, f0 = self.t, self.y, self.f
+        span = self.t_bound - t0
         scale = [a + abs(y) * self.rtol for a, y in zip(self.atol, y0)]
         d0 = _rms([y / s for y, s in zip(y0, scale)])
         d1 = _rms([f / s for f, s in zip(f0, scale)])
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-        f1 = self.rhs(t0 + h0 * d, tuple(y + h0 * d * f for y, f in zip(y0, f0)))
+        f1 = self.rhs(t0 + h0, tuple(y + h0 * f for y, f in zip(y0, f0)))
         self.nfev += 1
         d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -208,39 +209,34 @@ class Dop853:
         e3 = sum((v / s) ** 2 for v, s in zip(e3, scale))
         if e5 == 0.0 and e3 == 0.0:
             return 0.0
-        return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 3)
+        return h * e5 / math.sqrt((e5 + 0.01 * e3) * 3)
 
     def step(self) -> None:
         """One accepted step toward ``t_bound``."""
-        t, y, f, d = self.t, self.y, self.f, self.direction
-        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
-        h_abs, rejected = max(self.h_abs, min_step), False
+        t, y, f = self.t, self.y, self.f
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h, rejected = max(self.h_abs, min_step), False
         while True:
-            if h_abs < min_step:
-                raise IntegrationError(f"DOP853 step size fell below the float spacing at t = {t!r}")
-            t_new = t + h_abs * d
-            if d * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
+            if not h >= min_step:           # also a NaN step
+                raise IntegrationError("DOP853 step size fell below the float spacing", t)
+            t_new = min(t + h, self.t_bound)
             h = t_new - t
-            h_abs = abs(h)
             y_new, K, e5, e3 = _stages(self.rhs, t, *y, *f, h)
             self.nfev += 12
             err = self._error_norm(e5, e3, h, y, y_new)
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
-                self.h_abs = h_abs * (min(1.0, factor) if rejected else factor)
+                self.h_abs = h * (min(1.0, factor) if rejected else factor)
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            h *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             rejected = True
             self.n_rejected += 1
         if not all(map(math.isfinite, y_new)):
-            raise IntegrationError(f"DOP853 state not finite at t = {t_new!r}")
+            raise IntegrationError("DOP853 state not finite", t_new)
         self.n_steps += 1
         self.nfev += 3          # the dense stages, evaluated when a piece is built
         self._steps.append((t, h, *y, *y_new, *K))
         self.t, self.y, self.f = t_new, y_new, K[36:39]
-        self.ts.append(t_new)
-        self.ys.append(y_new)
 
     def at(self, t: float) -> tuple:
         """The last step's dense polynomial at ``t``, in Dop853DenseOutput's order."""
@@ -252,20 +248,38 @@ class Dop853:
     def root(self, g, direction: int) -> float | None:
         """Where g(t, y(t)) crosses zero upward (``direction`` > 0) or
         downward (< 0) on the last step, or None."""
-        t_old = self._steps[-1][0]
-        g0, g1 = g(t_old, self.ys[-2]), g(self.t, self.y)
+        step = self._steps[-1]
+        g0, g1 = g(step[0], step[2:5]), g(self.t, self.y)
         if not (g0 <= 0.0 <= g1 if direction > 0 else g0 >= 0.0 >= g1):
             return None
-        return brent(lambda t: g(t, self.at(t)), t_old, self.t, xtol=4 * EPS, rtol=4 * EPS)
+        return brent(lambda t: g(t, self.at(t)), step[0], self.t, xtol=4 * EPS, rtol=4 * EPS)
 
     def stop(self, t: float) -> None:
         """End the run at ``t``; the steps that start at or past it are dropped."""
-        while len(self._steps) > 1 and self.direction * (t - self._steps[-1][0]) <= 0:
+        while len(self._steps) > 1 and t <= self._steps[-1][0]:
             self._steps.pop()
-            self.ts.pop()
-            self.ys.pop()
-        self.t = self.t_bound = self.ts[-1] = t
-        self.y = self.ys[-1] = self.at(t)
+        self.t = self.t_bound = t
+        self.y = self.at(t)
+
+    def advance(self, events) -> str | None:
+        """Step to ``t_bound`` through ``events``, a list of ``(g, direction, action)``.
+
+        After each step the roots of the events on it (see ``root``) are taken
+        in time order up to ``t_bound``: ``action(t)`` may raise, move
+        ``t_bound`` or return a name, which ends the run at ``t`` and is
+        returned.  A run that reaches ``t_bound`` returns None.
+        """
+        while self.t < self.t_bound:
+            self.step()
+            hits = [(t, i) for i, (g, direction, _) in enumerate(events)
+                    if (t := self.root(g, direction)) is not None]
+            for t, i in sorted(hits):
+                if t <= self.t_bound and (name := events[i][2](t)) is not None:
+                    self.stop(t)
+                    return name
+            if self.t > self.t_bound:
+                self.stop(self.t_bound)
+        return None
 
     def stats(self) -> dict:
         return {"method": "DOP853", "rtol": self.rtol, "atol": list(self.atol),
@@ -273,14 +287,16 @@ class Dop853:
 
     def samples(self):
         """Step ends ``ts`` (n + 1,) and the states there (3, n + 1)."""
-        return np.array(self.ts), np.array(self.ys).T
+        cols = np.array([s[:1] + s[2:5] for s in self._steps] + [(self.t, *self.y)]).T
+        return cols[0], cols[1:]
 
     def dense_arrays(self):
-        """The pieces ``t_old`` (n,), ``h`` (n,), ``y_old`` (3, n), ``F`` (7, 3, n),
-        built in one elementwise pass over all steps."""
+        """The step ends ``ts`` (n + 1,), so ``ts[:-1]`` are the starts, and the
+        pieces' ``h`` (n,), ``y_old`` (3, n), ``F`` (7, 3, n), built in one
+        elementwise pass over all steps."""
         cols = np.array(self._steps).T
         F = np.array(_dense_piece(self.rhs, *cols))
-        return cols[0].copy(), cols[1].copy(), cols[2:5].copy(), F
+        return np.append(cols[0], self.t), cols[1].copy(), cols[2:5].copy(), F
 
 
 def brent(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * EPS,

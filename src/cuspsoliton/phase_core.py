@@ -21,7 +21,8 @@ keeps sigma at full relative accuracy where the direct expression
 -(H' + H^2) loses every digit to cancellation (along the bounded orbit
 sigma decays like r^-4 while H', H^2 decay like r^-2).
 
-The legs are stepped by ``_numerics.Dop853``.  The bounded orbit's two
+Every leg takes calibrated r.  ``_numerics.Dop853`` steps forward only; a
+backward run steps the negated field in t = -r.  The bounded orbit's two
 ends are exact series: the saddle's unstable manifold (``_CuspLeg``) and,
 instead of stiff stepping far out, the germ at infinity (``_GermLeg``).
 """
@@ -29,10 +30,10 @@ instead of stiff stepping far out, the germ at infinity (``_GermLeg``).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -197,58 +198,49 @@ class IntegratorControls:
     f_ceiling: float | None = None     # stop when |F| exceeds this
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not self.r_min < self.r_max:
-            raise ValueError("require r_min < r_max")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if not -math.inf < self.r_min < self.r_max < math.inf:
+            raise ValueError("require finite r_min < r_max")
+        if any(v is not None and not math.isfinite(v) for v in (self.h_floor, self.f_ceiling)):
+            raise ValueError("h_floor and f_ceiling must be finite when set")
 
 
 @dataclass(frozen=True, eq=False)
 class _Leg:
-    """One DOP853 leg; raw solver time = r + shift.
+    """One forward DOP853 leg; takes calibrated r, at solver time shift + sign r.
 
-    ``ts`` are the step ends in stepping order; step i is the degree-7
-    polynomial ``(t_old[i], h[i], y_old[:, i], F[:, :, i])`` that scipy's
-    ``Dop853DenseOutput`` evaluates.  ``stats`` are the run's method,
-    tolerances and counters.
+    ``ts`` are the ascending step ends in solver time, so ``ts[:-1]`` are the
+    step starts; step i is the degree-7 polynomial ``(ts[i], h[i], y_old[:, i],
+    F[:, :, i])`` that scipy's ``Dop853DenseOutput`` evaluates.  A backward run
+    has sign -1.  ``stats`` are the run's method, tolerances and counters.
     """
 
     r_lo: float
     r_hi: float
     shift: float
+    sign: float
     ts: np.ndarray
-    t_old: np.ndarray
     h: np.ndarray
     y_old: np.ndarray
     F: np.ndarray
     stats: dict
 
     @classmethod
-    def from_run(cls, run: Dop853, shift: float = 0.0) -> "_Leg":
-        ts = np.array(run.ts)
-        return cls(float(min(ts[0], ts[-1]) - shift), float(max(ts[0], ts[-1]) - shift),
-                   shift, ts, *run.dense_arrays(), run.stats())
+    def from_run(cls, run: Dop853, shift: float = 0.0, sign: float = 1.0) -> "_Leg":
+        ts, h, y_old, F = run.dense_arrays()
+        r_lo, r_hi = sorted(sign * (t - shift) for t in (ts[0].item(), ts[-1].item()))
+        return cls(r_lo, r_hi, shift, sign, ts, h, y_old, F, run.stats())
 
-    @cached_property
-    def _sorted(self):
-        # ascending nodes and OdeSolution's segment rule: at a node the lower
-        # index wins, so a descending leg searches from the right
-        ascending = bool(self.ts[-1] >= self.ts[0])
-        ts = self.ts if ascending else self.ts[::-1]
-        return ts, ts.tolist(), ascending
-
-    def __call__(self, t) -> np.ndarray:
-        """States (3, n) at raw solver times ``t``, or (3,) at one time,
-        bit-identical to scipy's ``OdeSolution`` over the same pieces."""
-        if isinstance(t, float) or np.ndim(t) == 0:
-            return self._point(float(t))
-        ts, _, ascending = self._sorted
-        t_old, h, y_old, F = self.t_old, self.h, self.y_old, self.F
-        seg = np.searchsorted(ts, t, side="left" if ascending else "right") - 1
-        seg = np.minimum(np.maximum(seg, 0), h.size - 1)
-        if not ascending:
-            seg = h.size - 1 - seg
-        x = (t - t_old[seg]) / h[seg]
+    def __call__(self, r) -> np.ndarray:
+        """States (3, n) at calibrated ``r``, or (3,) at one r, bit-identical
+        to scipy's ``OdeSolution`` over the same pieces."""
+        if isinstance(r, float) or np.ndim(r) == 0:
+            return self._point(float(r))
+        t = self.shift + self.sign * r
+        ts, h, y_old, F = self.ts, self.h, self.y_old, self.F
+        seg = np.minimum(np.maximum(np.searchsorted(ts, t) - 1, 0), h.size - 1)
+        x = (t - ts[seg]) / h[seg]
         u = 1 - x
         y = np.zeros((3, t.size))
         # Dop853DenseOutput's Horner loop, in its order; one row of
@@ -259,15 +251,12 @@ class _Leg:
         y += y_old.take(seg, axis=1)
         return y
 
-    def _point(self, t: float) -> np.ndarray:
-        # __call__ at one time in Python floats, from one segment's
+    def _point(self, r: float) -> np.ndarray:
+        # __call__ at one r in Python floats, from one segment's
         # coefficients: the same IEEE operations without numpy's per-call cost
-        _, ts, ascending = self._sorted
-        n = self.h.size
-        seg = min(max((bisect_left if ascending else bisect_right)(ts, t) - 1, 0), n - 1)
-        if not ascending:
-            seg = n - 1 - seg
-        return np.array(eval_piece(t, self.t_old[seg].item(), self.h[seg].item(),
+        t = self.shift + self.sign * r
+        seg = min(max(bisect_left(self.ts, t) - 1, 0), self.h.size - 1)
+        return np.array(eval_piece(t, self.ts[seg].item(), self.h[seg].item(),
                                    self.y_old[:, seg].tolist(), self.F[:, :, seg].tolist()))
 
 
@@ -323,7 +312,6 @@ class _CuspLeg:
     theta: float            # theta at r_hi
     series: tuple           # p_k of H - 1/2 and of F, highest power first
     stats: dict
-    shift: float = 0.0
 
     @classmethod
     def at(cls, theta: float) -> "_CuspLeg":
@@ -365,7 +353,6 @@ class _GermLeg:
     r_hi: float
     c: float
     series: tuple           # H/Y, sigma/Y^4, Y R(Y), (1 - s*)/Y^4 in Y^2, highest power first
-    shift: float = 0.0
 
     @classmethod
     def matched(cls, r_join: float, F_join: float, r_hi: float) -> "_GermLeg":
@@ -466,14 +453,13 @@ class Trajectory:
         ends = [leg.r_hi for leg in self.legs[:-1]]
         i = bisect_left(ends, lo)
         if i == bisect_left(ends, hi):
-            leg = self.legs[i]
-            return leg(rq + leg.shift)
+            return self.legs[i](rq)
         out = np.empty((3, rq.size))
         which = np.searchsorted(ends, rq)
         for i, leg in enumerate(self.legs):
             m = which == i
             if np.any(m):
-                out[:, m] = leg(rq[m] + leg.shift)
+                out[:, m] = leg(rq[m])
         return out
 
     def _state_at_point(self, r: float) -> np.ndarray:
@@ -481,8 +467,7 @@ class Trajectory:
         r_lo, r_hi = self.r_lo, self.r_hi
         if not r_lo - 1e-9 <= r <= r_hi + 1e-9:
             raise OrbitRangeError(f"r range [{r}, {r}] outside computed [{r_lo}, {r_hi}]")
-        leg = next((leg for leg in self.legs[:-1] if r <= leg.r_hi), self.legs[-1])
-        return leg(r + leg.shift)
+        return next((leg for leg in self.legs[:-1] if r <= leg.r_hi), self.legs[-1])(r)
 
     def dense_grid(self, n: int) -> np.ndarray:
         """Uniform r-grid over the computed range (endpoints included)."""
@@ -536,41 +521,36 @@ def integrate(start, r0: float, controls: IntegratorControls,
     ``start`` is (H, F, sigma), or (H, F) with sigma = -(H' + H^2) from
     them.  Forward runs extend to ``controls.r_max``, backward runs to
     ``controls.r_min``; a stop predicate (H floor, |F| ceiling) may end the
-    run earlier, and the reason is recorded in ``termination``.
+    run earlier, and the reason is recorded in ``termination``.  A backward
+    run steps the negated field in t = -r.  A non-finite r0 is a ValueError;
+    a non-finite start or field, or a failed step, an ``IntegrationError``
+    at the orbit's r.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    r_end = controls.r_max if direction == "forward" else controls.r_min
-    if not math.isfinite(r_end):
-        raise ValueError("integration endpoint must be finite")
-    if r_end == r0:
-        raise ValueError("integration span is empty")
+    sign = 1.0 if direction == "forward" else -1.0
+    r_end = controls.r_max if sign > 0 else controls.r_min
+    if not (math.isfinite(r0) and sign * (r_end - r0) > 0):
+        raise ValueError(f"r0 = {r0!r} must be finite and short of the endpoint {r_end!r}")
 
     events = []
     if controls.h_floor is not None:
-        events.append(("h_floor", lambda r, y: y[0] - controls.h_floor, -1))
+        events.append((lambda t, y: y[0] - controls.h_floor, -1, lambda t: "h_floor"))
     if controls.f_ceiling is not None:
-        events.append(("f_ceiling", lambda r, y: abs(y[1]) - controls.f_ceiling, 1))
+        events.append((lambda t, y: abs(y[1]) - controls.f_ceiling, 1, lambda t: "f_ceiling"))
 
+    rhs = _rhs if sign > 0 else lambda t, y: tuple(-v for v in _rhs(t, y))
     start = tuple(map(float, start))
-    run = Dop853(_rhs, r0, start if len(start) == 3 else _start(*start), r_end,
-                 controls.rel_tol, _atol(controls.abs_tol))
-    termination = None
-    while termination is None:
-        run.step()
-        hits = [(te, name) for name, g, d in events if (te := run.root(g, d)) is not None]
-        if hits:
-            te, termination = min(hits, key=lambda hit: hit[0] * run.direction)
-            run.stop(te)
-        elif run.done:
-            termination = "r_end"
+    try:
+        run = Dop853(rhs, sign * r0, start if len(start) == 3 else _start(*start),
+                     sign * r_end, controls.rel_tol, _atol(controls.abs_tol))
+        termination = run.advance(events) or "r_end"
+    except IntegrationError as exc:
+        raise IntegrationError(f"{exc.msg} at r = {sign * exc.t!r}") from None
 
-    leg = _Leg.from_run(run)
-    ts, ys = run.samples()
-    if direction == "backward":
-        ts, ys = ts[::-1], ys[:, ::-1]
+    ts, ys = (a[..., ::int(sign)] for a in run.samples())     # ascending in r
     return Trajectory(
-        r=ts.copy(), H=ys[0].copy(), F=ys[1].copy(), sigma=ys[2].copy(),
-        rel_tol=controls.rel_tol, termination=termination, legs=(leg,),
+        r=sign * ts, H=ys[0].copy(), F=ys[1].copy(), sigma=ys[2].copy(),
+        rel_tol=controls.rel_tol, termination=termination, legs=(_Leg.from_run(run, sign=sign),),
         meta={"r0": r0, "direction": direction},
     )

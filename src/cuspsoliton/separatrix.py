@@ -86,7 +86,9 @@ class ShootConfig:
 
     Stepping starts on S at distance ``offset`` from (1/2, 0), and the tables
     at distance ``saddle_ball``, both on the unstable manifold's series.
-    ``controls.r_max`` is the calibrated forward extent (r = 0 at F = -1).
+    The shot reads ``rel_tol``, ``abs_tol``, ``r_max`` (the calibrated
+    forward extent, r = 0 at F = -1) and ``h_floor`` of ``controls``, not
+    ``r_min``; it has no use for ``f_ceiling``, which must be unset.
     """
 
     offset: float = 1e-8
@@ -97,6 +99,8 @@ class ShootConfig:
     def __post_init__(self):
         if not 0 < self.saddle_ball < self.offset:
             raise ValueError("offset and saddle_ball must satisfy 0 < saddle_ball < offset")
+        if self.controls.f_ceiling is not None:
+            raise ValueError("the shot reads no f_ceiling; leave it unset")
 
 
 def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
@@ -117,25 +121,22 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     if (cut := cusp.stats["truncation"]) > 1e-16:
         raise ShootError(f"the cusp series is truncated by {cut:.1e} at the start; check offset")
     h_floor = 0.0 if ctl.h_floor is None else ctl.h_floor
-    out_hi = lambda r, y: y[0] - 0.5
-    out_lo = lambda r, y: y[0] - h_floor
-    anchor = lambda r, y: y[1] + 1.0
+    r_star = None
 
-    # until F = -1 at raw r*, the bound is a search limit; then it is the
-    # calibrated extent or the germ join
+    def leave_band(t):
+        raise ShootError("orbit left the band H < 1/2; check offset")
+
+    def anchor(t):
+        # until F = -1 at raw r*, the bound is a search limit; then it is
+        # the calibrated extent or the germ join
+        nonlocal r_star
+        if r_star is None:
+            r_star, fwd.t_bound = t, t + min(_GERM_JOIN, ctl.r_max)
+
     fwd = Dop853(_rhs, 0.0, cusp(0.0).tolist(), 1e4, ctl.rel_tol, _atol(ctl.abs_tol))
-    r_star, termination = None, "r_max"
-    while not fwd.done:
-        fwd.step()
-        if fwd.root(out_hi, 1) is not None:
-            raise ShootError("orbit left the band H < 1/2; check offset")
-        if r_star is None and (r_star := fwd.root(anchor, -1)) is not None:
-            fwd.t_bound = r_star + min(_GERM_JOIN, ctl.r_max)
-            if fwd.t > fwd.t_bound:
-                fwd.stop(fwd.t_bound)
-        if (te := fwd.root(out_lo, -1)) is not None:
-            fwd.stop(te)
-            termination = "h_floor"
+    termination = fwd.advance([(lambda t, y: y[0] - 0.5, 1, leave_band),
+                               (lambda t, y: y[1] + 1.0, -1, anchor),
+                               (lambda t, y: y[0] - h_floor, -1, lambda t: "h_floor")]) or "r_max"
     if r_star is None:
         raise ShootError("orbit never reached the calibration anchor F = -1")
 

@@ -307,6 +307,18 @@ def test_config_invalid_controls_rejected(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("line", ["rel_tol = nan", "abs_tol = nan", "rel_tol = inf",
+                                  "abs_tol = inf", "r_max = inf", "r_max = nan",
+                                  "h_floor = inf", "h_floor = nan"])
+def test_config_non_finite_controls_rejected(tmp_path, line):
+    # a NaN tolerance stepped forever, and inf ones, r_max or h_floor ended in
+    # a traceback or (h_floor = nan) were silently ignored
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    with pytest.raises(ConfigError):
+        load_config(str(bad))
+
+
 # y_floor = -0.5 lies above the Psi branch end -1/sqrt(0.3) of the default t = -0.7
 @pytest.mark.parametrize("line", ["psi_points = 0", "history_points = 0", "t_grid_n = 0",
                                   "t_grid_n = -1", "table_rows = -1", "barrier_samples = 0",

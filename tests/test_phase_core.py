@@ -165,13 +165,51 @@ def test_integrate_convergence_under_tolerance_halving():
 
 
 def test_central_symmetry_of_orbits():
-    # if (H, F)(r) solves the system then so does (-H, -F)(-r)
+    # if (H, F)(r) solves the system then so does (-H, -F)(-r), with the same
+    # sigma; the backward run steps the negated field in t = -r, so from the
+    # mirrored start it takes the forward run's steps with H and F negated,
+    # bit for bit
     ctl = cs.IntegratorControls(r_min=-6.0, r_max=6.0)
     fwd = cs.integrate((0.3, -0.4), 0.0, ctl)
     bwd = cs.integrate((-0.3, 0.4), 0.0, ctl, direction="backward")
-    rq = np.linspace(0.0, 6.0, 25)
-    mismatch = np.abs(fwd.state_at(rq)[:2] + bwd.state_at(-rq)[:2]).max()
-    assert mismatch < 1e-8
+    assert np.array_equal(bwd.r, -fwd.r[::-1])
+    assert np.array_equal(bwd.H, -fwd.H[::-1]) and np.array_equal(bwd.F, -fwd.F[::-1])
+    assert np.array_equal(bwd.sigma, fwd.sigma[::-1])
+    rq = np.linspace(0.0, 6.0, 2001)
+    assert np.array_equal(bwd.state_at(-rq), fwd.state_at(rq) * [[-1.0], [-1.0], [1.0]])
+    assert bwd.legs[0].stats == fwd.legs[0].stats
+    assert (bwd.termination, bwd.meta["direction"]) == ("r_end", "backward")
+
+
+def test_failed_backward_run_names_the_orbits_r():
+    # the run steps t = -r, but its failure is reported at the orbit's r
+    ctl = cs.IntegratorControls(r_min=-5.0)
+    with pytest.raises(cs.IntegrationError, match=r"at r = -3\.1009"):
+        cs.integrate((0.3, -0.4), 0.0, ctl, direction="backward")
+
+
+@pytest.mark.parametrize("start, r0, error", [
+    ((0.3, -0.4), math.nan, ValueError),
+    ((0.3, -0.4), math.inf, ValueError),
+    ((0.3, -0.4), -math.inf, ValueError),
+    ((math.nan, -0.4), 0.0, cs.IntegrationError),
+    ((0.3, math.inf), 0.0, cs.IntegrationError),
+    ((0.3, -0.4, math.nan), 0.0, cs.IntegrationError),
+    ((0.3, -1e200), 0.0, cs.IntegrationError),          # the field overflows
+])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_integrate_rejects_non_finite_starts(start, r0, error, direction):
+    with pytest.raises(error):
+        cs.integrate(start, r0, cs.IntegratorControls(r_min=-5.0, r_max=5.0), direction)
+
+
+def test_step_guard_rejects_a_nan_step():
+    # a NaN tolerance makes the first step NaN: the guard stops, not retries
+    from cuspsoliton._numerics import Dop853
+    from cuspsoliton.phase_core import _start
+    run = Dop853(_rhs, 0.0, _start(0.3, -0.4), 1.0, math.nan, (1e-12, 1e-12, 1e-21))
+    with pytest.raises(cs.IntegrationError, match="step size .* at t = 0.0"):
+        run.step()
 
 
 def test_stop_predicates_and_termination_reason():
@@ -242,18 +280,20 @@ def test_orbit_range_queries_raise_orbit_range_error(sep):
 
 @functools.cache
 def _scipy_solution(leg):
-    # scipy's OdeSolution over the leg's stored pieces; Dop853DenseOutput
-    # evaluates from t_old, h, F and y_old alone, so h is set as stored
+    # scipy's OdeSolution over the leg's stored pieces, at r + shift: for a
+    # backward leg (sign -1, shift 0) a descending one at r, its pieces'
+    # t_old and h negated.  Dop853DenseOutput evaluates from t_old, h, F and
+    # y_old alone, so h is set as stored
     from scipy.integrate import OdeSolution
     from scipy.integrate._ivp.rk import Dop853DenseOutput
 
-    pieces = []
+    s, t_old, pieces = leg.sign, leg.ts[:-1], []
     for i in range(leg.h.size):
-        d = Dop853DenseOutput(leg.t_old[i], leg.t_old[i] + leg.h[i], leg.y_old[:, i],
+        d = Dop853DenseOutput(s * t_old[i], s * (t_old[i] + leg.h[i]), leg.y_old[:, i],
                               leg.F[:, :, i])
-        d.h = leg.h[i]
+        d.h = s * leg.h[i]
         pieces.append(d)
-    return OdeSolution(leg.ts, pieces)
+    return OdeSolution(s * leg.ts, pieces)
 
 
 def _state_via_scipy(traj, r):
@@ -302,8 +342,9 @@ def test_state_at_is_bit_identical_to_scipy(sep):
     assert np.array_equal(sep.state_at(2.903), _state_via_scipy(sep, 2.903))
     _one_at_a_time(sep, np.concatenate([sep.r, joins, beyond,
                                         rng.uniform(sep.r_lo, sep.r_hi, 2000)]), lo, hi)
-    # a backward run stores descending step ends; past its ends the one
-    # leg's end pieces extrapolate, as scipy's do
+    # a backward run steps the reversed field in t = -r; its pieces, reversed,
+    # are a descending scipy solution in r.  Past its ends the one leg's end
+    # pieces extrapolate, as scipy's do
     back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
                         direction="backward")
     assert not _scipy_solution(back.legs[0]).ascending
@@ -322,7 +363,7 @@ def _per_leg(traj, rq):
     out = np.empty((3, rq.size))
     for i, leg in enumerate(traj.legs):
         if np.any(which == i):
-            out[:, which == i] = leg(rq[which == i] + leg.shift)
+            out[:, which == i] = leg(rq[which == i])
     return out, np.unique(which).size
 
 
@@ -374,7 +415,7 @@ def test_dense_pieces_built_after_the_run_equal_the_on_demand_ones(monkeypatch):
     # dense_arrays builds every step's piece in one elementwise pass over
     # arrays; at, root and stop build the last step's in Python floats.
     # Both must be the same IEEE operations: bit-identical pieces, for the
-    # shot's ascending leg and a descending backward run
+    # shot's leg and a backward run, which steps the reversed field in t = -r
     from cuspsoliton import _numerics, phase_core, separatrix
 
     runs, built = [], {}
@@ -395,14 +436,18 @@ def test_dense_pieces_built_after_the_run_equal_the_on_demand_ones(monkeypatch):
     back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
                         direction="backward")
     fwd, bwd = runs                     # the shot's one leg, the backward run
-    assert fwd.direction > 0 and bwd.direction < 0 and len(fwd._steps) > 200
+    assert len(fwd._steps) > 200 and (bwd._steps[0][0], bwd.t) == (0.0, 3.0)
     for run, leg in ((fwd, shot.legs[1]), (bwd, back.legs[0])):
-        t_old, h, y_old, F = run.dense_arrays()
+        ts, h, y_old, F = run.dense_arrays()
         assert F.shape == (7, 3, len(run._steps)) and F.flags.c_contiguous
         assert np.array_equal(F, leg.F) and np.array_equal(y_old, leg.y_old)
+        assert np.array_equal(ts, leg.ts)
         for i, step in enumerate(run._steps):
-            assert (t_old[i], h[i], *y_old[:, i]) == step[:5]
+            assert (ts[i], h[i], *y_old[:, i]) == step[:5]
             assert np.array(built[id(step)]).tobytes() == F[:, :, i].tobytes()
+    # the reversed pieces, as a descending scipy solution in r, give the states
+    ref = _scipy_solution(back.legs[0])
+    assert not ref.ascending and np.array_equal(ref(back.r), back.state_at(back.r))
 
 
 def test_array_rhs_cubes_as_the_scalar_rhs():
@@ -449,7 +494,7 @@ def test_stepper_takes_scipys_steps(start, kw, direction):
                     rtol=ctl.rel_tol, atol=[ctl.abs_tol, ctl.abs_tol, 1e-21], events=ev)
     stats = ours.legs[0].stats
     assert stats["n_steps"] == ref.t.size - 1 and stats["nfev"] == ref.nfev
-    assert np.abs(ours.legs[0].ts - ref.t).max() < 1e-5
+    assert np.abs(ours.legs[0].sign * ours.legs[0].ts - ref.t).max() < 1e-5
 
 
 def test_brent_takes_brentqs_iterates():

@@ -102,6 +102,12 @@ def test_shoot_config_requires_ball_inside_offset(ball):
         cs.ShootConfig(offset=1e-8, saddle_ball=ball)
 
 
+def test_shoot_config_rejects_f_ceiling():
+    # the shot reads rel_tol, abs_tol, r_max and h_floor; a ceiling would be ignored
+    with pytest.raises(ValueError, match="f_ceiling"):
+        cs.ShootConfig(controls=cs.IntegratorControls(r_max=2000.0, f_ceiling=20.0))
+
+
 def test_shot_with_a_small_ball_starts_its_tables_on_the_series():
     # the tables start where theta has shrunk by saddle_ball/offset below the
     # start, on the cusp series; a reverse-time leg into the saddle failed here
