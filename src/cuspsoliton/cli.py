@@ -91,7 +91,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Parse a flat key=value file; unknown keys are rejected.
 
     A key takes the type of its default: a tuple is a comma-separated float
-    list, and an int is a count of at least 1.
+    list, and an int is a count of at least 1.  Floats and list entries must
+    be finite, and ``history_anchors_F`` must not be empty.
     """
     known = {f.name: f.type for f in fields(RunConfig)}
     data: dict = {}
@@ -123,6 +124,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         cfg = replace(cfg, **{key: parsed})
     if overrides:
         cfg = replace(cfg, **overrides)
+    for f in fields(RunConfig):
+        v = getattr(cfg, f.name)
+        if isinstance(f.default, (float, tuple)) and not np.all(np.isfinite(v)):
+            raise ConfigError(f"{f.name} must be finite, got {v!r}")
+    if not cfg.history_anchors_F:
+        raise ConfigError("history_anchors_F must not be empty")
     if cfg.format not in ("csv", "json", "plot"):
         raise ConfigError(f"unknown format {cfg.format!r}")
     if any(t <= -1.0 for t in cfg.t_values):

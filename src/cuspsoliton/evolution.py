@@ -54,8 +54,8 @@ __all__ = [
 
 def _check_t(t: float) -> float:
     t = float(t)
-    if not t > -1.0:
-        raise ValueError(f"flow time must satisfy t > -1, got {t}")
+    if not -1.0 < t < math.inf:
+        raise ValueError(f"flow time must be finite with t > -1, got {t}")
     return t
 
 
@@ -418,7 +418,7 @@ def _flow_time(traj: Trajectory):
     if np.any(traj.F >= 0.0):
         raise IntegrationError(f"the flow time int dr/F needs F < 0 on the orbit; "
                                f"it fails at r = {traj.r[np.argmax(traj.F >= 0.0)]:.6g}")
-    T = _Cumulative(traj, lambda s: 1.0 / s[1], from_hi=True)
+    T = _Cumulative(traj, 1, lambda F: 1.0 / F, from_hi=True)
     # tau rises as r falls: reversed, the nodes increase
     w, F = 1.0 + T.cum[::-1], traj.F[::-1]
     tau, r = np.log1p(T.cum[::-1]), traj.r[::-1]
@@ -455,15 +455,18 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     F < 0 on the orbit, so the flow time T(r) = int_{r_hi}^r dr/F is
     strictly monotone and r(t) = T^{-1}(T(r0) + t).  T is tabulated by the
     quadrature of the metric profiles, accumulated from the flat end, and
-    inverted by two Newton steps from a quintic Hermite start in log(1 + T),
-    each step one ``state_at`` call; then R[g(t)] = R[g0](r(t))/(t+1) and
-    dR/dt follow from the final phase states.  A t whose target T(r0) + t
-    leaves T's range [0, T(r_lo)] is dropped and the history flagged
-    truncated.
+    inverted by two Newton steps from a quintic Hermite start in log(1 + T).
+    T(r0) and each step are one ``state_at`` call of F alone; then R[g(t)] =
+    R[g0](r(t))/(t+1) and dR/dt follow from the final phase states, the one
+    call of all three rows.  A t whose target T(r0) + t leaves T's range
+    [0, T(r_lo)] is dropped and the history flagged truncated; an empty
+    grid, or a t that is not finite and above -1, is a ValueError.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if t_grid[0] <= -1.0:
-        raise ValueError("flow times must satisfy t > -1")
+    if not t_grid.size:
+        raise ValueError("the flow time grid is empty")
+    if not (t_grid[0] > -1.0 and np.isfinite(t_grid[-1])):   # sorted: a NaN is last
+        raise ValueError("flow times must be finite with t > -1")
     if not (traj.r_lo <= r0 <= traj.r_hi):
         raise OrbitRangeError("r0 outside the computed orbit range")
 
@@ -473,8 +476,8 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     tv, target = t_grid[kept], target[kept]
     r = _r_start(inverse, target)
     for _ in range(2):      # measured corrections 7e-6, 1.5e-11 (the next, 1e-15)
-        value, states = flow_time.value_and_states(traj, r)
-        r = r - (value - target) * states[1]
+        value, F = flow_time.value_and_row(traj, r)
+        r = r - (value - target) * F
 
     s = tv + 1.0
     H, F, sig = traj.state_at(r)

@@ -41,23 +41,24 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
 class _Cumulative:
-    """Cumulative integral of a function of a trajectory's states.
+    """Cumulative integral of a function of one state row of a trajectory.
 
-    ``integrand`` maps the state rows (H, F, sigma) to the integrand; the
-    integral is taken from the first sample node, or from the last if
-    ``from_hi``.  Gauss-Legendre on each accepted step integrates the dense
-    interpolant essentially exactly, so the result carries the integrator's
-    accuracy.  The table keeps no reference to the trajectory (it may live
-    in the trajectory's per-orbit memo); ``value_at`` is handed it.
+    The integrand is ``fn`` of state row ``row`` (0, 1, 2 for H, F, sigma),
+    and only that row is evaluated; the integral is taken from the first
+    sample node, or from the last if ``from_hi``.  Gauss-Legendre on each
+    accepted step integrates the dense interpolant essentially exactly, so
+    the result carries the integrator's accuracy.  The table keeps no
+    reference to the trajectory (it may live in the trajectory's per-orbit
+    memo); ``value_at`` is handed it.
     """
 
-    def __init__(self, traj: Trajectory, integrand, from_hi: bool = False):
-        self._integrand = integrand
+    def __init__(self, traj: Trajectory, row: int, fn=None, from_hi: bool = False):
+        self.row, self._fn = row, fn or (lambda v: v)
         r = traj.r
         mid = 0.5 * (r[:-1] + r[1:])
         half = 0.5 * np.diff(r)
         nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        vals = integrand(traj.state_at(nodes)).reshape(-1, len(_GL_NODES))
+        vals = self._fn(traj.state_at(nodes, row=row)).reshape(-1, len(_GL_NODES))
         steps = half * (vals @ _GL_WEIGHTS)
         self.nodes = r
         if from_hi:     # summed from the anchor, so the far end loses no digits
@@ -67,19 +68,19 @@ class _Cumulative:
 
     def value_at(self, traj: Trajectory, r) -> np.ndarray:
         """Integral from the anchor node to each query point of ``traj``."""
-        out = self.value_and_states(traj, np.atleast_1d(np.asarray(r, dtype=float)))[0]
+        out = self.value_and_row(traj, np.atleast_1d(np.asarray(r, dtype=float)))[0]
         return out if np.ndim(r) else float(out[0])
 
-    def value_and_states(self, traj: Trajectory, r: np.ndarray):
-        """``value_at`` the points ``r`` and the states (3, n) there, from one
-        ``state_at`` call over the Gauss points and ``r`` together."""
+    def value_and_row(self, traj: Trajectory, r: np.ndarray):
+        """``value_at`` the points ``r`` and the table's state row there, from
+        one ``state_at`` call of that row over the Gauss points and ``r``."""
         idx = np.minimum(np.maximum(np.searchsorted(self.nodes, r) - 1, 0), len(self.nodes) - 2)
         a = self.nodes[idx]
         half = 0.5 * (r - a)
         pts = (a + half)[:, None] + half[:, None] * _GL_NODES
-        states = traj.state_at(np.concatenate([pts.ravel(), r]))
-        vals = self._integrand(states[:, :pts.size]).reshape(pts.shape)
-        return self.cum[idx] + half * (vals @ _GL_WEIGHTS), states[:, pts.size:]
+        row = traj.state_at(np.concatenate([pts.ravel(), r]), row=self.row)
+        vals = self._fn(row[:pts.size]).reshape(pts.shape)
+        return self.cum[idx] + half * (vals @ _GL_WEIGHTS), row[pts.size:]
 
 
 @dataclass
@@ -125,8 +126,8 @@ def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
     """
     if np.any(np.diff(traj.r) <= 0):
         raise ValueError("trajectory must be strictly monotone in r")
-    h_cum = _Cumulative(traj, lambda s: s[0])
-    f_cum = _Cumulative(traj, lambda s: s[1])
+    h_cum = _Cumulative(traj, 0)
+    f_cum = _Cumulative(traj, 1)
 
     r = traj.r
     if r[0] <= 0.0 <= r[-1]:
@@ -344,7 +345,7 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
                    float(Fp / (-r_flat / 2.0)) if r_flat else math.nan, 1.0,
                    ok=bool(r_flat), note="" if r_flat else "probe at r = 0")
         rg = np.geomspace(r_hi / 10.0, r_hi, 9)
-        Hg = traj.state_at(rg)[0]
+        Hg = traj.state_at(rg, row=0)
         trend = {"trend_r": rg, "trend_H_times_r_minus_1": np.abs(Hg * rg - 1.0)}
 
     Ht, Ft = float(traj.H[-1]), float(traj.F[-1])

@@ -232,32 +232,36 @@ class _Leg:
         r_lo, r_hi = sorted(sign * (t - shift) for t in (ts[0].item(), ts[-1].item()))
         return cls(r_lo, r_hi, shift, sign, ts, h, y_old, F, run.stats())
 
-    def __call__(self, r) -> np.ndarray:
+    def __call__(self, r, row=None) -> np.ndarray:
         """States (3, n) at calibrated ``r``, or (3,) at one r, bit-identical
-        to scipy's ``OdeSolution`` over the same pieces."""
+        to scipy's ``OdeSolution`` over the same pieces; with a ``row``, that
+        state alone: (n,), or a float at one r."""
         if isinstance(r, float) or np.ndim(r) == 0:
-            return self._point(float(r))
+            return self._point(float(r), row)
         t = self.shift + self.sign * r
-        ts, h, y_old, F = self.ts, self.h, self.y_old, self.F
+        ts, h = self.ts, self.h
+        rows = slice(None) if row is None else row
+        y_old, F = self.y_old[rows], self.F[:, rows]
         seg = np.minimum(np.maximum(np.searchsorted(ts, t) - 1, 0), h.size - 1)
         x = (t - ts[seg]) / h[seg]
         u = 1 - x
-        y = np.zeros((3, t.size))
-        # Dop853DenseOutput's Horner loop, in its order; one row of
-        # coefficients gathered per step, not the whole (7, 3, n) block
+        y = np.zeros(y_old.shape[:-1] + t.shape)
+        # Dop853DenseOutput's Horner loop, in its order, on the rows asked
+        # for; one row of coefficients gathered per step, not the whole block
         for k in range(F.shape[0] - 1, -1, -1):
-            y += F[k].take(seg, axis=1)
+            y += F[k].take(seg, axis=-1)
             y *= x if k % 2 == 0 else u
-        y += y_old.take(seg, axis=1)
+        y += y_old.take(seg, axis=-1)
         return y
 
-    def _point(self, r: float) -> np.ndarray:
+    def _point(self, r: float, row=None):
         # __call__ at one r in Python floats, from one segment's
         # coefficients: the same IEEE operations without numpy's per-call cost
         t = self.shift + self.sign * r
         seg = min(max(bisect_left(self.ts, t) - 1, 0), self.h.size - 1)
-        return np.array(eval_piece(t, self.ts[seg].item(), self.h[seg].item(),
-                                   self.y_old[:, seg].tolist(), self.F[:, :, seg].tolist()))
+        y = eval_piece(t, self.ts[seg].item(), self.h[seg].item(),
+                       self.y_old[:, seg].tolist(), self.F[:, :, seg].tolist())
+        return np.array(y) if row is None else y[row]
 
 
 @cache
@@ -328,11 +332,15 @@ class _CuspLeg:
         return cls(0.0, 0.0, theta, (xs[n:0:-1], ys[n:0:-1]),
                    {"method": "series", "terms": n, "theta_start": theta, "truncation": est})
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """States (3, ...) at calibrated ``r``, one point as the array pass."""
+    def __call__(self, r: np.ndarray, row=None) -> np.ndarray:
+        """States (3, ...) at calibrated ``r``, one point as the array pass;
+        with a ``row``, that state alone.  F alone skips H and sigma."""
         th = self.theta * np.exp(EIGENVALUE_UNSTABLE * (np.asarray(r, dtype=float) - self.r_hi))
+        if row == 1:
+            return th * _horner(self.series[1], th)
         x, y = (th * _horner(ser, th) for ser in self.series)
-        return np.array(_start(0.5 + x, y))
+        out = np.array(_start(0.5 + x, y))
+        return out if row is None else out[row]
 
     def tails(self, r: float) -> tuple:
         """int_{-inf}^r of H - 1/2 and of F: sum_k p_k theta^k / (k lambda)."""
@@ -370,9 +378,11 @@ class _GermLeg:
         y = -1.0 / F
         return self.c + _horner(self.series[2], y * y) / y
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """States (3, n) at calibrated ``r``; one point is evaluated in Python
-        floats, the same IEEE operations without numpy's per-call overhead."""
+    def __call__(self, r: np.ndarray, row=None) -> np.ndarray:
+        """States (3, n) at calibrated ``r``, or with a ``row`` that state
+        alone; one point is evaluated in Python floats, the same IEEE
+        operations without numpy's per-call overhead.  F alone skips the H
+        and sigma series."""
         r = np.asarray(r, dtype=float)
         d = (r.item() if r.size == 1 else r) - self.c
         h, sigma, ry = self.series[:3]
@@ -381,9 +391,12 @@ class _GermLeg:
         y = 2.0 / d
         for _ in range(3):
             y = _horner(ry, y * y) / d
+        if row == 1:
+            return -1.0 / y if r.ndim == 0 else np.reshape(-1.0 / y, r.shape)
         x = y * y
         out = np.array([y * _horner(h, x), -1.0 / y, x * x * _horner(sigma, x)])
-        return out.reshape(3, *r.shape)
+        out = out.reshape(3, *r.shape)
+        return out if row is None else out[row]
 
 
 @dataclass(eq=False)
@@ -430,22 +443,25 @@ class Trajectory:
             memo[build] = build(self)
         return memo[build]
 
-    def state_at(self, r) -> np.ndarray:
+    def state_at(self, r, row=None) -> np.ndarray:
         """Dense-output states (H, F, sigma) at ``r``; shape (3, n) or (3,).
 
-        A point goes to the first leg with r <= its r_hi, the last leg takes
-        the rest; a NaN or infinite r raises ``OrbitRangeError``.  An array
-        whose min and max share a leg is one call of that leg, one that
-        straddles a join is split by leg.  DOP853 legs are evaluated in one
-        pass over their gathered pieces, bit-identical to ``OdeSolution``;
-        series legs sum their series.  One point takes the array pass's
-        operations, in floats.
+        With ``row`` (0, 1 or 2 for H, F, sigma) only that state is
+        evaluated, shape (n,) or a float, bit-identical to the same row of
+        the full evaluation.  A point goes to the first leg with r <= its
+        r_hi, the last leg takes the rest; a NaN or infinite r raises
+        ``OrbitRangeError``.  An array whose min and max share a leg is one
+        call of that leg, one that straddles a join is split by leg.  DOP853
+        legs are evaluated in one pass over their gathered pieces,
+        bit-identical to ``OdeSolution``; series legs sum their series.  One
+        point takes the array pass's operations, in floats.
         """
         if isinstance(r, float) or np.ndim(r) == 0:
-            return self._state_at_point(float(r))
+            return self._state_at_point(float(r), row)
         rq = np.atleast_1d(np.asarray(r, dtype=float))
+        shape = (3, rq.size) if row is None else (rq.size,)
         if not rq.size:
-            return np.empty((3, 0))
+            return np.empty(shape)
         lo, hi = rq.min(), rq.max()          # NaN if any point is NaN
         if not (self.r_lo - 1e-9 <= lo and hi <= self.r_hi + 1e-9):
             raise OrbitRangeError(
@@ -453,21 +469,21 @@ class Trajectory:
         ends = [leg.r_hi for leg in self.legs[:-1]]
         i = bisect_left(ends, lo)
         if i == bisect_left(ends, hi):
-            return self.legs[i](rq)
-        out = np.empty((3, rq.size))
+            return self.legs[i](rq, row)
+        out = np.empty(shape)
         which = np.searchsorted(ends, rq)
         for i, leg in enumerate(self.legs):
             m = which == i
             if np.any(m):
-                out[:, m] = leg(rq[m])
+                out[..., m] = leg(rq[m], row)
         return out
 
-    def _state_at_point(self, r: float) -> np.ndarray:
+    def _state_at_point(self, r: float, row=None):
         # the array pass's range check and leg choice, by comparison
         r_lo, r_hi = self.r_lo, self.r_hi
         if not r_lo - 1e-9 <= r <= r_hi + 1e-9:
             raise OrbitRangeError(f"r range [{r}, {r}] outside computed [{r_lo}, {r_hi}]")
-        return next((leg for leg in self.legs[:-1] if r <= leg.r_hi), self.legs[-1])(r)
+        return next((leg for leg in self.legs[:-1] if r <= leg.r_hi), self.legs[-1])(r, row)
 
     def dense_grid(self, n: int) -> np.ndarray:
         """Uniform r-grid over the computed range (endpoints included)."""
@@ -486,7 +502,7 @@ class Trajectory:
         germ = self.legs[-1]
         if isinstance(germ, _GermLeg) and self.r[i] >= germ.r_lo:
             return germ.r_at_F(target)       # the germ inverts in closed form
-        return brent(lambda rr: self.state_at(rr)[1].item() - target,
+        return brent(lambda rr: self.state_at(rr, row=1) - target,
                      self.r[i].item(), self.r[i + 1].item(), xtol=1e-12, rtol=1e-15)
 
 

@@ -319,6 +319,21 @@ def test_config_non_finite_controls_rejected(tmp_path, line):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize("line", ["y_floor = -inf", "t_values = nan", "h_anchor = nan",
+                                  "f0 = inf", "history_t_max = inf", "history_anchors_F =",
+                                  "history_anchors_F = nan", "r_cusp_probe = nan",
+                                  "r_flat_probe = -inf", "t_values = 0.0, inf",
+                                  "t_grid_max = nan", "shoot_offset = inf"])
+def test_config_non_finite_values_rejected(tmp_path, capsys, line):
+    # each of these crashed with a traceback, exited 0 with numpy warnings,
+    # or failed later as a numeric (3) or range (4) error
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    assert main(["all", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert line.split()[0] in err and "Traceback" not in err
+
+
 # y_floor = -0.5 lies above the Psi branch end -1/sqrt(0.3) of the default t = -0.7
 @pytest.mark.parametrize("line", ["psi_points = 0", "history_points = 0", "t_grid_n = 0",
                                   "t_grid_n = -1", "table_rows = -1", "barrier_samples = 0",

@@ -40,6 +40,17 @@ def test_dRdt_rejects_t_at_birth():
         cs.dRdt(0.1, 0.1, -1.0)
 
 
+@pytest.mark.parametrize("t", [np.inf, np.nan, -np.inf])
+def test_non_finite_flow_time_rejected(sep, t):
+    # t = inf reported 0 crossings although every t >= 0 has one, and
+    # scan_psi(inf) failed inside geomspace
+    for query in (lambda: cs.find_crossings(sep, t), lambda: cs.scan_psi(t),
+                  lambda: cs.crossing_scan(sep, [0.0, t]), lambda: cs.psi(-2.0, t),
+                  lambda: cs.dRdt(0.1, 0.1, t)):
+        with pytest.raises(ValueError, match="flow time must be finite"):
+            query()
+
+
 def test_Ct_values():
     t = 0.73
     y0 = -1.0 / math.sqrt(t + 1.0)
@@ -340,6 +351,13 @@ def test_history_monotone_r_and_signs(sep):
 def test_history_rejects_bad_inputs(sep):
     with pytest.raises(ValueError):
         cs.pointwise_R_history(0.0, [-1.5, 0.0], sep)
+    # an empty grid was an IndexError, and a NaN or inf t was dropped and
+    # the history flagged truncated
+    with pytest.raises(ValueError, match="grid is empty"):
+        cs.pointwise_R_history(0.0, [], sep)
+    for bad in ([0.0, np.nan], [np.inf, 0.0], [-np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="finite with t > -1"):
+            cs.pointwise_R_history(0.0, bad, sep)
     with pytest.raises(ValueError):
         cs.pointwise_R_history(1e9, [0.0, 1.0], sep)
 
@@ -420,8 +438,9 @@ def test_history_start_and_two_newton_steps(sep, short_orbit):
         assert np.all(np.abs(r - h.r_of_t) <= 1e-4)
         steps = []
         for _ in range(3):
-            value, states = T.value_and_states(traj, r)
-            steps.append((value - target) * states[1])
+            value, F = T.value_and_row(traj, r)
+            assert np.array_equal(F, traj.state_at(r)[1])
+            steps.append((value - target) * F)
             r = r - steps[-1]
             if len(steps) == 2:
                 assert np.array_equal(r, h.r_of_t)
@@ -432,20 +451,23 @@ def test_history_start_and_two_newton_steps(sep, short_orbit):
 
 def test_warm_history_makes_four_state_at_calls(sep, monkeypatch):
     # T(r0), one call per Newton step (Gauss points and iterates together)
-    # and the final states: 4 array calls, 7 + 2 * 7 * 240 + 240 points
+    # and the final states: 4 array calls, 7 + 2 * 7 * 240 + 240 points.
+    # Every point but the final 240 evaluates F alone
     tg = np.geomspace(0.02, 201.0, 240) - 1.0
     r0 = sep.r_at_F(-1.0)
     cs.pointwise_R_history(r0, tg, sep)
     state_at, points = cs.Trajectory.state_at, []
 
-    def counted(self, r):
+    def counted(self, r, row=None):
         if np.ndim(r):
-            points.append(np.size(r))
-        return state_at(self, r)
+            points.append((np.size(r), row))
+        return state_at(self, r, row=row)
     monkeypatch.setattr(cs.Trajectory, "state_at", counted)
     cs.pointwise_R_history(r0, tg, sep)
     assert len(points) <= 4
-    assert sum(points) <= 7 + 2 * 7 * tg.size + tg.size
+    assert sum(n for n, _ in points) <= 7 + 2 * 7 * tg.size + tg.size
+    assert points[-1] == (tg.size, None)
+    assert all(row == 1 for _, row in points[:-1])
 
 
 def test_history_needs_negative_F():

@@ -45,7 +45,7 @@ def test_cumulative_value_at_matches_per_point_loop(sep):
     rq = np.concatenate([[0.0, -30.0, sep.r_lo, sep.r_hi],
                          np.random.default_rng(5).uniform(sep.r_lo, sep.r_hi, 200)])
     for comp in (0, 1):
-        cum = _Cumulative(sep, lambda s: s[comp])
+        cum = _Cumulative(sep, comp)
         ref = loop(cum, comp, rq)
         assert [cum.value_at(sep, r) for r in rq[:4]] == ref[:4].tolist()
         assert np.allclose(cum.value_at(sep, rq), ref, rtol=4e-16, atol=0.0)

@@ -367,11 +367,11 @@ def _per_leg(traj, rq):
     return out, np.unique(which).size
 
 
-def test_state_at_calls_each_leg_once_per_array(sep, monkeypatch):
-    # an array within one leg is one call of that leg on the whole array; an
-    # array straddling a join is split by leg.  Either way the states equal
-    # the per-leg reference and the one-point path, bit for bit, and the
-    # result is the caller's own array
+def _leg_cases(sep):
+    # ("inside", r) within one leg and ("across", r) straddling a join:
+    # arrays inside each leg, one-element arrays at each leg's ends and at
+    # each join's nextafter neighbours, arrays across each join and the
+    # whole range
     cusp, step, germ = sep.legs
     cases = []
     for lo, leg in zip((sep.r_lo - 5e-10, cusp.r_hi, step.r_hi), sep.legs):
@@ -385,15 +385,28 @@ def test_state_at_calls_each_leg_once_per_array(sep, monkeypatch):
                   ("across", near[::-1]), ("across", np.linspace(join - 1.0, join + 1.0, 41))]
     cases.append(("across", np.concatenate([sep.dense_grid(2001), [sep.r_lo - 5e-10,
                                                                  sep.r_hi + 5e-10]])))
+    return cases
+
+
+def _count_leg_calls(monkeypatch):
     calls = []
     for leg_type in (_CuspLeg, _Leg, _GermLeg):
         orig = leg_type.__call__
-        monkeypatch.setattr(leg_type, "__call__",
-                            lambda leg, r, orig=orig: calls.append(id(leg)) or orig(leg, r))
-    for kind, rq in cases:
+        monkeypatch.setattr(leg_type, "__call__", lambda leg, r, row=None, orig=orig:
+                            calls.append((id(leg), row)) or orig(leg, r, row))
+    return calls
+
+
+def test_state_at_calls_each_leg_once_per_array(sep, monkeypatch):
+    # an array within one leg is one call of that leg on the whole array; an
+    # array straddling a join is split by leg.  Either way the states equal
+    # the per-leg reference and the one-point path, bit for bit, and the
+    # result is the caller's own array
+    calls = _count_leg_calls(monkeypatch)
+    for kind, rq in _leg_cases(sep):
         calls.clear()
         got = sep.state_at(rq)
-        called = list(calls)
+        called = [leg for leg, _ in calls]
         ref, n_legs = _per_leg(sep, rq)
         assert len(called) == len(set(called)) == n_legs, rq
         assert (n_legs == 1) == (kind == "inside"), rq
@@ -401,6 +414,57 @@ def test_state_at_calls_each_leg_once_per_array(sep, monkeypatch):
         assert np.array_equal(got, np.stack([sep.state_at(float(r)) for r in rq], axis=1)), rq
         got[:] = 0.0
         assert np.array_equal(sep.state_at(rq), ref), rq
+
+
+def test_state_at_row_is_that_row_of_the_full_evaluation(sep, monkeypatch):
+    # a selected row takes the same dispatch (one call per leg it touches,
+    # with that row) and equals the same row of the full evaluation bit for
+    # bit, for arrays and one at a time; each row is the caller's own array
+    calls = _count_leg_calls(monkeypatch)
+    back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
+                        direction="backward")
+    cases = _leg_cases(sep) + [(kind, np.array([v])) for kind, rq in _leg_cases(sep)
+                               if kind == "across" and rq.size == 3 for v in rq]
+    cases = [(sep, rq) for _, rq in cases] + [(back, back.dense_grid(1001))]
+    for traj, rq in cases:
+        full = traj.state_at(rq)
+        for row in (0, 1, 2):
+            calls.clear()
+            got = traj.state_at(rq, row=row)
+            assert got.shape == rq.shape and all(r == row for _, r in calls), rq
+            assert len(calls) == len({leg for leg, _ in calls}), rq
+            assert np.array_equal(got, full[row]), rq
+            assert [traj.state_at(float(r), row=row) for r in rq] == full[row].tolist(), rq
+            got[:] = 0.0
+            assert np.array_equal(traj.state_at(rq, row=row), full[row]), rq
+    assert sep.state_at(np.empty(0), row=1).shape == (0,)
+    with pytest.raises(cs.OrbitRangeError, match="outside computed"):
+        sep.state_at(np.array([0.0, np.nan]), row=1)
+
+
+def test_F_alone_evaluates_no_other_row(sep, monkeypatch):
+    # F alone on a stepped leg does not depend on the other rows'
+    # coefficients (they may be NaN); on the cusp series it skips sigma's
+    # _start, and on the germ it sums only the three fixed-point passes of
+    # the r series, not H's or sigma's
+    import dataclasses
+    from cuspsoliton import phase_core
+    cusp, step, germ = sep.legs
+    rq = np.linspace(step.r_lo, step.r_hi, 1001)
+    poisoned = dataclasses.replace(
+        step, y_old=step.y_old * [[np.nan], [1.0], [np.nan]],
+        F=step.F * np.array([np.nan, 1.0, np.nan])[:, None])
+    assert np.array_equal(poisoned(rq, 1), step(rq)[1])
+    assert [poisoned(float(r), 1) for r in rq[::50]] == step(rq[::50])[1].tolist()
+    full = [(leg, leg(np.linspace(leg.r_lo, leg.r_hi, 101))) for leg in (cusp, germ)]
+    horner = phase_core._horner
+    sums = []
+    monkeypatch.setattr(phase_core, "_start", None)
+    monkeypatch.setattr(phase_core, "_horner", lambda c, x: sums.append(c) or horner(c, x))
+    for leg, states in full:
+        sums.clear()
+        assert np.array_equal(leg(np.linspace(leg.r_lo, leg.r_hi, 101), 1), states[1])
+        assert sums == ([leg.series[1]] if leg is cusp else [leg.series[2]] * 3)
 
 
 @pytest.mark.parametrize("r", [[0.0, np.nan], np.nan, [np.inf], -np.inf, [0.0, -np.inf]])
