@@ -92,7 +92,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
     A key takes the type of its default: a tuple is a comma-separated float
     list, and an int is a count of at least 1.  Floats and list entries must
-    be finite, and ``history_anchors_F`` must not be empty.
+    be finite, and ``t_values`` and ``history_anchors_F`` must not be empty.
     """
     known = {f.name: f.type for f in fields(RunConfig)}
     data: dict = {}
@@ -128,8 +128,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         v = getattr(cfg, f.name)
         if isinstance(f.default, (float, tuple)) and not np.all(np.isfinite(v)):
             raise ConfigError(f"{f.name} must be finite, got {v!r}")
-    if not cfg.history_anchors_F:
-        raise ConfigError("history_anchors_F must not be empty")
+    for name in ("t_values", "history_anchors_F"):
+        if not getattr(cfg, name):
+            raise ConfigError(f"{name} must not be empty")
     if cfg.format not in ("csv", "json", "plot"):
         raise ConfigError(f"unknown format {cfg.format!r}")
     if any(t <= -1.0 for t in cfg.t_values):
@@ -449,7 +450,8 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
     hist_t = np.geomspace(0.02, cfg.history_t_max + 1.0, cfg.history_points) - 1.0
     hists = [pointwise_R_history(traj.r_at_F(Fa), hist_t, traj)
              for Fa in cfg.history_anchors_F]
-    session.diagnostics.update(history_truncated=[h.truncated for h in hists])
+    session.diagnostics.update(history_truncated=[h.truncated for h in hists],
+                               history_newton_steps=[h.newton_steps for h in hists])
     em.table("histories", ["t", "r0", "r_of_t", "R", "dRdt"],
              [np.concatenate(col) for col in zip(*[
                  (h.t, np.full_like(h.t, h.r0), h.r_of_t, h.R, h.dRdt) for h in hists])])

@@ -98,8 +98,8 @@ def ct_branch_x(y, t: float):
 
     Equals the quadratic-formula root
     (-y + (t+1)y^3 + sqrt(...)) / (2(t+1)y^2 - 1) but is evaluated in the
-    cancellation-free form and polished by one Newton step so that
-    C_t(x(y), y) vanishes to full precision across the whole ray.
+    cancellation-free form and polished by two Newton steps on C_t in x, so
+    that C_t(x(y), y) vanishes to full precision across the whole ray.
     """
     t = _check_t(t)
     s = t + 1.0
@@ -190,9 +190,10 @@ def _ab(H, F, sig):
     """C_t = A + (t+1) B at orbit states, in the cancellation-free split form.
 
     With p = HF + 1/2 and sigma = H^2 - p (the transported curvature state),
-    A = 2p - H^2 and B = 2F^2 sigma.
+    A = 2p - H^2 and B = 2F^2 sigma.  Squares are products, so floats and
+    arrays take the same IEEE operations (a float's ``** 2`` is libm's pow).
     """
-    return 2.0 * (H * F + 0.5) - H ** 2, 2.0 * F ** 2 * sig
+    return 2.0 * (H * F + 0.5) - H * H, 2.0 * F * F * sig
 
 
 def _check_ab(r, A, B):
@@ -239,8 +240,10 @@ class _SStar:
     turn from - to + once, at r_min.  Past the germ join 1 - s* = Y^4 q(Y^2)
     with Y = -1/F falling, so every kept coefficient of the exact q must be
     positive: then s* < 1 rises there.  Anything else raises IntegrationError.
-    Built once per orbit (``Trajectory._per_orbit``), it keeps no reference
-    to the trajectory; each evaluation is handed it.
+    The values of s* on that grid, bit for bit those of ``__call__``, are
+    kept as two branch tables that bracket each crossing between adjacent
+    grid points.  Built once per orbit (``Trajectory._per_orbit``), it keeps
+    no reference to the trajectory; each evaluation is handed it.
     """
 
     def __init__(self, traj: Trajectory):
@@ -249,7 +252,8 @@ class _SStar:
         r_end = germ.r_lo if self.q else traj.r_hi
         r = np.union1d(traj.r[traj.r <= r_end], np.arange(traj.r_lo, r_end, _CERT_STEP))
         states = traj.state_at(r)
-        _check_ab(r, *_ab(*states))
+        A, B = _ab(*states)
+        _check_ab(r, A, B)
         _check_ab(traj.r, *_ab(traj.H, traj.F, traj.sigma))
         if self.q and min(self.q) <= 0.0:
             raise IntegrationError(f"s* rises past r = {r_end:.6g} only if (1 - s*)/Y^4 "
@@ -266,8 +270,18 @@ class _SStar:
             self.r_min = float(r[0] if up[0] else r_end)
         self.points, self.r_join = int(r.size), r_end
         # the branch ends and s* there, which every report starts from
-        self.ends = (traj.r_lo, self.r_min, traj.r_hi)
-        self.at_ends = [self(traj, e) for e in self.ends]
+        ends = [traj.r_lo, self.r_min, traj.r_hi]
+        self.at_ends = [self(traj, e) for e in ends]
+        # s* on the grid as two branch tables: nodes rising in r, and the
+        # running maximum of sign * s* (sign -1 on the falling branch), whose
+        # first key above sign * (t + 1) ends a node interval across which
+        # s* - (t + 1) changes sign.  Past a germ join the next node is r_hi.
+        fall, rise = r < self.r_min, r > self.r_min
+        k, s_grid, tail = np.count_nonzero(fall), -A / B, slice(2, 3 if self.q else 2)
+        nodes = np.concatenate([r[fall], ends[1:2], r[rise], ends[tail]])
+        vals = np.concatenate([s_grid[fall], self.at_ends[1:2], s_grid[rise], self.at_ends[tail]])
+        self.branches = [(nodes[:k + 1], np.maximum.accumulate(-vals[:k + 1]), -1.0),
+                         (nodes[k:], np.maximum.accumulate(vals[k:]), 1.0)]
 
     def __call__(self, traj: Trajectory, r: float) -> float:
         H, F, sig = traj.state_at(r).tolist()
@@ -277,12 +291,16 @@ class _SStar:
         return -a / b
 
     def report(self, traj: Trajectory, t: float) -> CrossingReport:
-        """One Brent root of s* - (t+1) on each monotone branch straddling it."""
-        s, ends = t + 1.0, self.ends
+        """One Brent root of s* - (t+1) on each monotone branch straddling it,
+        between the adjacent grid points (or the germ join and r_hi) where
+        the tabulated s* crosses t + 1."""
+        s = t + 1.0
         gaps = [v - s for v in self.at_ends]
         crossings, pattern = [], "+" if gaps[0] > 0.0 else "-"
-        for lo, hi, g_lo, g_hi in zip(ends, ends[1:], gaps, gaps[1:]):
+        for (nodes, key, sign), g_lo, g_hi in zip(self.branches, gaps, gaps[1:]):
             if g_lo * g_hi < 0.0:
+                j = int(np.searchsorted(key, sign * s, side="right"))
+                lo, hi = nodes[j - 1].item(), nodes[j].item()
                 try:
                     rc = brent(lambda rr: self(traj, rr) - s, lo, hi, xtol=_CROSSING_XTOL,
                                rtol=1e-15)
@@ -302,8 +320,10 @@ def crossing_scan(traj: Trajectory, t_values) -> list[CrossingReport]:
     certificate (``_SStar``), built once per orbit, serves every t, and
     each crossing is one Brent root of s* = t + 1 to r-resolution 1e-9
     on a monotone branch: none for t < t*, two for t* < t < 0
-    (one if the orbit ends before the second), one for t >= 0.  A failed
-    certificate or refinement raises ``IntegrationError``.
+    (one if the orbit ends before the second), one for t >= 0.  The
+    certificate's table of s* on its grid brackets each root between
+    adjacent grid points, so a root costs about five evaluations of s*.
+    A failed certificate or refinement raises ``IntegrationError``.
     """
     t_values = [_check_t(t) for t in t_values]
     sstar = traj._per_orbit(_SStar)
@@ -401,6 +421,7 @@ class RHistory:
     dRdt: np.ndarray
     truncated: bool
     sign_change_times: list[float]
+    newton_steps: int            # Newton steps that inverted the flow time
 
     @property
     def last_sign_change(self) -> float | None:
@@ -409,31 +430,43 @@ class RHistory:
 
 def _flow_time(traj: Trajectory):
     """T(r) = int_{r_hi}^r dr/F, tabulated once per orbit from the flat end,
-    and its inverse r(tau), tau = log(1 + T), as quintic Hermite pieces.
+    and its inverse r(tau), tau = log(1 + T), as septic Hermite pieces.
 
-    The node derivatives come from the field: dr/dtau = (1 + T) F and
-    d2r/dtau2 = (1 + T) F + (1 + T)^2 F F'.  The pieces are Taylor
-    coefficients in the unit variable of each tau interval, highest first.
+    The node derivatives come from the field: with w = 1 + T, dr/dtau =
+    d1 = w F, d2r/dtau2 = d1 + w d1 F' and d3r/dtau3 = d1 + 3 w d1 F'
+    + w^2 d1 (F'^2 + F F''), F'' = 2H'F + 2HF' - 4HH'.  The pieces are
+    Taylor coefficients in the unit variable of each tau interval, highest
+    first.
     """
     if np.any(traj.F >= 0.0):
         raise IntegrationError(f"the flow time int dr/F needs F < 0 on the orbit; "
                                f"it fails at r = {traj.r[np.argmax(traj.F >= 0.0)]:.6g}")
     T = _Cumulative(traj, 1, lambda F: 1.0 / F, from_hi=True)
     # tau rises as r falls: reversed, the nodes increase
-    w, F = 1.0 + T.cum[::-1], traj.F[::-1]
+    w, H, F = 1.0 + T.cum[::-1], traj.H[::-1], traj.F[::-1]
     tau, r = np.log1p(T.cum[::-1]), traj.r[::-1]
+    dH, dF = _field(H, F, 0.5)
     d1 = w * F
-    d2 = d1 + w * d1 * _field(traj.H[::-1], F, 0.5)[1]
+    ddF = 2.0 * (dH * F + H * dF) - 4.0 * H * dH
+    d2 = d1 + w * d1 * dF
+    d3 = d1 + 3.0 * w * d1 * dF + w * w * d1 * (dF * dF + F * ddF)
     h = np.diff(tau)
-    c1, c2 = h * d1[:-1], 0.5 * h * h * d2[:-1]
-    # p(u) = sum c_k u^k on [0, 1] matches r, r', r'' at both ends
-    gap = r[1:] - r[:-1] - c1 - c2
-    slope = h * d1[1:] - c1 - 2.0 * c2
-    curve = h * h * d2[1:] - 2.0 * c2
-    c3 = 10.0 * gap - 4.0 * slope + 0.5 * curve
-    c4 = -15.0 * gap + 7.0 * slope - curve
-    c5 = 6.0 * gap - 3.0 * slope + 0.5 * curve
-    return T, (tau, np.stack([c5, c4, c3, c2, c1, r[:-1]]))
+    c1, c2, c3 = h * d1[:-1], 0.5 * h ** 2 * d2[:-1], h ** 3 / 6.0 * d3[:-1]
+    # p(u) = sum c_k u^k on [0, 1] matches r and its first three derivatives
+    # at both ends
+    gap = r[1:] - r[:-1] - c1 - c2 - c3
+    slope = h * d1[1:] - c1 - 2.0 * c2 - 3.0 * c3
+    curve = h ** 2 * d2[1:] - 2.0 * c2 - 6.0 * c3
+    jerk = h ** 3 * d3[1:] - 6.0 * c3
+    c4 = 35.0 * gap - 15.0 * slope + 2.5 * curve - jerk / 6.0
+    c5 = -84.0 * gap + 39.0 * slope - 7.0 * curve + 0.5 * jerk
+    c6 = 70.0 * gap - 34.0 * slope + 6.5 * curve - 0.5 * jerk
+    c7 = -20.0 * gap + 10.0 * slope - 2.0 * curve + jerk / 6.0
+    return T, (tau, np.stack([c7, c6, c5, c4, c3, c2, c1, r[:-1]]))
+
+
+_NEWTON_STOP = 1e-7        # a correction below this, relative to max(|r|, 1), ends the loop
+_NEWTON_MAX_STEPS = 4
 
 
 def _r_start(inverse, target: np.ndarray) -> np.ndarray:
@@ -441,7 +474,7 @@ def _r_start(inverse, target: np.ndarray) -> np.ndarray:
 
     T is exponential in r at the cusp end and near linear at the flat end,
     so r is smooth in log(1 + T): on the default orbit the start is within
-    7.3e-6 of T^-1 over T's whole range.
+    3.0e-8 of T^-1 on the CLI's grid from anchors F = -0.5 to -30.
     """
     tau, coef = inverse
     x = np.log1p(target)
@@ -455,14 +488,20 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     F < 0 on the orbit, so the flow time T(r) = int_{r_hi}^r dr/F is
     strictly monotone and r(t) = T^{-1}(T(r0) + t).  T is tabulated by the
     quadrature of the metric profiles, accumulated from the flat end, and
-    inverted by two Newton steps from a quintic Hermite start in log(1 + T).
-    T(r0) and each step are one ``state_at`` call of F alone; then R[g(t)] =
-    R[g0](r(t))/(t+1) and dR/dt follow from the final phase states, the one
-    call of all three rows.  A t whose target T(r0) + t leaves T's range
-    [0, T(r_lo)] is dropped and the history flagged truncated; an empty
-    grid, or a t that is not finite and above -1, is a ValueError.
+    inverted by Newton steps from a septic Hermite start in log(1 + T),
+    until every correction is at most 1e-7 of max(|r|, 1) (one step on the
+    default orbit; ``newton_steps`` records how many).  No convergence in
+    four steps raises ``IntegrationError``.  T(r0) and each step are one
+    ``state_at`` call of F alone; then R[g(t)] = R[g0](r(t))/(t+1) and dR/dt
+    follow from the final phase states, the one call of all three rows.  A
+    t whose target T(r0) + t leaves T's range [0, T(r_lo)] is dropped and
+    the history flagged truncated; a ``t_grid`` that is not 1-D or is
+    empty, or a t that is not finite and above -1, is a ValueError.
     """
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1:
+        raise ValueError(f"t_grid must be one-dimensional, got shape {t_grid.shape}")
+    t_grid = np.sort(t_grid)
     if not t_grid.size:
         raise ValueError("the flow time grid is empty")
     if not (t_grid[0] > -1.0 and np.isfinite(t_grid[-1])):   # sorted: a NaN is last
@@ -475,9 +514,16 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     kept = (target >= 0.0) & (target <= flow_time.cum[0])
     tv, target = t_grid[kept], target[kept]
     r = _r_start(inverse, target)
-    for _ in range(2):      # measured corrections 7e-6, 1.5e-11 (the next, 1e-15)
+    for steps in range(1, _NEWTON_MAX_STEPS + 1):
         value, F = flow_time.value_and_row(traj, r)
-        r = r - (value - target) * F
+        step = (value - target) * F
+        r = r - step
+        # the next correction is about 0.28 step^2: at most 3e-15 of the scale
+        if np.all(np.abs(step) <= _NEWTON_STOP * np.maximum(np.abs(r), 1.0)):
+            break
+    else:
+        raise IntegrationError(f"r(t) from r0 = {r0!r}: Newton corrections still exceed "
+                               f"{_NEWTON_STOP:g} of max(|r|, 1) after {steps} steps")
 
     s = tv + 1.0
     H, F, sig = traj.state_at(r)
@@ -487,4 +533,5 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     sign_changes = [float(0.5 * (tv[i] + tv[i + 1]))
                     for i in np.nonzero(np.diff(np.sign(dR)) != 0)[0]]
     return RHistory(r0=float(r0), t=tv, r_of_t=r, R=R, dRdt=dR,
-                    truncated=not kept.all(), sign_change_times=sign_changes)
+                    truncated=not kept.all(), sign_change_times=sign_changes,
+                    newton_steps=steps)

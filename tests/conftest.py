@@ -32,6 +32,41 @@ def blowup_t0():
     return cs.run_sequence("t0")
 
 
+class DenseCounts:
+    """Dense evaluations seen since the last ``reset``: each
+    ``Trajectory.state_at`` call as (points, row), a one-point call counting
+    one point, and the number of ``_SStar.__call__`` evaluations of s*."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.state_at, self.sstar = [], 0
+
+    @property
+    def points(self) -> int:
+        return sum(n for n, _ in self.state_at)
+
+
+@pytest.fixture
+def dense_counts(monkeypatch):
+    """Count dense evaluations for the rest of the test (see ``DenseCounts``)."""
+    from cuspsoliton.evolution import _SStar
+    counts = DenseCounts()
+    state_at, sstar = cs.Trajectory.state_at, _SStar.__call__
+
+    def counted_state_at(self, r, row=None):
+        counts.state_at.append((int(np.size(r)), row))
+        return state_at(self, r, row=row)
+
+    def counted_sstar(self, traj, r):
+        counts.sstar += 1
+        return sstar(self, traj, r)
+    monkeypatch.setattr(cs.Trajectory, "state_at", counted_state_at)
+    monkeypatch.setattr(_SStar, "__call__", counted_sstar)
+    return counts
+
+
 def _field(H, F):
     c = -2.0 * H * H + 0.5
     return H * F + c, 2.0 * H * F + c

@@ -323,10 +323,11 @@ def test_config_non_finite_controls_rejected(tmp_path, line):
                                   "f0 = inf", "history_t_max = inf", "history_anchors_F =",
                                   "history_anchors_F = nan", "r_cusp_probe = nan",
                                   "r_flat_probe = -inf", "t_values = 0.0, inf",
-                                  "t_grid_max = nan", "shoot_offset = inf"])
+                                  "t_grid_max = nan", "shoot_offset = inf", "t_values ="])
 def test_config_non_finite_values_rejected(tmp_path, capsys, line):
-    # each of these crashed with a traceback, exited 0 with numpy warnings,
-    # or failed later as a numeric (3) or range (4) error
+    # each of these crashed with a traceback, exited 0 with numpy warnings
+    # (or, for an empty t_values, with empty crossing and Psi reports), or
+    # failed later as a numeric (3) or range (4) error
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
     assert main(["all", "--config", str(bad), "--out", str(tmp_path)]) == 2
@@ -410,7 +411,7 @@ def test_manifest_records_stage_times(tmp_path):
     diag = manifest["diagnostics"]
     assert set(diag) == {"germ_join_r", "germ_c", "germ_join_mismatch_H",
                          "germ_join_mismatch_sigma", "sstar_certificate_points",
-                         "history_truncated", "legs"}
+                         "history_truncated", "history_newton_steps", "legs"}
     cusp, fwd = diag["legs"]
     assert set(cusp) == {"method", "terms", "theta_start", "truncation", "r_lo", "r_hi"}
     assert cusp["method"] == "series" and cusp["terms"] == 12
@@ -425,6 +426,7 @@ def test_manifest_records_stage_times(tmp_path):
     assert cusp["r_lo"] == pytest.approx(cusp["r_hi"] - math.log(10.0) / cs.EIGENVALUE_UNSTABLE,
                                          abs=1e-12)
     assert diag["history_truncated"] == [False, False]
+    assert diag["history_newton_steps"] == [1, 1]
     assert diag["germ_join_r"] == pytest.approx(25.0, abs=1e-12)
     assert diag["sstar_certificate_points"] > 10000
 

@@ -360,6 +360,10 @@ def test_history_rejects_bad_inputs(sep):
             cs.pointwise_R_history(0.0, bad, sep)
     with pytest.raises(ValueError):
         cs.pointwise_R_history(1e9, [0.0, 1.0], sep)
+    # a scalar grid failed inside np.sort with numpy's AxisError
+    for bad in (0.5, [[0.0, 0.5]]):
+        with pytest.raises(ValueError, match="t_grid must be one-dimensional"):
+            cs.pointwise_R_history(0.0, bad, sep)
 
 
 def _ode_history_r(traj, r0, t_grid):
@@ -419,12 +423,13 @@ def test_truncated_history_keeps_the_times_inside_the_flow_range(short_orbit):
     assert empty.truncated and empty.t.size == 0 and empty.sign_change_times == []
 
 
-def test_history_start_and_two_newton_steps(sep, short_orbit):
-    # the quintic Hermite start in log(1 + T), replayed with the history's two
-    # Newton steps and a third: the replay lands on r_of_t bit for bit, the
-    # start lies within 1e-4 of it, and the corrections fall quadratically to
-    # rounding (measured at most 1.7e-6, 3.6e-12, 2.0e-15 of max(|r|, 1)),
-    # on the CLI's grid
+def test_history_septic_start_and_newton_stop_rule(sep, short_orbit):
+    # the septic Hermite start in log(1 + T), replayed with the history's
+    # stop rule: the replay takes the history's steps and lands on r_of_t
+    # bit for bit, the start lies within 1e-4 of it (measured 3.0e-8 on the
+    # default orbit, 1.5e-10 on the short one), one step suffices, and the
+    # would-be next correction is rounding (measured at most 2.5e-15 of
+    # max(|r|, 1)), on the CLI's grid
     from cuspsoliton.evolution import _flow_time, _r_start
     tg = np.geomspace(0.02, 201.0, 240) - 1.0
     cases = [(sep, sep.r_at_F(F_anchor)) for F_anchor in (-0.5, -1.0, -10.0, -30.0)]
@@ -437,37 +442,68 @@ def test_history_start_and_two_newton_steps(sep, short_orbit):
         r = _r_start(inverse, target)
         assert np.all(np.abs(r - h.r_of_t) <= 1e-4)
         steps = []
-        for _ in range(3):
+        for _ in range(4):
             value, F = T.value_and_row(traj, r)
             assert np.array_equal(F, traj.state_at(r)[1])
             steps.append((value - target) * F)
             r = r - steps[-1]
-            if len(steps) == 2:
-                assert np.array_equal(r, h.r_of_t)
+            if np.all(np.abs(steps[-1]) <= 1e-7 * np.maximum(np.abs(r), 1.0)):
+                break
+        assert len(steps) == h.newton_steps == 1
+        assert np.array_equal(r, h.r_of_t)
+        value, F = T.value_and_row(traj, r)
         scale = np.maximum(np.abs(h.r_of_t), 1.0)
-        assert np.all(np.abs(steps[1]) <= 1e-10 * scale)
-        assert np.all(np.abs(steps[2]) <= 1e-12 * scale)
+        assert np.all(np.abs((value - target) * F) <= 1e-12 * scale)
 
 
-def test_warm_history_makes_four_state_at_calls(sep, monkeypatch):
-    # T(r0), one call per Newton step (Gauss points and iterates together)
-    # and the final states: 4 array calls, 7 + 2 * 7 * 240 + 240 points.
-    # Every point but the final 240 evaluates F alone
+def test_warm_history_makes_three_state_at_calls(sep, dense_counts):
+    # T(r0), the one Newton step on the default orbit (Gauss points and
+    # iterates together) and the final states: 3 array calls of 7, 7 * 240
+    # and 240 points.  Every call but the final one evaluates F alone
     tg = np.geomspace(0.02, 201.0, 240) - 1.0
     r0 = sep.r_at_F(-1.0)
     cs.pointwise_R_history(r0, tg, sep)
-    state_at, points = cs.Trajectory.state_at, []
+    dense_counts.reset()
+    h = cs.pointwise_R_history(r0, tg, sep)
+    assert h.newton_steps == 1
+    assert dense_counts.state_at == [(7, 1), (7 * tg.size, 1), (tg.size, None)]
 
-    def counted(self, r, row=None):
-        if np.ndim(r):
-            points.append((np.size(r), row))
-        return state_at(self, r, row=row)
-    monkeypatch.setattr(cs.Trajectory, "state_at", counted)
-    cs.pointwise_R_history(r0, tg, sep)
-    assert len(points) <= 4
-    assert sum(n for n, _ in points) <= 7 + 2 * 7 * tg.size + tg.size
-    assert points[-1] == (tg.size, None)
-    assert all(row == 1 for _, row in points[:-1])
+
+def test_loose_orbit_history_takes_a_second_newton_step():
+    # on an orbit shot at rel_tol = 1e-7 the start is 7.6e-7 off: one step
+    # leaves a correction above 1e-7, so the loop takes a second, and r(t)
+    # still agrees with integrating rdot = F (measured 2.8e-9).  From
+    # F = -10 the quadrature of T over this orbit's long steps is 1.1e-8 off
+    # whatever the steps, so that anchor checks the step count alone
+    traj = cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(rel_tol=1e-7)))
+    tg = np.geomspace(0.02, 201.0, 240) - 1.0
+    assert cs.pointwise_R_history(traj.r_at_F(-10.0), tg, traj).newton_steps == 2
+    for F_anchor in (-0.5, -1.0):
+        r0 = traj.r_at_F(F_anchor)
+        h = cs.pointwise_R_history(r0, tg, traj)
+        assert h.newton_steps == 2 and not h.truncated
+        ode = _ode_history_r(traj, r0, tg)
+        assert np.all(np.abs(h.r_of_t - ode) <= 1e-8 * np.maximum(np.abs(ode), 1.0))
+
+
+def test_history_far_from_its_start_raises(sep, monkeypatch):
+    # a start 0.1 off takes all four steps and lands where the septic start
+    # does; one 1.0 off still moves by more than 1e-7 in the fourth step
+    from cuspsoliton import evolution
+    tg = np.geomspace(0.02, 201.0, 240) - 1.0
+    r0 = sep.r_at_F(-1.0)
+    good = cs.pointwise_R_history(r0, tg, sep)
+    r_start = evolution._r_start
+    monkeypatch.setattr(evolution, "_r_start", lambda inverse, target:
+                        r_start(inverse, target) + 0.1)
+    near = cs.pointwise_R_history(r0, tg, sep)
+    assert near.newton_steps == 4
+    assert np.all(np.abs(near.r_of_t - good.r_of_t)
+                  <= 1e-12 * np.maximum(np.abs(good.r_of_t), 1.0))
+    monkeypatch.setattr(evolution, "_r_start", lambda inverse, target:
+                        r_start(inverse, target) + 1.0)
+    with pytest.raises(cs.IntegrationError, match="after 4 steps"):
+        cs.pointwise_R_history(r0, tg, sep)
 
 
 def test_history_needs_negative_F():
@@ -486,6 +522,80 @@ def test_crossing_scan_matches_per_t_find_crossings(sep):
         assert rep.crossings == one.crossings
         assert rep.sign_pattern == one.sign_pattern
         assert rep.count == one.count
+
+
+def test_sstar_tables_are_the_one_point_sstar_bit_for_bit(sep, short_orbit):
+    # a crossing's bracket must hold a sign change of s* as Brent evaluates
+    # it, one point at a time: the certificate grid's array values are
+    # those bits, and so is each branch table's running maximum
+    from cuspsoliton.evolution import _SStar, _ab
+    for traj in (sep, short_orbit):
+        sstar = traj._per_orbit(_SStar)
+        for nodes, key, sign in sstar.branches:
+            one = np.array([sstar(traj, r) for r in nodes.tolist()])
+            assert np.array_equal(np.maximum.accumulate(sign * one), key)
+            grid = nodes[nodes <= sstar.r_join]
+            A, B = _ab(*traj.state_at(grid))
+            assert np.array_equal(-A / B, one[:grid.size])
+        # every grid point, r_min on both branches, and r_hi past a germ
+        assert sum(nodes.size for nodes, _, _ in sstar.branches) == (
+            sstar.points + (3 if sstar.q else 2))
+
+
+def test_crossing_roots_are_bracketed_by_adjacent_grid_points(sep, monkeypatch,
+                                                              dense_counts):
+    # each root's Brent search runs between adjacent nodes of its branch
+    # table, and on times drawn like perfbench's flow_queries (log-uniform
+    # 1 + t in [0.02, 201]) takes at most 8 evaluations of s* (measured at
+    # most 6, 5.3 on average); a root past the germ join is bracketed by
+    # the join and r_hi
+    from cuspsoliton import evolution
+    sstar = sep._per_orbit(evolution._SStar)
+    brent, searches = evolution.brent, []
+
+    def counted(f, a, b, **kwargs):
+        before = dense_counts.sstar
+        root = brent(f, a, b, **kwargs)
+        searches.append((a, b, root, dense_counts.sstar - before))
+        return root
+    monkeypatch.setattr(evolution, "brent", counted)
+    ts = np.exp(np.random.default_rng(5).uniform(math.log(0.02), math.log(201.0), 200)) - 1.0
+    # s* at the germ join (the last grid value) and at r_hi
+    germ_t = 0.5 * (sstar.branches[1][1][-2] + sstar.at_ends[2]) - 1.0
+    reports = cs.crossing_scan(sep, [*ts, germ_t])
+    roots = [r for rep in reports for r, _, _ in rep.crossings]
+    assert [root for _, _, root, _ in searches] == roots
+    assert reports[-1].count == 2 and roots[-1] > sstar.r_join
+    for nodes, key, sign in sstar.branches:
+        on_branch = [s for s in searches if nodes[0] <= s[2] <= nodes[-1]]
+        assert on_branch
+        for a, b, root, _ in on_branch:
+            i = int(np.searchsorted(nodes, a))
+            assert nodes[i] == a and nodes[i + 1] == b and a <= root <= b
+    assert searches[-1][:2] == (sstar.r_join, sep.r_hi)
+    assert max(n for *_, n in searches[:-1]) <= 8
+
+
+def test_flow_queries_dense_work_per_operation(dense_counts):
+    # perfbench's flow_queries operations (seed 3, 400 of them) on a warm
+    # default orbit: per operation at most 6 evaluations of s* (measured
+    # 3.1) and at most 2 000 dense points (measured 1 935: r_at_F, the
+    # crossings, T(r0), one Newton step of 1 680 points and the final 240
+    # states), and every history takes one Newton step
+    import importlib.util
+    import itertools
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    flow = workloads.FlowQueries(3, None)
+    ops = list(itertools.islice(flow.inputs(), 400))
+    flow.run(ops[0])
+    dense_counts.reset()
+    steps = {flow.run(op)[1].newton_steps for op in ops}
+    assert steps == {1}
+    assert dense_counts.sstar <= 6 * len(ops)
+    assert dense_counts.points <= 2000 * len(ops)
 
 
 def test_failed_crossing_refinement_raises(sep, monkeypatch):

@@ -3,8 +3,11 @@ in csv and in plot format, the manifest aside, and the stepper's counters.
 
 The digests were recorded on x86-64 with numpy 2.4.6 (the orbit-derived
 files once the cusp end became the unstable manifold's series, delta.json
-once t_b was isolated by Sturm sequence, the others at commit 72e7dc3),
-and they pin that platform: the libm and numpy of
+once t_b was isolated by Sturm sequence, crossings.json once each root was
+bracketed on the s* certificate grid, the history files (histories.csv,
+histories_t_R.dat, histories_t_dRdt.dat, histories_t_r_of_t.dat) once r(t)
+came from a septic start and stopped after one Newton step, the others at
+commit 72e7dc3), and they pin that platform: the libm and numpy of
 another may move last bits.  A deliberate change of any output edits
 these tables.
 """
@@ -28,7 +31,7 @@ _REPORTS = {
     "blowup_t0.txt":
         "3d6688b9ce846d23492bbdf774d54077155d5bc4c3b5734447cb264256e0b349",
     "crossings.json":
-        "94ccd8c2abe3c966db64b08b040b40398199d5a3ae7dbd104e2311743dcf26df",
+        "a56de879b2a98e52ae4d57d7f0ba34527235b2e90507ba99ca6da0d5d75955a0",
     "delta.json":
         "4127044d0e4754bf62656139aef4468d3f6087097a9b6ab52e7c4fa0d0ea14d2",
     "identities.json":
@@ -41,7 +44,7 @@ _TABLES = {
         "curvature.csv":
             "66f3a4602bee440ae6cbdac01377bbaaf17aa92a1d368d2b0cc24af54e673e4d",
         "histories.csv":
-            "e68ef7b07acaebf1def910c2d4ce4bfa99d3ae5d66547d352d218e5c544bb1cf",
+            "171045832d98d0435cbffd101f2c2079d205de2912353020ac931162e681b15c",
         "isoclines.csv":
             "b6b775f542ef0b849dc2a9426e45465dfbe3ac0f9aab804bd91f622a876a1731",
         "psi_t_m0_200.csv":
@@ -73,13 +76,13 @@ _TABLES = {
         "curvature_r_sec_xy.dat":
             "5e728f0ff4218d086bdfc68defadced0eb48645ce3775a415967d14bca784e26",
         "histories_t_R.dat":
-            "03107226f473ba17fda54d9ec7bedc8a3a4532c1bad65f048ed5cb2b384b3cc5",
+            "6ce2aec8388348c0d1c2435e492ec59238074af97489d75a3870e1065881b308",
         "histories_t_dRdt.dat":
-            "30d740d114cf536e32318a6a8048632339e02cb97a006161cec5c7872f8073ae",
+            "e04e5dcc1398aace5627413c7281230cd14b8fd432cf3d011b25de2b74dd0eec",
         "histories_t_r0.dat":
             "627686e64079f49270e217e22d512f2515d368e978722d0220b3685c3e01fb0b",
         "histories_t_r_of_t.dat":
-            "77a0d6b51f65f5ff03e981d2955a7d0484598f2e41d9cc2941d2bd3620d0823a",
+            "18560bece28c22b02dd4064134fb3ab432caf3b3a2227f2188b45e2cd979bda5",
         "isoclines_H_F_horizontal.dat":
             "f0fb06e03a08febbfcbdea1d6dd29f6b78c7b9abcc9672388b966422403934b1",
         "isoclines_H_F_oblique.dat":
