@@ -151,7 +151,10 @@ class PsiScan:
     The grid is log-spaced from the domain endpoint -1/sqrt(t+1) down to
     ``y_floor``; the unbounded rest of the ray is settled by the analytic
     tail t/(4y), whose sign for y < 0 is the sign of -t.  Verdict
-    "positive" certifies the barrier property of {C_t = 0}.
+    "positive" certifies the barrier property of {C_t = 0}.  For t in
+    (-1, 0) the verdict is exact, the sign of P(t + 1) (see
+    ``scan_delta_threshold``): far out the float Psi_t cancels, so its
+    minimum is kept as data only.  For t >= 0 it is read off the scan.
     """
 
     t: float
@@ -162,6 +165,15 @@ class PsiScan:
     tail_sign: int
     tail_match: float            # relative agreement of psi with the tail at y_floor
     verdict: str                 # "positive" | "sign-changing"
+
+
+# P(s), ascending powers of s = t + 1: Psi_t's zero count changes only at its root in (0, 1)
+_PSI_DISC = [Fraction(c) for c in (4263, -6061, 17214, -29568, 648)]
+
+
+def _psi_positive(t: float) -> bool:
+    """Psi_t > 0 on the whole branch, exactly, for t in (-1, 0): P(t + 1) > 0."""
+    return _poly_eval(_PSI_DISC, Fraction(t) + 1) > 0
 
 
 def scan_psi(t: float, y_floor: float = -1e3, n: int = 1200) -> PsiScan:
@@ -176,7 +188,7 @@ def scan_psi(t: float, y_floor: float = -1e3, n: int = 1200) -> PsiScan:
     tail_sign = int(np.sign(-t)) if t != 0 else int(np.sign(psi(y_floor * 100, t)))
     tail_ref = psi_tail(y_floor, t)
     tail_match = abs(vals[-1] - tail_ref) / max(abs(tail_ref), 1e-300)
-    positive = vals[i] > 0.0 and tail_sign > 0
+    positive = _psi_positive(t) if t < 0.0 else vals[i] > 0.0 and tail_sign > 0
     return PsiScan(t=t, y=y, values=vals, min_value=float(vals[i]),
                    argmin_y=float(y[i]), tail_sign=tail_sign,
                    tail_match=float(tail_match),
@@ -359,10 +371,6 @@ class DeltaScan:
     certificate_points: int
 
 
-# P(s), ascending powers of s = t + 1: Psi_t's zero count changes only at its root in (0, 1)
-_PSI_DISC = [Fraction(c) for c in (4263, -6061, 17214, -29568, 648)]
-
-
 @functools.cache
 def _t_b_bracket() -> tuple[float, float]:
     """t_b = s_b - 1, isolated once by Sturm sequence and rounded outward by one ulp."""
@@ -397,8 +405,7 @@ def scan_delta_threshold(traj: Trajectory, t_grid=None) -> DeltaScan:
     if not -1.0 < t_star < 0.0:
         raise IntegrationError(f"crossing threshold t* = {t_star:.6g} not in (-1, 0)")
 
-    verdicts = {float(t): "positive" if _poly_eval(_PSI_DISC, Fraction(t) + 1) > 0
-                else "sign-changing" for t in t_grid}
+    verdicts = {float(t): "positive" if _psi_positive(t) else "sign-changing" for t in t_grid}
 
     return DeltaScan(t_grid=t_grid, crossing_counts=counts,
                      crossing_threshold=t_star, crossing_r=sstar.r_min,
@@ -474,7 +481,7 @@ def _r_start(inverse, target: np.ndarray) -> np.ndarray:
 
     T is exponential in r at the cusp end and near linear at the flat end,
     so r is smooth in log(1 + T): on the default orbit the start is within
-    3.0e-8 of T^-1 on the CLI's grid from anchors F = -0.5 to -30.
+    4.9e-13 of T^-1 on the CLI's grid from anchors F = -0.5 to -30.
     """
     tau, coef = inverse
     x = np.log1p(target)

@@ -46,8 +46,9 @@ class _Cumulative:
     The integrand is ``fn`` of state row ``row`` (0, 1, 2 for H, F, sigma),
     and only that row is evaluated; the integral is taken from the first
     sample node, or from the last if ``from_hi``.  Gauss-Legendre on each
-    accepted step integrates the dense interpolant essentially exactly, so
-    the result carries the integrator's accuracy.  The table keeps no
+    sample interval, which lies within one Taylor piece or series leg,
+    integrates the dense output essentially exactly, so the result carries
+    the integrator's accuracy.  The table keeps no
     reference to the trajectory (it may live in the trajectory's per-orbit
     memo); ``value_at`` is handed it.
     """
@@ -284,7 +285,8 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
 
     Cusp end: h ~ r/2, f -> f0, and the deviations decay along the saddle
     eigendirection, so (f - f0)/(h - r/2 - c1) tends to the eigenvector
-    slope 3 + sqrt5 (its reciprocal is reported as well); |F| decays like
+    slope 3 + sqrt5 (its reciprocal is reported as well), with h - r/2 - c1
+    the integral of H - 1/2 from -inf; |F| decays like
     e^{alpha r}.  Flat end: H ~ 1/r, F ~ -r/2, HF -> -1/2, F' -> -1/2,
     h ~ ln r, f ~ -r^2/4, H/F -> 0; the H r trend is read at 9 points of
     [r_hi/10, r_hi].  A probe outside [r_lo, r_hi] marks that end's probed
@@ -308,7 +310,10 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
     else:
         h_c = float(profile.h_at(r_cusp))
         f_c = float(profile.f_at(r_cusp))
-        h_dev = h_c - r_cusp / 2.0 - profile.cusp_h_offset
+        # h - r/2 - c1 = int_{-inf}^r (H - 1/2), from the series' tail and a
+        # quadrature of H - 1/2: h - r/2 would cancel to a few ulps of h
+        dev = _Cumulative(traj, 0, lambda H: H - 0.5)
+        h_dev = traj.legs[0].tails(traj.r_lo)[0] + dev.value_at(traj, r_cusp)
         f_dev = f_c - profile.f0
         cusp_entry("h_over_half_r", r_cusp, h_c / (r_cusp / 2.0) if r_cusp else math.nan, 1.0,
                    ok=bool(r_cusp), note="" if r_cusp else "probe at r = 0")

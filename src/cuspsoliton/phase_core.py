@@ -21,10 +21,13 @@ keeps sigma at full relative accuracy where the direct expression
 -(H' + H^2) loses every digit to cancellation (along the bounded orbit
 sigma decays like r^-4 while H', H^2 decay like r^-2).
 
-Every leg takes calibrated r.  ``_numerics.Dop853`` steps forward only; a
-backward run steps the negated field in t = -r.  The bounded orbit's two
-ends are exact series: the saddle's unstable manifold (``_CuspLeg``) and,
-instead of stiff stepping far out, the germ at infinity (``_GermLeg``).
+The field is polynomial, so its Taylor series at any state follows from
+Cauchy products: ``_Taylor`` steps (H, F, sigma) by that series, forward
+only (a backward run steps the negated field in t = -r), and keeps each
+step as its polynomial piece.  Every leg takes calibrated r.  The bounded
+orbit's two ends are exact series too: the saddle's unstable manifold
+(``_CuspLeg``) and, instead of stiff stepping far out, the germ at
+infinity (``_GermLeg``).
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from ._numerics import Dop853, IntegrationError, brent, eval_piece
+from ._numerics import EPS, IntegrationError, brent
 
 __all__ = [
     "PhasePoint", "PhaseVelocity", "Jacobian2", "IntegratorControls",
@@ -188,7 +192,13 @@ def eigen_saddle(j: Jacobian2) -> tuple[EigenPair, EigenPair]:
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Tolerances, range and stop predicates for the adaptive integrator."""
+    """Tolerances, range and stop predicates for the adaptive integrator.
+
+    ``rel_tol`` sets the Taylor order and bounds each step's last two
+    terms relative to each state's size over the step; ``abs_tol`` is the
+    floor of that bound for H and F, not for sigma, which decays like r^-4
+    and is held relative to itself.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -206,14 +216,135 @@ class IntegratorControls:
             raise ValueError("h_floor and f_ceiling must be finite when set")
 
 
+_SAMPLE_STEP = 0.2          # r between the samples taken within one step
+
+
+def _cauchy(a, b) -> float:
+    # sum_i a_i b_(n-1-i) over lists of length n: the order n - 1 part of a product
+    return sum(map(mul, a, reversed(b)))
+
+
+class _Taylor:
+    """One forward Taylor run of (H, F, sigma) in solver time t, by ``advance``.
+
+    ``sign`` -1 steps the negated field, a backward run in t = -r; ``t_bound``
+    lies above ``t0`` and may be moved between steps.  The field is
+    polynomial, so the coefficients c_k of y = sum c_k (t - t_i)^k follow
+    from Cauchy products: (k + 1) c_(k+1) is the order-k part of (HF - 2H^2
+    + 1/2, 2HF - 2H^2 + 1/2, (F - H) sigma - H H^2).  The order is p =
+    ceil(-ln(rel_tol)/2) + 1, at least 3, and the step h the longest for
+    which the terms |c_jk| h^k, k in {p - 1, p}, of each state j are within
+    rel_tol of its size over the step, max(|c_j0|, |c_j1| h), or within
+    ``abs_tol`` for H and F (Jorba & Zou, Exp. Math. 14, 2005): sigma
+    decays like r^-4, so it is held relative to its own size.  No step is
+    rejected.  Step i is kept as its piece, the terms c_k h_i^k of u = (t -
+    ts[i])/h_i for each state, highest power first.  A non-finite start,
+    coefficient or state, or a step below the float spacing, raises
+    ``IntegrationError``.
+    """
+
+    def __init__(self, t0: float, y0, t_bound: float, rel_tol: float, abs_tol: float,
+                 sign: float = 1.0):
+        self.t, self.y, self.t_bound, self.sign = t0, tuple(y0), t_bound, sign
+        self.rel_tol, self.abs_tol = rel_tol, abs_tol
+        self.order = max(3, math.ceil(-0.5 * math.log(rel_tol)) + 1)
+        if not all(map(math.isfinite, self.y)):
+            raise IntegrationError("Taylor start state not finite", t0)
+        self.ts, self.h, self.pieces = [t0], [], []
+
+    def _series(self) -> tuple:
+        """c_0 .. c_p of H, F and sigma at the current state."""
+        H, F, S = ([v] for v in self.y)
+        HH, D = [], []              # H^2, F - H
+        for k in range(self.order):
+            HH.append(_cauchy(H, H))
+            D.append(F[k] - H[k])
+            hf, hhh, ds = _cauchy(H, F), _cauchy(H, HH), _cauchy(D, S)
+            c, n = -2.0 * HH[k] + (0.5 if k == 0 else 0.0), self.sign * (k + 1)
+            H.append((hf + c) / n)
+            F.append((2.0 * hf + c) / n)
+            S.append((ds - hhh) / n)
+        return H, F, S
+
+    def step(self) -> None:
+        """One step toward ``t_bound``."""
+        t, p, rtol = self.t, self.order, self.rel_tol
+        rows = self._series()
+        if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
+            raise IntegrationError("Taylor coefficients not finite", t)
+        tols = [rtol * abs(c[0]) for c in rows]
+        tols[:2] = (max(self.abs_tol, tol) for tol in tols[:2])
+        # |c_k| h^k <= tol or <= rel_tol |c_1| h: the longer of the two bounds
+        h = min([max((tol / abs(c[k])) ** (1.0 / k), (rtol * abs(c[1] / c[k])) ** (1.0 / (k - 1)))
+                 for tol, c in zip(tols, rows) for k in (p - 1, p) if c[k]] or [math.inf])
+        if not h >= 10 * (math.nextafter(t, math.inf) - t):      # also a NaN step
+            raise IntegrationError("Taylor step size fell below the float spacing", t)
+        t_new = min(t + h, self.t_bound)
+        h = t_new - t
+        piece = tuple([c * h ** k for k, c in enumerate(row)][::-1] for row in rows)
+        y_new = tuple(_horner(row, 1.0) for row in piece)
+        if not all(map(math.isfinite, y_new)):
+            raise IntegrationError("Taylor state not finite", t_new)
+        self.ts.append(t_new)
+        self.h.append(h)
+        self.pieces.append(piece)
+        self.t, self.y = t_new, y_new
+
+    def at(self, t: float) -> tuple:
+        """The last step's piece at ``t``."""
+        u = (t - self.ts[-2]) / self.h[-1]
+        return tuple(_horner(row, u) for row in self.pieces[-1])
+
+    def root(self, g, direction: int) -> float | None:
+        """Where g(t, y(t)) crosses zero upward (``direction`` > 0) or
+        downward (< 0) on the last step, or None."""
+        t0 = self.ts[-2]
+        g0, g1 = g(t0, tuple(row[-1] for row in self.pieces[-1])), g(self.t, self.y)
+        if not (g0 <= 0.0 <= g1 if direction > 0 else g0 >= 0.0 >= g1):
+            return None
+        return brent(lambda t: g(t, self.at(t)), t0, self.t, xtol=4 * EPS, rtol=4 * EPS)
+
+    def stop(self, t: float) -> None:
+        """End the run at ``t``; the steps that start at or past it are dropped."""
+        while len(self.pieces) > 1 and t <= self.ts[-2]:
+            del self.ts[-1], self.h[-1], self.pieces[-1]
+        self.ts[-1] = self.t = self.t_bound = t
+        self.y = self.at(t)
+
+    def advance(self, events) -> str | None:
+        """Step to ``t_bound`` through ``events``, a list of ``(g, direction, action)``.
+
+        After each step the roots of the events on it (see ``root``) are taken
+        in time order up to ``t_bound``: ``action(t)`` may raise, move
+        ``t_bound`` or return a name, which ends the run at ``t`` and is
+        returned.  A run that reaches ``t_bound`` returns None.
+        """
+        while self.t < self.t_bound:
+            self.step()
+            hits = [(t, i) for i, (g, direction, _) in enumerate(events)
+                    if (t := self.root(g, direction)) is not None]
+            for t, i in sorted(hits):
+                if t <= self.t_bound and (name := events[i][2](t)) is not None:
+                    self.stop(t)
+                    return name
+            if self.t > self.t_bound:
+                self.stop(self.t_bound)
+        return None
+
+    def stats(self) -> dict:
+        return {"method": "taylor", "order": self.order, "rel_tol": self.rel_tol,
+                "abs_tol": self.abs_tol, "n_steps": len(self.pieces)}
+
+
 @dataclass(frozen=True, eq=False)
 class _Leg:
-    """One forward DOP853 leg; takes calibrated r, at solver time shift + sign r.
+    """One Taylor run; takes calibrated r, at solver time shift + sign r.
 
     ``ts`` are the ascending step ends in solver time, so ``ts[:-1]`` are the
-    step starts; step i is the degree-7 polynomial ``(ts[i], h[i], y_old[:, i],
-    F[:, :, i])`` that scipy's ``Dop853DenseOutput`` evaluates.  A backward run
-    has sign -1.  ``stats`` are the run's method, tolerances and counters.
+    step starts; step i is the polynomial in u = (t - ts[i])/h[i] with the
+    coefficients ``coef[:, :, i]`` of (H, F, sigma), highest power first,
+    and ``pieces[i]`` the same in Python floats.  A backward run has sign -1.
+    ``stats`` are the run's method, order, tolerances and step count.
     """
 
     r_lo: float
@@ -222,46 +353,55 @@ class _Leg:
     sign: float
     ts: np.ndarray
     h: np.ndarray
-    y_old: np.ndarray
-    F: np.ndarray
+    coef: np.ndarray
+    pieces: tuple
     stats: dict
 
     @classmethod
-    def from_run(cls, run: Dop853, shift: float = 0.0, sign: float = 1.0) -> "_Leg":
-        ts, h, y_old, F = run.dense_arrays()
-        r_lo, r_hi = sorted(sign * (t - shift) for t in (ts[0].item(), ts[-1].item()))
-        return cls(r_lo, r_hi, shift, sign, ts, h, y_old, F, run.stats())
+    def from_run(cls, run: _Taylor, shift: float = 0.0, sign: float = 1.0) -> "_Leg":
+        ts, pieces = np.array(run.ts), tuple(run.pieces)
+        r_lo, r_hi = sorted(sign * (t - shift) for t in (run.ts[0], run.ts[-1]))
+        coef = np.ascontiguousarray(np.array(pieces).transpose(2, 1, 0))
+        return cls(r_lo, r_hi, shift, sign, ts, np.array(run.h), coef, pieces, run.stats())
 
     def __call__(self, r, row=None) -> np.ndarray:
-        """States (3, n) at calibrated ``r``, or (3,) at one r, bit-identical
-        to scipy's ``OdeSolution`` over the same pieces; with a ``row``, that
-        state alone: (n,), or a float at one r."""
+        """States (3, n) at calibrated ``r``, or (3,) at one r; with a
+        ``row``, that state alone: (n,), or a float at one r."""
         if isinstance(r, float) or np.ndim(r) == 0:
             return self._point(float(r), row)
         t = self.shift + self.sign * r
-        ts, h = self.ts, self.h
+        seg = np.minimum(np.maximum(np.searchsorted(self.ts, t) - 1, 0), self.h.size - 1)
+        u = (t - self.ts[seg]) / self.h[seg]
+        # _horner's operations in place, on the rows asked for, one
+        # coefficient row gathered at a time
         rows = slice(None) if row is None else row
-        y_old, F = self.y_old[rows], self.F[:, rows]
-        seg = np.minimum(np.maximum(np.searchsorted(ts, t) - 1, 0), h.size - 1)
-        x = (t - ts[seg]) / h[seg]
-        u = 1 - x
-        y = np.zeros(y_old.shape[:-1] + t.shape)
-        # Dop853DenseOutput's Horner loop, in its order, on the rows asked
-        # for; one row of coefficients gathered per step, not the whole block
-        for k in range(F.shape[0] - 1, -1, -1):
-            y += F[k].take(seg, axis=-1)
-            y *= x if k % 2 == 0 else u
-        y += y_old.take(seg, axis=-1)
+        coef = iter(self.coef)
+        y = next(coef)[rows].take(seg, axis=-1)
+        for c in coef:
+            y *= u
+            y += c[rows].take(seg, axis=-1)
         return y
 
     def _point(self, r: float, row=None):
-        # __call__ at one r in Python floats, from one segment's
-        # coefficients: the same IEEE operations without numpy's per-call cost
+        # __call__ at one r in Python floats, from one step's piece: the
+        # same IEEE operations without numpy's per-call cost
         t = self.shift + self.sign * r
         seg = min(max(bisect_left(self.ts, t) - 1, 0), self.h.size - 1)
-        y = eval_piece(t, self.ts[seg].item(), self.h[seg].item(),
-                       self.y_old[:, seg].tolist(), self.F[:, :, seg].tolist())
-        return np.array(y) if row is None else y[row]
+        u = (t - self.ts[seg].item()) / self.h[seg].item()
+        piece = self.pieces[seg]
+        if row is not None:
+            return _horner(piece[row], u)
+        return np.array([_horner(c, u) for c in piece])
+
+    def samples(self):
+        """Ascending r at every step's start, ``_SAMPLE_STEP`` or less apart
+        within each step, and at the run's end; the states there (3, n)."""
+        ts = self.ts.tolist()
+        t = [a + (b - a) * j / n for a, b in zip(ts, ts[1:])
+             for n in [math.ceil((b - a) / _SAMPLE_STEP)] for j in range(n)]
+        r = self.sign * (np.array(t + ts[-1:]) - self.shift)
+        r = r[::int(self.sign)]
+        return r, self(r)
 
 
 @cache
@@ -297,7 +437,12 @@ def _germ_series(n: int):
 
 
 def _horner(coeffs, x):
-    return reduce(lambda acc, a: acc * x + a, coeffs)
+    # highest power first
+    it = iter(coeffs)
+    acc = next(it)
+    for a in it:
+        acc = acc * x + a
+    return acc
 
 
 @dataclass(frozen=True)
@@ -323,7 +468,7 @@ class _CuspLeg:
         n = 12
         xs, ys = [0.0, 1.0], [0.0, SLOPE_UNSTABLE]
         for k in range(2, n + 2):
-            xy, xx = (sum(xs[i] * v[k - i] for i in range(1, k)) for v in (ys, xs))
+            xy, xx = (_cauchy(xs[1:], v[1:]) for v in (ys, xs))
             a, b, kl = xy - 2.0 * xx, 2.0 * (xy - xx), k * EIGENVALUE_UNSTABLE
             det = (k - 1) * (k + 1 - kl)
             xs.append(((kl - 1.0) * a + 0.5 * b) / det)
@@ -373,6 +518,10 @@ class _GermLeg:
             cut.append([float(a) for a in ser[n - 1::-1]])
         return cls(r_join, r_hi, r_join - _horner(cut[2], y * y) / y, tuple(cut))
 
+    @property
+    def stats(self) -> dict:
+        return {"method": "germ", "c": self.c, "terms": [len(ser) for ser in self.series]}
+
     def r_at_F(self, F: float) -> float:
         """The r at which F = ``F`` on the germ, r = c + R(Y) with Y = -1/F."""
         y = -1.0 / F
@@ -401,7 +550,7 @@ class _GermLeg:
 
 @dataclass(eq=False)
 class Trajectory:
-    """A computed orbit: samples at the accepted steps plus dense output.
+    """A computed orbit: samples along its legs plus dense output.
 
     ``r`` is strictly increasing.  ``sigma`` is the transported curvature
     state -(H' + H^2).  Trajectories compare by identity: a copy made by
@@ -451,10 +600,10 @@ class Trajectory:
         the full evaluation.  A point goes to the first leg with r <= its
         r_hi, the last leg takes the rest; a NaN or infinite r raises
         ``OrbitRangeError``.  An array whose min and max share a leg is one
-        call of that leg, one that straddles a join is split by leg.  DOP853
-        legs are evaluated in one pass over their gathered pieces,
-        bit-identical to ``OdeSolution``; series legs sum their series.  One
-        point takes the array pass's operations, in floats.
+        call of that leg, one that straddles a join is split by leg.  A
+        Taylor leg is evaluated by Horner over its gathered pieces; series
+        legs sum their series.  One point takes the array pass's
+        operations, in floats, bit for bit.
         """
         if isinstance(r, float) or np.ndim(r) == 0:
             return self._state_at_point(float(r), row)
@@ -491,7 +640,7 @@ class Trajectory:
 
     def r_at_F(self, target: float) -> float:
         """First r at which F crosses ``target``: Brent's method on the dense
-        output of a DOP853 leg, the closed form on the germ."""
+        output of a Taylor leg, the closed form on the germ."""
         g = self.F - target
         idx = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) <= 0)[0]
         if len(idx) == 0:
@@ -509,25 +658,6 @@ class Trajectory:
 def _start(H: float, F: float) -> tuple:
     """(H, F, sigma) at a phase point, sigma = -(H' + H^2) with _field's H'."""
     return H, F, -(_field(H, F, 0.5)[0] + H * H)
-
-
-def _cube(H):
-    # libm's pow, also per element of an array: numpy's power can differ
-    # from it in the last bit
-    return H ** 3 if isinstance(H, float) else np.array([x ** 3 for x in H.tolist()])
-
-
-def _rhs(r, y):
-    """(H', F', sigma') of the expanding system, the integrator's right-hand side."""
-    H, F, sig = y
-    dH, dF = _field(H, F, 0.5)
-    return dH, dF, (F - H) * sig - _cube(H)
-
-
-def _atol(abs_tol: float) -> tuple:
-    # sigma decays like r^-4 along the bounded orbit, so its absolute
-    # control is far below the state's
-    return abs_tol, abs_tol, 1e-21
 
 
 def integrate(start, r0: float, controls: IntegratorControls,
@@ -555,18 +685,18 @@ def integrate(start, r0: float, controls: IntegratorControls,
     if controls.f_ceiling is not None:
         events.append((lambda t, y: abs(y[1]) - controls.f_ceiling, 1, lambda t: "f_ceiling"))
 
-    rhs = _rhs if sign > 0 else lambda t, y: tuple(-v for v in _rhs(t, y))
     start = tuple(map(float, start))
     try:
-        run = Dop853(rhs, sign * r0, start if len(start) == 3 else _start(*start),
-                     sign * r_end, controls.rel_tol, _atol(controls.abs_tol))
+        run = _Taylor(sign * r0, start if len(start) == 3 else _start(*start), sign * r_end,
+                      controls.rel_tol, controls.abs_tol, sign)
         termination = run.advance(events) or "r_end"
     except IntegrationError as exc:
         raise IntegrationError(f"{exc.msg} at r = {sign * exc.t!r}") from None
 
-    ts, ys = (a[..., ::int(sign)] for a in run.samples())     # ascending in r
+    leg = _Leg.from_run(run, sign=sign)
+    r, ys = leg.samples()
     return Trajectory(
-        r=sign * ts, H=ys[0].copy(), F=ys[1].copy(), sigma=ys[2].copy(),
-        rel_tol=controls.rel_tol, termination=termination, legs=(_Leg.from_run(run, sign=sign),),
+        r=r, H=ys[0], F=ys[1], sigma=ys[2],
+        rel_tol=controls.rel_tol, termination=termination, legs=(leg,),
         meta={"r0": r0, "direction": direction},
     )

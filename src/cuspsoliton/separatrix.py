@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._numerics import Dop853, brent
+from ._numerics import brent
 from .phase_core import (
     EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, IntegratorControls, Trajectory,
-    _atol, _CuspLeg, _GermLeg, _Leg, _rhs,
+    _CuspLeg, _GermLeg, _Leg, _Taylor,
 )
 
 # The transversal contraction rate along the orbit grows like r/2, which
@@ -107,13 +107,14 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
     """Compute the bounded orbit S by shooting from the saddle.
 
     S is the unstable manifold of (1/2, 0), a series in theta ~ e^{lambda r}
-    (``_CuspLeg``).  One DOP853 leg starts on it at theta = -offset/|p_1|
+    (``_CuspLeg``).  One Taylor leg starts on it at theta = -offset/|p_1|
     and runs until H drops below the floor or the forward extent is
-    reached; below the start the series is tabulated every 1.0 in r from
-    where theta is saddle_ball/offset of its start value.  r = 0 at the one
-    point with F = -1 (F is monotone along S), which the leg locates on its
-    dense output while it steps.  Past r = 25 S is its exact germ at infinity, sampled every
-    5.0; ``meta`` records the join and its mismatch.
+    reached, sampled every 0.2 or less; below the start the series is
+    tabulated every 1.0 in r from where theta is saddle_ball/offset of its
+    start value.  r = 0 at the one point with F = -1 (F is monotone along
+    S), which the leg locates on its step polynomials while it steps.  Past
+    r = 25 S is its exact germ at infinity, sampled every 5.0.  ``meta``
+    records the join and its mismatch, and each leg's method and range.
     """
     cfg = cfg or ShootConfig()
     ctl = cfg.controls
@@ -133,7 +134,7 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
         if r_star is None:
             r_star, fwd.t_bound = t, t + min(_GERM_JOIN, ctl.r_max)
 
-    fwd = Dop853(_rhs, 0.0, cusp(0.0).tolist(), 1e4, ctl.rel_tol, _atol(ctl.abs_tol))
+    fwd = _Taylor(0.0, cusp(0.0).tolist(), 1e4, ctl.rel_tol, ctl.abs_tol)
     termination = fwd.advance([(lambda t, y: y[0] - 0.5, 1, leave_band),
                                (lambda t, y: y[1] + 1.0, -1, anchor),
                                (lambda t, y: y[0] - h_floor, -1, lambda t: "h_floor")]) or "r_max"
@@ -144,26 +145,27 @@ def shoot_separatrix(cfg: ShootConfig | None = None) -> Trajectory:
                    / EIGENVALUE_UNSTABLE - r_star)
     nodes = np.arange(cusp.r_lo, cusp.r_hi, _CUSP_NODE_STEP)
     nodes = nodes[nodes < cusp.r_hi]
-    tf, yf = fwd.samples()
-    legs = [cusp, _Leg.from_run(fwd, r_star)]
-    r = np.concatenate([nodes, tf - r_star])
-    y = np.concatenate([cusp(nodes), yf], axis=1)
-    meta = dict(kind="separatrix", offset=cfg.offset, saddle_ball=cfg.saddle_ball, r_star_raw=r_star,
-                legs=[dict(leg.stats, r_lo=leg.r_lo, r_hi=leg.r_hi) for leg in legs])
+    step = _Leg.from_run(fwd, r_star)
+    r_step, y_step = step.samples()
+    legs = [cusp, step]
+    r = np.concatenate([nodes, r_step])
+    y = np.concatenate([cusp(nodes), y_step], axis=1)
+    meta = dict(kind="separatrix", offset=cfg.offset, saddle_ball=cfg.saddle_ball, r_star_raw=r_star)
     if termination != "h_floor" and ctl.r_max > _GERM_JOIN:
         r_join = float(r[-1])
-        germ = _GermLeg.matched(r_join, float(yf[1, -1]), float(ctl.r_max))
+        germ = _GermLeg.matched(r_join, float(y_step[1, -1]), float(ctl.r_max))
         if ctl.h_floor is not None and germ(germ.r_hi)[0] < ctl.h_floor:
             germ = replace(germ, r_hi=brent(lambda rr: germ(rr)[0].item() - ctl.h_floor, r_join,
                                             germ.r_hi, xtol=1e-12, rtol=1e-15))
             termination = "h_floor"
         nodes = np.arange(r_join, germ.r_hi, _GERM_NODE_STEP)[1:]
         nodes = np.append(nodes[nodes < germ.r_hi], germ.r_hi)
-        dev = np.abs(germ(r_join) / yf[:, -1] - 1.0)
+        dev = np.abs(germ(r_join) / y_step[:, -1] - 1.0)
         meta.update(germ_join_r=r_join, germ_c=germ.c, germ_join_mismatch_H=float(dev[0]),
                     germ_join_mismatch_sigma=float(dev[2]))
         legs.append(germ)
         r, y = np.append(r, nodes), np.concatenate([y, germ(nodes)], axis=1)
+    meta["legs"] = [dict(leg.stats, r_lo=leg.r_lo, r_hi=leg.r_hi) for leg in legs]
     traj = Trajectory(
         r=r, H=y[0].copy(), F=y[1].copy(), sigma=y[2].copy(),
         rel_tol=ctl.rel_tol, termination=termination, legs=tuple(legs), meta=meta,

@@ -74,11 +74,11 @@ def _field(H, F):
 
 @pytest.fixture(scope="session")
 def scipy_shot():
-    """S shot with scipy's ``solve_ivp``, the route the package took before
-    it had a stepper of its own: a probe leg to F = -1 at raw r*, DOP853
-    forward to r* + 25 and backward into the 1e-9 saddle ball, at the
-    default tolerances.  Returns a function giving the states (3, n) at
-    calibrated r in [r_lo, 25]."""
+    """S shot with scipy's ``solve_ivp``, a reference that shares no code
+    with the package's stepper: a probe leg to F = -1 at raw r*, DOP853
+    forward to r* + 25 and backward into the 1e-9 saddle ball, at rtol
+    1e-13 and atol (1e-16, 1e-16, 1e-24).  Returns a function giving the
+    states (3, n) at calibrated r in [r_lo, 25]."""
     from scipy.integrate import solve_ivp
 
     def rhs(r, y):
@@ -86,20 +86,19 @@ def scipy_shot():
         dH, dF = _field(H, F)
         return dH, dF, (F - H) * sig - H ** 3
 
-    def solve(span, atol, event=None):
+    def solve(span, event=None):
         if event:
             event.terminal, event.direction = True, -1
         return solve_ivp(rhs, span, y0, method="DOP853", dense_output=True,
-                         rtol=1e-10, atol=[atol, atol, 1e-21], events=event)
+                         rtol=1e-13, atol=[1e-16, 1e-16, 1e-24], events=event)
 
     u = np.array([1.0, 3.0 + math.sqrt(5.0)])
     H0, F0 = np.array([0.5, 0.0]) - 1e-8 * u / np.linalg.norm(u)
     y0 = [H0, F0, -((H0 * F0 - 2.0 * H0 * H0 + 0.5) + H0 * H0)]
-    r_star = solve((0.0, 1e4), 1e-12, lambda r, y: y[1] + 1.0).t_events[0][0]
-    fwd = solve((0.0, r_star + 25.0), 1e-12)
+    r_star = solve((0.0, 1e4), lambda r, y: y[1] + 1.0).t_events[0][0]
+    fwd = solve((0.0, r_star + 25.0))
     span_back = math.log(10.0) / cs.EIGENVALUE_UNSTABLE + 20.0
-    bwd = solve((0.0, -span_back), 1e-14,
-                lambda r, y: math.hypot(y[0] - 0.5, y[1]) - 1e-9)
+    bwd = solve((0.0, -span_back), lambda r, y: math.hypot(y[0] - 0.5, y[1]) - 1e-9)
 
     def states(r):
         raw = np.asarray(r, dtype=float) + r_star

@@ -231,6 +231,21 @@ def test_evolve_command(tmp_path):
     assert -0.7 < lo < hi < 0.0
 
 
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-8])
+def test_evolve_on_loose_orbits(tmp_path, sep, rel_tol):
+    # the s* certificate holds on orbits shot at loose tolerances: the
+    # default crossing counts, and t* within rel_tol of the graph's value
+    # (measured 4.7e-9 at 1e-7, 7.4e-10 at 1e-8)
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text(f"rel_tol = {rel_tol}\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    counts = [c["count"] for c in json.loads((tmp_path / "crossings.json").read_text())]
+    assert counts == [cs.find_crossings(sep, t).count for t in RunConfig().t_values]
+    delta = json.loads((tmp_path / "delta.json").read_text())
+    assert delta["crossing_counts"] == cs.scan_delta_threshold(sep).crossing_counts
+    assert delta["crossing_threshold"] == pytest.approx(-0.0369922000675, abs=rel_tol)
+
+
 def test_plot_format(tmp_path):
     assert main(["separatrix", "--out", str(tmp_path), "--quiet",
                  "--format", "plot"]) == 0
@@ -412,16 +427,17 @@ def test_manifest_records_stage_times(tmp_path):
     assert set(diag) == {"germ_join_r", "germ_c", "germ_join_mismatch_H",
                          "germ_join_mismatch_sigma", "sstar_certificate_points",
                          "history_truncated", "history_newton_steps", "legs"}
-    cusp, fwd = diag["legs"]
+    cusp, fwd, germ = diag["legs"]
     assert set(cusp) == {"method", "terms", "theta_start", "truncation", "r_lo", "r_hi"}
     assert cusp["method"] == "series" and cusp["terms"] == 12
     assert cusp["theta_start"] < 0.0 and cusp["truncation"] < 1e-16
-    assert set(fwd) == {"method", "rtol", "atol", "n_steps", "n_rejected", "nfev",
-                        "r_lo", "r_hi"}
-    assert fwd["method"] == "DOP853" and fwd["rtol"] == 1e-10 and fwd["n_steps"] > 0
-    assert fwd["nfev"] == 2 + 15 * fwd["n_steps"] + 12 * fwd["n_rejected"]
-    assert fwd["atol"] == [1e-12, 1e-12, 1e-21]
-    assert cusp["r_hi"] == fwd["r_lo"] < 0.0 and fwd["r_hi"] == diag["germ_join_r"]
+    assert set(fwd) == {"method", "order", "rel_tol", "abs_tol", "n_steps", "r_lo", "r_hi"}
+    assert fwd["method"] == "taylor" and fwd["order"] == 13 and fwd["n_steps"] > 0
+    assert (fwd["rel_tol"], fwd["abs_tol"]) == (1e-10, 1e-12)
+    assert set(germ) == {"method", "c", "terms", "r_lo", "r_hi"}
+    assert germ["method"] == "germ" and germ["c"] == diag["germ_c"] and len(germ["terms"]) == 4
+    assert cusp["r_hi"] == fwd["r_lo"] < 0.0
+    assert fwd["r_hi"] == diag["germ_join_r"] == germ["r_lo"] < germ["r_hi"] == 2000.0
     # the tables start where theta has shrunk by saddle_ball/offset = 1/10
     assert cusp["r_lo"] == pytest.approx(cusp["r_hi"] - math.log(10.0) / cs.EIGENVALUE_UNSTABLE,
                                          abs=1e-12)

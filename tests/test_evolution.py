@@ -186,6 +186,23 @@ def test_scan_psi_grid_and_verdicts():
     assert cs.scan_psi(10.0).tail_sign < 0
 
 
+@pytest.mark.parametrize("t", [-0.7, -0.4])
+@pytest.mark.parametrize("y_floor", [-1e8, -1e10])
+def test_psi_verdict_is_exact_far_out(t, y_floor):
+    # far out the float Psi_t cancels below zero (min -9.5e-9 at t = -0.7,
+    # y_floor = -1e8); the verdict is the exact sign of P(t + 1), and the
+    # scanned minimum stays as data
+    scan = cs.scan_psi(t, y_floor=y_floor)
+    assert scan.verdict == "positive" and scan.min_value < 0.0 and scan.tail_sign > 0
+    assert scan.y[-1] == pytest.approx(y_floor, rel=1e-12)
+
+
+def _scanned_verdict(t):
+    # the verdict read off the float scan alone, at the default floor
+    scan = cs.scan_psi(t)
+    return "positive" if scan.min_value > 0.0 and scan.tail_sign > 0 else "sign-changing"
+
+
 def test_crossings_for_late_times(sep):
     for t in (0.0, 1.0, 10.0):
         rep = cs.find_crossings(sep, t)
@@ -274,9 +291,11 @@ def test_crossing_threshold_against_unfiltered_scan(sep):
 
 
 def test_exact_psi_verdicts_match_scans(sep):
-    # the grid scan of Psi_t and the sign of P(t + 1) agree at 1 000 t
+    # the grid scan of Psi_t and the sign of P(t + 1) agree at 1 000 t, and
+    # scan_psi reports the exact verdict
     ts = np.sort(np.random.default_rng(17).uniform(-0.99, -0.001, 1000))
     ds = cs.scan_delta_threshold(sep, ts)
+    assert [_scanned_verdict(t) for t in ts] == [ds.psi_verdicts[t] for t in ts]
     assert [cs.scan_psi(t).verdict for t in ts] == [ds.psi_verdicts[t] for t in ts]
     assert {"positive", "sign-changing"} == set(ds.psi_verdicts.values())
 
@@ -287,7 +306,7 @@ def test_barrier_bracket_inside_bisected_scans(sep):
     lo, hi = -0.7, -0.2
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        if cs.scan_psi(mid).verdict == "positive":
+        if _scanned_verdict(mid) == "positive":
             lo = mid
         else:
             hi = mid
@@ -398,7 +417,7 @@ def test_history_against_ode_route(sep):
 
 @pytest.fixture(scope="module")
 def short_orbit():
-    """The separatrix cut at r = 10: it ends on a DOP853 leg, not on the germ."""
+    """The separatrix cut at r = 10: it ends on the Taylor leg, not on the germ."""
     return cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(
         r_max=10.0, h_floor=1e-6)))
 
@@ -426,8 +445,8 @@ def test_truncated_history_keeps_the_times_inside_the_flow_range(short_orbit):
 def test_history_septic_start_and_newton_stop_rule(sep, short_orbit):
     # the septic Hermite start in log(1 + T), replayed with the history's
     # stop rule: the replay takes the history's steps and lands on r_of_t
-    # bit for bit, the start lies within 1e-4 of it (measured 3.0e-8 on the
-    # default orbit, 1.5e-10 on the short one), one step suffices, and the
+    # bit for bit, the start lies within 1e-4 of it (measured 4.9e-13 on the
+    # default orbit, 7.0e-14 on the short one), one step suffices, and the
     # would-be next correction is rounding (measured at most 2.5e-15 of
     # max(|r|, 1)), on the CLI's grid
     from cuspsoliton.evolution import _flow_time, _r_start
@@ -469,17 +488,20 @@ def test_warm_history_makes_three_state_at_calls(sep, dense_counts):
     assert dense_counts.state_at == [(7, 1), (7 * tg.size, 1), (tg.size, None)]
 
 
-def test_loose_orbit_history_takes_a_second_newton_step():
-    # on an orbit shot at rel_tol = 1e-7 the start is 7.6e-7 off: one step
-    # leaves a correction above 1e-7, so the loop takes a second, and r(t)
-    # still agrees with integrating rdot = F (measured 2.8e-9).  From
-    # F = -10 the quadrature of T over this orbit's long steps is 1.1e-8 off
-    # whatever the steps, so that anchor checks the step count alone
+def test_loose_orbit_history_takes_a_second_newton_step(monkeypatch):
+    # on an orbit shot at rel_tol = 1e-7 the septic start is close enough
+    # for one step; moved off by 1e-6 of max(|r|, 1), one step leaves a
+    # correction above 1e-7, so the loop takes a second, and r(t) still
+    # agrees with integrating rdot = F (measured 1.7e-10)
+    from cuspsoliton import evolution
     traj = cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(rel_tol=1e-7)))
     tg = np.geomspace(0.02, 201.0, 240) - 1.0
-    assert cs.pointwise_R_history(traj.r_at_F(-10.0), tg, traj).newton_steps == 2
-    for F_anchor in (-0.5, -1.0):
-        r0 = traj.r_at_F(F_anchor)
+    anchors = [traj.r_at_F(F_anchor) for F_anchor in (-0.5, -1.0, -10.0)]
+    assert [cs.pointwise_R_history(r0, tg, traj).newton_steps for r0 in anchors] == [1, 1, 1]
+    r_start = evolution._r_start
+    monkeypatch.setattr(evolution, "_r_start", lambda inverse, target: (
+        lambda r: r + 1e-6 * np.maximum(np.abs(r), 1.0))(r_start(inverse, target)))
+    for r0 in anchors:
         h = cs.pointwise_R_history(r0, tg, traj)
         assert h.newton_steps == 2 and not h.truncated
         ode = _ode_history_r(traj, r0, tg)
@@ -728,7 +750,7 @@ def test_certificate_and_flow_time_are_built_once_per_orbit(sep, monkeypatch):
     hists = [cs.pointwise_R_history(traj.r_at_F(Fa), [0.0, 1.0], traj) for Fa in (-1.0, -5.0)]
     assert built == ["_SStar", "_flow_time"]
     assert reports[0].crossings == reports[1].crossings
-    assert reports[0].n_grid == ds[1].certificate_points == 12175
+    assert reports[0].n_grid == ds[1].certificate_points == 12185
     # a copy builds its own, and gets the same answers from it
     other = replace(traj)
     assert cs.find_crossings(other, -0.01).crossings == reports[0].crossings

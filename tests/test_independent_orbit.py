@@ -40,16 +40,15 @@ def _roots(f, lo, hi, n=20001):
 
 
 def test_orbit_matches_the_scipy_route(sep, scipy_shot):
-    # the same shot through solve_ivp; the steps agree to rounding, so the
-    # orbits do to the tolerances (2.1e-12 measured)
+    # the same shot through solve_ivp at tolerances far below the default
+    # (measured: H 1.4e-12, F 1.8e-12, sigma 1.2e-12)
     r = np.concatenate([np.linspace(-30.0, 25.0, 11001), sep.r[(sep.r >= -30.0) & (sep.r <= 25.0)]])
-    assert np.abs(sep.state_at(r) - scipy_shot(r)).max(axis=1) == pytest.approx(0.0, abs=1e-10)
+    assert np.abs(sep.state_at(r) - scipy_shot(r)).max(axis=1) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_crossing_threshold_against_the_graph(sep, graph_orbit):
     # t* = min s* - 1 and the H of r_min, from the root of ds*/dH on the
-    # graph (measured: |dt*| 6.1e-11, |dH| 7.2e-11, the default rel_tol's
-    # error: shot at rel_tol 1e-13 the package gives t* = -0.0369922000676)
+    # graph (measured: |dt*| 3.4e-12, |dH| 3.6e-12)
     sstar = lambda H: _sstar(H, graph_orbit(H))
     (H_min,) = _roots(lambda H: _sstar_slope(H, graph_orbit(H)), 0.05, 0.45)
     scan = cs.scan_delta_threshold(sep)
@@ -61,7 +60,7 @@ def test_crossing_threshold_against_the_graph(sep, graph_orbit):
 
 def test_default_crossings_against_the_graph(sep, graph_orbit):
     # at the CLI's default t the crossings are the roots of s*(H) = t + 1 on
-    # the graph, and lie on it (measured: |dH| 7.6e-12, |F - phi(H)| 1.5e-10)
+    # the graph, and lie on it (measured: |dH| 3.2e-12, |F - phi(H)| 9.7e-14)
     for t in RunConfig().t_values:
         roots = _roots(lambda H: _sstar(H, graph_orbit(H)) - (t + 1.0), 0.02, 0.5 - 1e-9)
         rep = cs.find_crossings(sep, t)
@@ -73,8 +72,8 @@ def test_default_crossings_against_the_graph(sep, graph_orbit):
 
 def test_barrier_separations_against_the_graph(sep, graph_orbit):
     # the four isoclines come closest at the saddle end (r_lo, H = 1/2 -
-    # 1.9e-10), where the backward leg's error is 3e-13 (1.4e-3 of the
-    # separation); sec_mixed_zero comes closest at r_hi on the germ, past
+    # 1.9e-10), on the cusp series (1.2e-16 from the graph's separation);
+    # sec_mixed_zero comes closest at r_hi on the germ, past
     # the graph, so it is checked at every scan point on the graph's range
     reports = cs.certify_barriers(sep)
     H, F, sigma = sep.state_at(reports[0].r)
@@ -84,7 +83,7 @@ def test_barrier_separations_against_the_graph(sep, graph_orbit):
         ours = _separation(b.curve_id, H, F, sigma)
         if b.curve_id == "sec_mixed_zero":
             graph = -(-(H * phi - H * H + 0.5)) / H
-            assert np.abs(ours / graph - 1.0)[on_graph].max() < 1e-7      # 1.7e-8 measured
+            assert np.abs(ours / graph - 1.0)[on_graph].max() < 1e-7      # 1.4e-9 measured
             assert b.min_separation == ours.min() == ours[-1]
             continue
         i = int(np.argmin(ours))

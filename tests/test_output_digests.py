@@ -1,15 +1,11 @@
 """Byte identity of `cuspsoliton all`: the SHA-256 of every file it writes
 in csv and in plot format, the manifest aside, and the stepper's counters.
 
-The digests were recorded on x86-64 with numpy 2.4.6 (the orbit-derived
-files once the cusp end became the unstable manifold's series, delta.json
-once t_b was isolated by Sturm sequence, crossings.json once each root was
-bracketed on the s* certificate grid, the history files (histories.csv,
-histories_t_R.dat, histories_t_dRdt.dat, histories_t_r_of_t.dat) once r(t)
-came from a septic start and stopped after one Newton step, the others at
-commit 72e7dc3), and they pin that platform: the libm and numpy of
-another may move last bits.  A deliberate change of any output edits
-these tables.
+The digests were recorded on x86-64 with numpy 2.4.6 (every file derived
+from the orbit once its middle leg became one Taylor run, the blowup,
+isocline and psi files at commit 72e7dc3), and they pin that platform:
+the libm and numpy of another may move last bits.  A deliberate change of
+any output edits these tables.
 """
 
 import hashlib
@@ -21,9 +17,9 @@ from cuspsoliton.cli import main
 
 _REPORTS = {
     "asymptotics.json":
-        "a4ff40052ea8180854526392874992343a19bbe7b798fbe2bc560baa8d3642b6",
+        "2cb6be8a35fe67951ab6b89ab72b37eec6d45788bf445f3756f6f17316ee6aec",
     "barriers.json":
-        "bf575534ce8e45bcb7d3337abcb303d0288add9a9860d0def99cde04159d6fe2",
+        "77ace2960d0084ea7cc2166d075dfbb93a2828d38221ed31ebe70466e547aad1",
     "blowup.json":
         "49dc37ab175599cb3f4886dcd610debd0e3a369b70dae0d6a5a867830bf9d5e2",
     "blowup_generic.txt":
@@ -31,20 +27,20 @@ _REPORTS = {
     "blowup_t0.txt":
         "3d6688b9ce846d23492bbdf774d54077155d5bc4c3b5734447cb264256e0b349",
     "crossings.json":
-        "a56de879b2a98e52ae4d57d7f0ba34527235b2e90507ba99ca6da0d5d75955a0",
+        "782660b17982392a7403d5a0252f6a6ccbc8b7d60d75e6a2460ea02742a02f0c",
     "delta.json":
-        "4127044d0e4754bf62656139aef4468d3f6087097a9b6ab52e7c4fa0d0ea14d2",
+        "ef801d0b22cbe5041ee0fb493d598654a2be8bd27058917f830809829af1e4a1",
     "identities.json":
-        "c06de7407fb6f2090d26357daa8cb9075f507183ce34b9482e50c1d0b6cf5d04",
+        "e4f0e4c1f0f7d9d7cb349b3ccecb4b6fa374bab76dc77be4020a2e017088b708",
     "psi_scans.json":
         "e980487450e29fe4b7ac2af6a0ed5ce8c6ae21c296bd61700b2d42874aee0f07",
 }
 _TABLES = {
     "csv": {
         "curvature.csv":
-            "66f3a4602bee440ae6cbdac01377bbaaf17aa92a1d368d2b0cc24af54e673e4d",
+            "37cd051d4915694c88ede14d317df2d785dec374f000d3910a431b286f99bd46",
         "histories.csv":
-            "171045832d98d0435cbffd101f2c2079d205de2912353020ac931162e681b15c",
+            "7f615adead84ddfff43ab8ceda65cc39adca89e6f322b3834297499f1065e292",
         "isoclines.csv":
             "b6b775f542ef0b849dc2a9426e45465dfbe3ac0f9aab804bd91f622a876a1731",
         "psi_t_m0_200.csv":
@@ -58,31 +54,31 @@ _TABLES = {
         "psi_t_p1_000.csv":
             "785ccb6ede3bdf06ddb54755fd8dc7fa9319eb038d661582ff064b1ef73288ac",
         "separatrix.csv":
-            "173caa167a0f0925ea369d7d30b4d3b0336b98ab250912a633d9c7bc57d7ff06",
+            "91d643a3fee578bc1cf7beeb9d80de79874c9945d89fb35fa27a90d7b8a816c0",
     },
     "plot": {
         "curvature_r_R.dat":
-            "4a4fa5b6dff8428c08cf43ee5b79f232205794c2c94e54e2b08aab201311d58a",
+            "4b2e688f5fc7592c42a73e3f5837459826f423f7c2235a39fca366435b05fca2",
         "curvature_r_Ric_rr.dat":
-            "457cf2c0693d358355e81846d5528b329e7f9fe08bce44d7651822942950cbf7",
+            "d6be7383a8dd6577651dcf68be5bf5fb04cb546c22b62bc4a835857519c46f1e",
         "curvature_r_Ric_tangential.dat":
-            "8be9744124398381d0277e9fc7c3259eb72112957d8bac722658704543b11f41",
+            "a347a85643323ed3070e81270704b1d96ab3c9b279df2b13ea305006298617e6",
         "curvature_r_grad_f_sq.dat":
-            "a48f0ed25d8890897042787b4663287cc6575bbea5545c0ac7da3faa41d4c82d",
+            "fc2c21cdd31ead857a492a7c47e32019af110e50d1b7bbe120f93e8664a74698",
         "curvature_r_laplace_f.dat":
-            "b94f2a10dcb3421b549676ba5f6623f732b2c3400af07c8789aa5bc4af260858",
+            "38437aceeb69cd00b8c89e38e939c223a1384e25630c3eedf594935b6f8f53f0",
         "curvature_r_sec_rx.dat":
-            "e4b829848b85f9c6b6ddd0d786fe1011dada902ef61185f855b46e3d251fed8e",
+            "a5a65cc8a64feba45d8b76591dc02be1ed3c2bc0ee13b6ae4543dc3281991c5f",
         "curvature_r_sec_xy.dat":
-            "5e728f0ff4218d086bdfc68defadced0eb48645ce3775a415967d14bca784e26",
+            "6a14454fd6611caed9467f377bd8ed8200af8a9f03ad3a0b78a2e4c23f9e0a84",
         "histories_t_R.dat":
-            "6ce2aec8388348c0d1c2435e492ec59238074af97489d75a3870e1065881b308",
+            "73ae12c41b225cc6f975e53d97bb4f68085da0e2a563c3ec88d5cd56919ac4e5",
         "histories_t_dRdt.dat":
-            "e04e5dcc1398aace5627413c7281230cd14b8fd432cf3d011b25de2b74dd0eec",
+            "4ad673e73a6ed10c70a929a10cf08ea076b7e6e151e0eddfd0d75a847fd119f2",
         "histories_t_r0.dat":
-            "627686e64079f49270e217e22d512f2515d368e978722d0220b3685c3e01fb0b",
+            "f7a6ecfa69e1a7d4173d07453b84f7a386126e9f2efa8b09acaed329ce9ce432",
         "histories_t_r_of_t.dat":
-            "18560bece28c22b02dd4064134fb3ab432caf3b3a2227f2188b45e2cd979bda5",
+            "91d4b764113e461284505da529a19082ccb0ea5b9b604bab8b5463d47cc82286",
         "isoclines_H_F_horizontal.dat":
             "f0fb06e03a08febbfcbdea1d6dd29f6b78c7b9abcc9672388b966422403934b1",
         "isoclines_H_F_oblique.dat":
@@ -100,13 +96,13 @@ _TABLES = {
         "psi_t_p1_000_y_psi.dat":
             "2614c2854b780e4921790ad356732d6264a3ce1a8b6f5e139d320b97efdb9594",
         "separatrix_r_F.dat":
-            "b9a15b101d3d658520912c1a258b3d68963f5f3406f5fa721e3939fe340faef4",
+            "3e0ea051c74a3c4c38b90b5796dae0924654b5f9020992085af7fb692e8ab112",
         "separatrix_r_H.dat":
-            "ccf61cec5394b2f5b63a18b0bdbf940cb2a3d7915c3efcef886b3a80a384b452",
+            "4aff8183205ecb1c49bfae5e8e92cffd0710418797f672713ac24b2b2b60fd3f",
         "separatrix_r_f.dat":
-            "055bc50efd7e3e6c4b949c8f0b3cefc5bc7df700a19bfb86b36cad444e6bea15",
+            "6eaddb7ba82df25dd7c0625c54dc6b9cd26bcb548c6f4e1050e952d8e0d578e2",
         "separatrix_r_h.dat":
-            "16b4ab6a638613cad888658280b4884a251f39e79428d1fa1dbe20d83a5e0534",
+            "d03870dce959e7c6a07d7c67f6bbf5884cae8ef36460c7775c99945dabd54b7a",
     },
 }
 
@@ -117,8 +113,6 @@ def test_all_writes_the_pinned_bytes(tmp_path, fmt):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir() if p.name != "manifest.json"}
     assert written == {**_REPORTS, **_TABLES[fmt]}
-    # every accepted step counts its 12 stages and its 3 dense stages, also
-    # when its dense piece is built only after the run
     legs = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["legs"]
-    assert [leg["method"] for leg in legs] == ["series", "DOP853"]
-    assert (legs[1]["n_steps"], legs[1]["n_rejected"], legs[1]["nfev"]) == (293, 13, 4553)
+    assert [leg["method"] for leg in legs] == ["series", "taylor", "germ"]
+    assert (legs[1]["n_steps"], legs[1]["order"]) == (57, 13)

@@ -1,4 +1,3 @@
-import functools
 import math
 from fractions import Fraction
 
@@ -7,7 +6,7 @@ import pytest
 
 import cuspsoliton as cs
 from cuspsoliton.blowup import BASE_P, BASE_Q, CURVE_XY
-from cuspsoliton.phase_core import _CuspLeg, _GermLeg, _Leg, _rhs
+from cuspsoliton.phase_core import _CuspLeg, _GermLeg, _Leg, _Taylor
 
 SQRT5 = math.sqrt(5.0)
 
@@ -204,12 +203,54 @@ def test_integrate_rejects_non_finite_starts(start, r0, error, direction):
 
 
 def test_step_guard_rejects_a_nan_step():
-    # a NaN tolerance makes the first step NaN: the guard stops, not retries
-    from cuspsoliton._numerics import Dop853
+    # a NaN tolerance makes the first step NaN: the guard stops, not steps
     from cuspsoliton.phase_core import _start
-    run = Dop853(_rhs, 0.0, _start(0.3, -0.4), 1.0, math.nan, (1e-12, 1e-12, 1e-21))
+    run = _Taylor(0.0, _start(0.3, -0.4), 1.0, 1e-10, math.nan)
     with pytest.raises(cs.IntegrationError, match="step size .* at t = 0.0"):
         run.step()
+
+
+@pytest.mark.parametrize("rel_tol, order", [(1e-10, 13), (1e-7, 10), (1e-13, 16), (0.5, 3)])
+def test_taylor_order_follows_rel_tol(rel_tol, order):
+    # p = ceil(-ln(rel_tol)/2) + 1 (Jorba & Zou), at least 3; the shot's leg records it
+    from cuspsoliton.phase_core import _start
+    assert _Taylor(0.0, _start(0.3, -0.4), 1.0, rel_tol, 1e-12).order == order
+
+
+def _series_field(H, F, S, p, minus=1.0):
+    # the order-k parts, k < p, of the field on the series H, F, S (lowest
+    # power first); on |H|, |F|, |S| with minus -1, the sums of the absolute terms
+    HF, HH = np.convolve(H, F)[:p], np.convolve(H, H)[:p]
+    half = np.eye(1, p)[0] / 2
+    return (HF - minus * 2 * HH + half, 2 * HF - minus * 2 * HH + half,
+            np.convolve(F - minus * H, S)[:p] - minus * np.convolve(H, HH)[:p])
+
+
+def test_each_piece_solves_the_ode(sep):
+    # (k + 1) a_(k+1) = +-h [f(a)]_k for k < p, to rounding of the absolute
+    # terms; between the coefficients' orders, at random interior points,
+    # h |y'(u) - f(y(u))| stays within (p + 1) times the step's tolerance,
+    # rel_tol max(|a_0|, |a_1|) (+ abs_tol for H and F): 2.2 measured
+    back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
+                        direction="backward")
+    rng = np.random.default_rng(1300)
+    for leg in (sep.legs[1], back.legs[0]):
+        p, rel, atol = leg.stats["order"], leg.stats["rel_tol"], leg.stats["abs_tol"]
+        for hs, piece in zip(leg.sign * leg.h, leg.pieces):
+            rows = [np.array(row[::-1]) for row in piece]
+            k = np.arange(1, p + 1)
+            f = _series_field(*rows, p)
+            size = _series_field(*map(np.abs, rows), p, -1.0)
+            for a, fa, sa in zip(rows, f, size):
+                assert np.all(np.abs(k * a[1:] - hs * fa) <= 1e-13 * np.abs(hs) * sa)
+            u = rng.uniform(0.0, 1.0, 20)
+            y = [np.polyval(row, u) for row in piece]
+            dy = [np.polyval(np.polyder(row), u) for row in piece]
+            H, F, S = y
+            field = (*cs.vector_field((H, F)), (F - H) * S - H * H * H)
+            for j, (a, d, v) in enumerate(zip(rows, dy, field)):
+                tol = rel * max(abs(a[0]), abs(a[1])) + (atol if j < 2 else 0.0)
+                assert np.all(np.abs(d - hs * v) <= (p + 1) * tol)
 
 
 def test_stop_predicates_and_termination_reason():
@@ -241,7 +282,7 @@ def test_sigma_start_is_correctly_rounded():
 
 
 def test_r_at_F_on_both_kinds_of_leg(sep):
-    # Brent's method on the DOP853 legs, the germ's closed form past r = 25
+    # Brent's method on the Taylor leg, the germ's closed form past r = 25
     for target in (-0.5, -1.0, -10.0, -13.0, -20.0, -100.0, -900.0):
         r = sep.r_at_F(target)
         assert (r > sep.legs[-1].r_lo) == (target < float(sep.state_at(sep.legs[-1].r_lo)[1]))
@@ -278,81 +319,32 @@ def test_orbit_range_queries_raise_orbit_range_error(sep):
     assert issubclass(cs.OrbitRangeError, ValueError)
 
 
-@functools.cache
-def _scipy_solution(leg):
-    # scipy's OdeSolution over the leg's stored pieces, at r + shift: for a
-    # backward leg (sign -1, shift 0) a descending one at r, its pieces'
-    # t_old and h negated.  Dop853DenseOutput evaluates from t_old, h, F and
-    # y_old alone, so h is set as stored
-    from scipy.integrate import OdeSolution
-    from scipy.integrate._ivp.rk import Dop853DenseOutput
-
-    s, t_old, pieces = leg.sign, leg.ts[:-1], []
-    for i in range(leg.h.size):
-        d = Dop853DenseOutput(s * t_old[i], s * (t_old[i] + leg.h[i]), leg.y_old[:, i],
-                              leg.F[:, :, i])
-        d.h = s * leg.h[i]
-        pieces.append(d)
-    return OdeSolution(s * leg.ts, pieces)
-
-
-def _state_via_scipy(traj, r):
-    # reference: each point through scipy's OdeSolution of its leg, the first
-    # leg with r <= its r_hi or else the last, as Trajectory.state_at picks;
-    # one point goes through scipy's own one-point path
-    if np.ndim(r) == 0:
-        leg = next((leg for leg in traj.legs[:-1] if r <= leg.r_hi), traj.legs[-1])
-        return _scipy_solution(leg)(r + leg.shift)
-    rq = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty((3, rq.size))
-    done = np.zeros(rq.size, dtype=bool)
-    for leg in traj.legs:
-        m = ~done & ((rq <= leg.r_hi) | (leg is traj.legs[-1]))
-        if m.any():
-            out[:, m] = _scipy_solution(leg)(rq[m] + leg.shift)
-            done |= m
-    return out
-
-
-def _one_at_a_time(traj, rq, dop_lo, dop_hi):
+def _one_at_a_time(traj, rq):
     # each point alone through state_at's Python-float path: equal to the
-    # array pass everywhere, and to scipy's one-point path on (dop_lo, dop_hi]
+    # array pass everywhere
     one = np.stack([traj.state_at(float(r)) for r in rq], axis=1)
     assert np.array_equal(one, traj.state_at(rq))
-    for r, y in zip(rq, one.T):
-        if dop_lo < r <= dop_hi:
-            assert np.array_equal(y, _state_via_scipy(traj, float(r))), r
 
 
-def test_state_at_is_bit_identical_to_scipy(sep):
-    # the DOP853 leg is evaluated by the gathered pass, bit-identical to
-    # scipy's OdeSolution built from the same pieces; the series legs at
-    # either end have no pieces, so the check stops at both joins
+def test_state_at_one_point_is_the_array_pass(sep):
+    # one point takes the array pass's IEEE operations in Python floats, on
+    # every leg and at and around the joins, also past the orbit's ends
     assert [type(leg) for leg in sep.legs] == [_CuspLeg, _Leg, _GermLeg]
-    lo, hi = sep.legs[1].r_lo, sep.legs[1].r_hi
     ends = np.array([v for leg in sep.legs for v in (leg.r_lo, leg.r_hi)])
     joins = np.clip(np.concatenate([np.nextafter(ends, -np.inf), ends,
                                     np.nextafter(ends, np.inf)]), sep.r_lo, sep.r_hi)
     beyond = np.array([sep.r_lo - 5e-10, sep.r_hi + 5e-10])
     rng = np.random.default_rng(1211)
-    for rq in (sep.dense_grid(400001), rng.uniform(sep.r_lo, sep.r_hi, 200000), sep.r, joins):
-        rq = rq[(rq > lo) & (rq <= hi)]
-        assert rq.size
-        assert np.array_equal(sep.state_at(rq), _state_via_scipy(sep, rq))
-    assert np.array_equal(sep.state_at(2.903), _state_via_scipy(sep, 2.903))
     _one_at_a_time(sep, np.concatenate([sep.r, joins, beyond,
-                                        rng.uniform(sep.r_lo, sep.r_hi, 2000)]), lo, hi)
-    # a backward run steps the reversed field in t = -r; its pieces, reversed,
-    # are a descending scipy solution in r.  Past its ends the one leg's end
-    # pieces extrapolate, as scipy's do
+                                        rng.uniform(sep.r_lo, sep.r_hi, 2000)]))
+    # a backward run steps the reversed field in t = -r; past its ends the
+    # one leg's end pieces extrapolate
     back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
                         direction="backward")
-    assert not _scipy_solution(back.legs[0]).ascending
     rq = np.concatenate([back.dense_grid(10001), back.r,
                          rng.uniform(back.r_lo, back.r_hi, 1000),
                          [back.r_lo - 5e-10, back.r_hi + 5e-10]])
-    assert np.array_equal(back.state_at(rq), _state_via_scipy(back, rq))
-    _one_at_a_time(back, rq, -np.inf, np.inf)
+    _one_at_a_time(back, rq)
 
 
 def _per_leg(traj, rq):
@@ -452,8 +444,8 @@ def test_F_alone_evaluates_no_other_row(sep, monkeypatch):
     cusp, step, germ = sep.legs
     rq = np.linspace(step.r_lo, step.r_hi, 1001)
     poisoned = dataclasses.replace(
-        step, y_old=step.y_old * [[np.nan], [1.0], [np.nan]],
-        F=step.F * np.array([np.nan, 1.0, np.nan])[:, None])
+        step, coef=step.coef * np.array([np.nan, 1.0, np.nan])[:, None],
+        pieces=tuple((len(H) * [math.nan], F, len(S) * [math.nan]) for H, F, S in step.pieces))
     assert np.array_equal(poisoned(rq, 1), step(rq)[1])
     assert [poisoned(float(r), 1) for r in rq[::50]] == step(rq[::50])[1].tolist()
     full = [(leg, leg(np.linspace(leg.r_lo, leg.r_hi, 101))) for leg in (cusp, germ)]
@@ -475,53 +467,6 @@ def test_state_at_rejects_non_finite_r(sep, r):
         sep.state_at(np.array(r) if isinstance(r, list) else r)
 
 
-def test_dense_pieces_built_after_the_run_equal_the_on_demand_ones(monkeypatch):
-    # dense_arrays builds every step's piece in one elementwise pass over
-    # arrays; at, root and stop build the last step's in Python floats.
-    # Both must be the same IEEE operations: bit-identical pieces, for the
-    # shot's leg and a backward run, which steps the reversed field in t = -r
-    from cuspsoliton import _numerics, phase_core, separatrix
-
-    runs, built = [], {}
-
-    class Recording(_numerics.Dop853):
-        def __init__(self, *args):
-            super().__init__(*args)
-            runs.append(self)
-
-        def step(self):
-            super().step()
-            self.at(self.t)
-            built[id(self._steps[-1])] = self._piece[1]
-
-    monkeypatch.setattr(separatrix, "Dop853", Recording)
-    monkeypatch.setattr(phase_core, "Dop853", Recording)
-    shot = cs.shoot_separatrix()
-    back = cs.integrate((0.3, -0.5), 0.0, cs.IntegratorControls(r_min=-3.0),
-                        direction="backward")
-    fwd, bwd = runs                     # the shot's one leg, the backward run
-    assert len(fwd._steps) > 200 and (bwd._steps[0][0], bwd.t) == (0.0, 3.0)
-    for run, leg in ((fwd, shot.legs[1]), (bwd, back.legs[0])):
-        ts, h, y_old, F = run.dense_arrays()
-        assert F.shape == (7, 3, len(run._steps)) and F.flags.c_contiguous
-        assert np.array_equal(F, leg.F) and np.array_equal(y_old, leg.y_old)
-        assert np.array_equal(ts, leg.ts)
-        for i, step in enumerate(run._steps):
-            assert (ts[i], h[i], *y_old[:, i]) == step[:5]
-            assert np.array(built[id(step)]).tobytes() == F[:, :, i].tobytes()
-    # the reversed pieces, as a descending scipy solution in r, give the states
-    ref = _scipy_solution(back.legs[0])
-    assert not ref.ascending and np.array_equal(ref(back.r), back.state_at(back.r))
-
-
-def test_array_rhs_cubes_as_the_scalar_rhs():
-    # sigma' = (F - H) sigma - H^3: numpy's power can differ from libm's pow
-    # in the last bit, so the array pass cubes per element as Python does
-    y = np.random.default_rng(853).uniform(-3.0, 3.0, (3, 200000))
-    want = np.array([_rhs(0.0, v) for v in zip(*y.tolist())]).T
-    assert np.array(_rhs(0.0, tuple(y))).tobytes() == want.tobytes()
-
-
 def test_trajectories_compare_by_identity(sep):
     # array fields make field-wise equality ambiguous (numpy raises); a
     # trajectory equals only itself, and a copy starts with an empty memo
@@ -529,36 +474,6 @@ def test_trajectories_compare_by_identity(sep):
     other = replace(sep)
     assert sep == sep and sep != other and not (other == sep)
     assert other._memo is not sep._memo and not other._memo
-
-
-@pytest.mark.parametrize("start, kw, direction", [
-    ((0.3, -0.4), dict(r_min=-5.0, r_max=8.0), "forward"),
-    ((0.3, -0.5), dict(r_min=-3.0), "backward"),
-    ((0.4, -1.0), dict(r_max=500.0, h_floor=0.05), "forward"),
-])
-def test_stepper_takes_scipys_steps(start, kw, direction):
-    # the stepper has scipy's initial step, error norm and step control:
-    # the same accepted steps, rejections and RHS evaluations as solve_ivp,
-    # and step ends equal to rounding drift
-    from scipy.integrate import solve_ivp
-
-    def rhs(r, y):
-        H, F, sig = y.tolist()
-        return (*cs.vector_field((H, F)), (F - H) * sig - H ** 3)
-
-    ctl = cs.IntegratorControls(**kw)
-    ours = cs.integrate(start, 0.0, ctl, direction=direction)
-    ev = None
-    if ctl.h_floor is not None:
-        ev = lambda r, y: y[0] - ctl.h_floor
-        ev.terminal, ev.direction = True, -1
-    H, F = start
-    ref = solve_ivp(rhs, (0.0, ctl.r_max if direction == "forward" else ctl.r_min),
-                    [H, F, -(cs.vector_field((H, F)).dH + H * H)], method="DOP853", dense_output=True,
-                    rtol=ctl.rel_tol, atol=[ctl.abs_tol, ctl.abs_tol, 1e-21], events=ev)
-    stats = ours.legs[0].stats
-    assert stats["n_steps"] == ref.t.size - 1 and stats["nfev"] == ref.nfev
-    assert np.abs(ours.legs[0].sign * ours.legs[0].ts - ref.t).max() < 1e-5
 
 
 def test_brent_takes_brentqs_iterates():
@@ -602,7 +517,8 @@ def test_cusp_leg_takes_the_series_per_point(sep):
     # the leg is the series at theta = theta_start e^{lambda (r - r_hi)},
     # its sigma -(H' + H^2) from the state; the step leg starts on it
     cusp, fwd = sep.legs[:2]
-    assert cusp.r_hi == fwd.r_lo and np.array_equal(cusp(cusp.r_hi), fwd.y_old[:, 0])
+    assert cusp.r_hi == fwd.r_lo
+    assert cusp(cusp.r_hi).tolist() == [row[-1] for row in fwd.pieces[0]]
     rq = np.linspace(cusp.r_lo, cusp.r_hi, 41)
     H, F, sigma = cusp(rq)
     th = cusp.theta * np.exp(cs.EIGENVALUE_UNSTABLE * (rq - cusp.r_hi))

@@ -171,8 +171,8 @@ def test_germ_leg_one_point_matches_the_array_pass(sep):
 
 
 def test_germ_matches_an_independent_integration(sep):
-    # DOP853 at a tighter tolerance from the orbit's state (H, F, sigma)
-    # at r = 25, compared with the germ leg at its own accepted steps
+    # the integrator at a tighter tolerance from the orbit's state (H, F,
+    # sigma) at r = 25, compared with the germ leg at its samples
     ref = cs.integrate(tuple(sep.state_at(25.0)), 25.0, cs.IntegratorControls(
         rel_tol=1e-12, abs_tol=1e-14, r_max=100.0))
     H, F, sigma = sep.legs[-1](ref.r)
