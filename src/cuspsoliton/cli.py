@@ -30,6 +30,7 @@ from .phase_core import IntegratorControls, IntegrationError, OrbitRangeError
 from .separatrix import ShootConfig, ShootError, isocline_F, shoot_separatrix, certify_barriers
 from .geometry import reconstruct_profiles, curvatures, soliton_residuals, check_asymptotics
 from .evolution import crossing_scan, scan_psi, scan_delta_threshold, pointwise_R_history
+from .evolution import _check_y_floor
 from .blowup import BlowupError, run_sequence
 
 EXIT_OK = 0
@@ -138,9 +139,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     names = [_psi_table_name(t) for t in cfg.t_values]
     if len(set(names)) < len(names):
         raise ConfigError(f"t_values must differ in their psi table names, got {names}")
-    if any(cfg.y_floor >= -1.0 / np.sqrt(t + 1.0) for t in cfg.t_values):
-        raise ConfigError("y_floor must lie below the Psi branch end -1/sqrt(t+1) "
-                          "of every t in t_values")
+    for t in cfg.t_values:
+        try:
+            _check_y_floor(t, cfg.y_floor)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if not -1.0 < cfg.t_grid_min < cfg.t_grid_max < 0.0:
         raise ConfigError("t_grid bounds must satisfy -1 < min < max < 0")
     if not cfg.history_t_max > -1.0:

@@ -41,7 +41,7 @@ from ._numerics import brent
 from .blowup import _poly_eval, _real_roots
 from .geometry import _Cumulative
 from .phase_core import (
-    Trajectory, IntegrationError, OrbitRangeError, _GermLeg, _field, _horner,
+    Trajectory, IntegrationError, OrbitRangeError, _GermLeg, _horner, _jet,
 )
 
 __all__ = [
@@ -118,9 +118,7 @@ def ct_branch_x(y, t: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(q != 0.0, C0 / np.where(q != 0.0, q, 1.0), 0.0)
     for _ in range(2):
-        # Ct and the x-component of grad_Ct, in their operations
-        val = (2.0 * x * y - x ** 2 + 1.0) + sy2 * (-2.0 * x * y + 2.0 * x ** 2 - 1.0)
-        dv = 2.0 * y - 2.0 * x + sy2 * (-2.0 * y + 4.0 * x)
+        val, dv = Ct(x, y, t), grad_Ct(x, y, t)[0]
         step = np.where(dv != 0.0, val / np.where(dv != 0.0, dv, 1.0), 0.0)
         x = x - step
     return float(x[0]) if scalar else x
@@ -163,7 +161,7 @@ class PsiScan:
     min_value: float
     argmin_y: float
     tail_sign: int
-    tail_match: float            # relative agreement of psi with the tail at y_floor
+    tail_match: float            # relative agreement of psi with the tail at y_floor; NaN at t = 0
     verdict: str                 # "positive" | "sign-changing"
 
 
@@ -172,22 +170,42 @@ _PSI_DISC = [Fraction(c) for c in (4263, -6061, 17214, -29568, 648)]
 
 
 def _psi_positive(t: float) -> bool:
-    """Psi_t > 0 on the whole branch, exactly, for t in (-1, 0): P(t + 1) > 0."""
-    return _poly_eval(_PSI_DISC, Fraction(t) + 1) > 0
+    """Psi_t > 0 on the whole branch, exactly, for t in (-1, 0): P(t + 1) > 0,
+    true below t_b and false above; only a t inside the cached bracket of
+    t_b evaluates P in Fractions."""
+    lo, hi = _t_b_bracket()
+    if lo < t < hi:
+        return _poly_eval(_PSI_DISC, Fraction(t) + 1) > 0
+    return t <= lo
+
+
+def _check_y_floor(t: float, y_floor: float) -> None:
+    """A ValueError unless ``y_floor`` lies below the branch end, with |y| and
+    (t+1)|y|^3 at most 1e150 down to it (at t = 0 to the tail probe at 100
+    y_floor): the float range of Psi_t, past which ``ct_branch_x`` overflows."""
+    end = _branch_domain_end(t)
+    if y_floor >= end:
+        raise ValueError(f"y_floor = {y_floor:g} must lie below the Psi branch end "
+                         f"-1/sqrt(t+1) = {end:.6g} at t = {t:g}")
+    low = -min(1e150, (1e150 / (t + 1.0)) ** (1.0 / 3.0)) / (100.0 if t == 0.0 else 1.0)
+    if y_floor < low:
+        raise ValueError(f"y_floor = {y_floor:g} is past the float range of Psi_t at t = {t:g}: "
+                         f"it must lie in [{low!r}, {end:.6g})")
 
 
 def scan_psi(t: float, y_floor: float = -1e3, n: int = 1200) -> PsiScan:
-    """Scan Psi_t on a log grid over (y_floor, -1/sqrt(t+1)]."""
+    """Scan Psi_t on a log grid over (y_floor, -1/sqrt(t+1)]; a ``y_floor``
+    outside the branch or past the float range of Psi_t is a ValueError."""
     t = _check_t(t)
+    _check_y_floor(t, y_floor)
     end = _branch_domain_end(t)
-    if y_floor >= end:
-        raise ValueError("y_floor must lie below the branch endpoint")
     y = -np.geomspace(-end, -y_floor, int(n))
     vals = psi(y, t)
     i = int(np.argmin(vals))
     tail_sign = int(np.sign(-t)) if t != 0 else int(np.sign(psi(y_floor * 100, t)))
     tail_ref = psi_tail(y_floor, t)
-    tail_match = abs(vals[-1] - tail_ref) / max(abs(tail_ref), 1e-300)
+    # at t = 0 the tail vanishes identically: no relative agreement with it
+    tail_match = abs(vals[-1] - tail_ref) / max(abs(tail_ref), 1e-300) if t else math.nan
     positive = _psi_positive(t) if t < 0.0 else vals[i] > 0.0 and tail_sign > 0
     return PsiScan(t=t, y=y, values=vals, min_value=float(vals[i]),
                    argmin_y=float(y[i]), tail_sign=tail_sign,
@@ -216,12 +234,12 @@ def _check_ab(r, A, B):
 
 
 def _sstar_slope(H, F, sig):
-    """A B' - A' B, of the sign of ds*/dr (s* = -A/B), with H', F' from the
-    field and sigma' = (F - H) sigma - H^3."""
-    dH, dF = _field(H, F, 0.5)
+    """A B' - A' B, of the sign of ds*/dr (s* = -A/B), with H', F' and
+    sigma' from the field's jet."""
+    (_, dH), (_, dF), (_, dsig) = _jet((H, F, sig), 1)
     A, B = _ab(H, F, sig)
     dA = 2.0 * (dH * F + H * dF - H * dH)
-    dB = 4.0 * F * dF * sig + 2.0 * F ** 2 * ((F - H) * sig - H ** 3)
+    dB = 4.0 * F * dF * sig + 2.0 * F ** 2 * dsig
     return A * dB - dA * B
 
 
@@ -439,9 +457,9 @@ def _flow_time(traj: Trajectory):
     """T(r) = int_{r_hi}^r dr/F, tabulated once per orbit from the flat end,
     and its inverse r(tau), tau = log(1 + T), as septic Hermite pieces.
 
-    The node derivatives come from the field: with w = 1 + T, dr/dtau =
-    d1 = w F, d2r/dtau2 = d1 + w d1 F' and d3r/dtau3 = d1 + 3 w d1 F'
-    + w^2 d1 (F'^2 + F F''), F'' = 2H'F + 2HF' - 4HH'.  The pieces are
+    The node derivatives come from the field's jet: with w = 1 + T,
+    dr/dtau = d1 = w F, d2r/dtau2 = d1 + w d1 F' and d3r/dtau3 = d1 + 3 w
+    d1 F' + w^2 d1 (F'^2 + F F'').  The pieces are
     Taylor coefficients in the unit variable of each tau interval, highest
     first.
     """
@@ -450,11 +468,10 @@ def _flow_time(traj: Trajectory):
                                f"it fails at r = {traj.r[np.argmax(traj.F >= 0.0)]:.6g}")
     T = _Cumulative(traj, 1, lambda F: 1.0 / F, from_hi=True)
     # tau rises as r falls: reversed, the nodes increase
-    w, H, F = 1.0 + T.cum[::-1], traj.H[::-1], traj.F[::-1]
+    w, F = 1.0 + T.cum[::-1], traj.F[::-1]
     tau, r = np.log1p(T.cum[::-1]), traj.r[::-1]
-    dH, dF = _field(H, F, 0.5)
-    d1 = w * F
-    ddF = 2.0 * (dH * F + H * dF) - 4.0 * H * dH
+    _, (_, dF, F2), _ = _jet((traj.H[::-1], F, traj.sigma[::-1]), 2)
+    d1, ddF = w * F, 2.0 * F2
     d2 = d1 + w * d1 * dF
     d3 = d1 + 3.0 * w * d1 * dF + w * w * d1 * (dF * dF + F * ddF)
     h = np.diff(tau)

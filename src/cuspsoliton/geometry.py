@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase_core import EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, Trajectory, _CuspLeg, vector_field
+from .phase_core import EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, Trajectory, _CuspLeg, _jet
 
 __all__ = [
     "MetricProfile", "CurvatureTable", "SolitonResiduals",
@@ -184,7 +184,7 @@ def curvatures(traj: Trajectory, r=None) -> CurvatureTable:
     else:
         rr = np.asarray(r, dtype=float)
         H, F, sig = traj.state_at(rr)
-    dF = vector_field((H, F)).dF
+    dF = _jet((H, F, sig), 1)[1][1]
     return CurvatureTable(
         r=rr,
         sec_xy=-H ** 2,
@@ -228,8 +228,8 @@ def soliton_residuals(traj: Trajectory, profile: MetricProfile) -> SolitonResidu
     if profile.r is not traj.r and not np.array_equal(profile.r, traj.r):
         raise ValueError("profile must be co-sampled with the trajectory")
     H, F = traj.H, traj.F
-    dH, dF = vector_field((H, F))
-    ddH = dH * F + H * dF - 4.0 * H * dH
+    (_, dH, H2), (_, dF, _), _ = _jet((H, F, traj.sigma), 2)
+    ddH = 2.0 * H2
     R_direct = -4.0 * dH - 6.0 * H ** 2
     res1 = R_direct + (2.0 * H * F + dF) + 1.5
     Rp = -4.0 * ddH - 12.0 * H * dH
@@ -342,10 +342,10 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
                        note="insufficient range")
         trend = {}
     else:
-        Hp, Fp = traj.state_at(r_flat)[:2]
+        Hp, Fp, Sp = traj.state_at(r_flat)
         flat_entry("H_times_r", r_flat, float(Hp * r_flat), 1.0)
         flat_entry("HF", r_flat, float(Hp * Fp), -0.5)
-        flat_entry("F_prime", r_flat, float(vector_field((Hp, Fp)).dF), -0.5)
+        flat_entry("F_prime", r_flat, float(_jet((Hp, Fp, Sp), 1)[1][1]), -0.5)
         flat_entry("F_over_neg_half_r", r_flat,
                    float(Fp / (-r_flat / 2.0)) if r_flat else math.nan, 1.0,
                    ok=bool(r_flat), note="" if r_flat else "probe at r = 0")

@@ -90,12 +90,6 @@ def _check_eps(eps: int) -> int:
     return eps
 
 
-def _field(H, F, half):
-    # the one spelling of (H', F'); the integrator calls it on every step
-    c = -2.0 * H * H + half
-    return H * F + c, 2.0 * H * F + c
-
-
 def vector_field(p, eps: int = 1) -> PhaseVelocity:
     """Right-hand side (H', F') of the system at ``p``.
 
@@ -105,7 +99,8 @@ def vector_field(p, eps: int = 1) -> PhaseVelocity:
     """
     _check_eps(eps)
     H, F = p
-    return PhaseVelocity(*_field(H, F, 0.5 * eps))
+    rows = _jet((H, F, 0.0), 1, half=0.5 * eps)
+    return PhaseVelocity(rows[0][1], rows[1][1])
 
 
 @dataclass(frozen=True)
@@ -224,14 +219,34 @@ def _cauchy(a, b) -> float:
     return sum(map(mul, a, reversed(b)))
 
 
+def _jet(y, order: int, sign=1, half=0.5) -> tuple:
+    """c_0 .. c_order of H, F and sigma through the state ``y``, c_k = y^(k)/k!.
+
+    The one spelling of the field: (k + 1) c_(k+1) is the order-k part of
+    (HF - 2H^2 + 1/2, 2HF - 2H^2 + 1/2, (F - H) sigma - H H^2), by Cauchy
+    products, times ``sign`` (-1 steps the negated field).  Floats, arrays
+    and Fractions alike (integer constants keep Fractions exact); ``half``
+    is eps/2 for ``vector_field``.
+    """
+    H, F, S = ([v] for v in y)
+    HH, D = [], []              # H^2, F - H
+    for k in range(order):
+        HH.append(_cauchy(H, H))
+        D.append(F[k] - H[k])
+        hf, hhh, ds = _cauchy(H, F), _cauchy(H, HH), _cauchy(D, S)
+        c, n = -2 * HH[k] + (half if k == 0 else 0), sign * (k + 1)
+        H.append((hf + c) / n)
+        F.append((2 * hf + c) / n)
+        S.append((ds - hhh) / n)
+    return H, F, S
+
+
 class _Taylor:
     """One forward Taylor run of (H, F, sigma) in solver time t, by ``advance``.
 
     ``sign`` -1 steps the negated field, a backward run in t = -r; ``t_bound``
-    lies above ``t0`` and may be moved between steps.  The field is
-    polynomial, so the coefficients c_k of y = sum c_k (t - t_i)^k follow
-    from Cauchy products: (k + 1) c_(k+1) is the order-k part of (HF - 2H^2
-    + 1/2, 2HF - 2H^2 + 1/2, (F - H) sigma - H H^2).  The order is p =
+    lies above ``t0`` and may be moved between steps.  The coefficients c_k
+    of y = sum c_k (t - t_i)^k are the field's ``_jet``.  The order is p =
     ceil(-ln(rel_tol)/2) + 1, at least 3, and the step h the longest for
     which the terms |c_jk| h^k, k in {p - 1, p}, of each state j are within
     rel_tol of its size over the step, max(|c_j0|, |c_j1| h), or within
@@ -252,24 +267,10 @@ class _Taylor:
             raise IntegrationError("Taylor start state not finite", t0)
         self.ts, self.h, self.pieces = [t0], [], []
 
-    def _series(self) -> tuple:
-        """c_0 .. c_p of H, F and sigma at the current state."""
-        H, F, S = ([v] for v in self.y)
-        HH, D = [], []              # H^2, F - H
-        for k in range(self.order):
-            HH.append(_cauchy(H, H))
-            D.append(F[k] - H[k])
-            hf, hhh, ds = _cauchy(H, F), _cauchy(H, HH), _cauchy(D, S)
-            c, n = -2.0 * HH[k] + (0.5 if k == 0 else 0.0), self.sign * (k + 1)
-            H.append((hf + c) / n)
-            F.append((2.0 * hf + c) / n)
-            S.append((ds - hhh) / n)
-        return H, F, S
-
     def step(self) -> None:
         """One step toward ``t_bound``."""
         t, p, rtol = self.t, self.order, self.rel_tol
-        rows = self._series()
+        rows = _jet(self.y, p, self.sign)
         if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
             raise IntegrationError("Taylor coefficients not finite", t)
         tols = [rtol * abs(c[0]) for c in rows]
@@ -656,8 +657,8 @@ class Trajectory:
 
 
 def _start(H: float, F: float) -> tuple:
-    """(H, F, sigma) at a phase point, sigma = -(H' + H^2) with _field's H'."""
-    return H, F, -(_field(H, F, 0.5)[0] + H * H)
+    """(H, F, sigma) at a phase point, sigma = -(H' + H^2) with the jet's H'."""
+    return H, F, -(_jet((H, F, 0.0), 1)[0][1] + H * H)
 
 
 def integrate(start, r0: float, controls: IntegratorControls,

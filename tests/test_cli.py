@@ -362,6 +362,17 @@ def test_config_bad_counts_rejected(tmp_path, capsys, line):
     assert line.split()[0] in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("t", [-0.7, 0.0, 1.0])
+@pytest.mark.parametrize("y_floor", [-1e60, -1e150])
+def test_config_y_floor_past_the_float_range_of_psi_rejected(tmp_path, capsys, t, y_floor):
+    # these exited 0 with numpy overflow warnings and meaningless Psi reports
+    bad = tmp_path / "far.cfg"
+    bad.write_text(f"y_floor = {y_floor!r}\nt_values = {t!r}\n")
+    assert main(["evolve", "--config", str(bad), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "y_floor" in err and "float range" in err and "Traceback" not in err
+
+
 def test_truncated_histories_are_flagged(tmp_path):
     # the orbit ends at r = 10, where F ~ -5.9: going back in time the
     # anchor at F = -5.84 reaches the end of the orbit almost at once

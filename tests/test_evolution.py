@@ -197,6 +197,41 @@ def test_psi_verdict_is_exact_far_out(t, y_floor):
     assert scan.y[-1] == pytest.approx(y_floor, rel=1e-12)
 
 
+def test_psi_positive_compares_with_the_barrier_bracket():
+    # a t outside the cached bracket of t_b is decided by comparison, one
+    # inside it by P(t + 1) in Fractions: every float from one below the
+    # bracket to one above it, and a grid on (-1, 0), gets the exact verdict
+    from cuspsoliton.evolution import _PSI_DISC, _psi_positive, _t_b_bracket
+    lo, hi = _t_b_bracket()
+    ts = [math.nextafter(lo, -math.inf)]
+    while ts[-1] <= hi:
+        ts.append(math.nextafter(ts[-1], math.inf))
+    assert 3 < len(ts) < 1000
+    verdicts = {t: _poly_eval(_PSI_DISC, Fraction(t) + 1) > 0
+                for t in ts + np.linspace(-0.999, -1e-3, 199).tolist()}
+    assert {verdicts[t] for t in ts} == {True, False}
+    assert all(_psi_positive(t) == v for t, v in verdicts.items())
+
+
+def test_tail_match_is_undefined_at_t_zero():
+    # at t = 0 the tail t/(4y) - 3t/(8y^3) vanishes identically, so no
+    # relative agreement with it exists; far out it used to overflow
+    scan = cs.scan_psi(0.0, y_floor=-1e30)
+    assert math.isnan(scan.tail_match) and scan.verdict == "sign-changing"
+    assert not math.isnan(cs.scan_psi(1e-300).tail_match)
+
+
+@pytest.mark.parametrize("t", [-0.7, 0.0, 1.0])
+def test_y_floor_past_the_float_range_of_psi_is_rejected(t):
+    # below about -1e50, ct_branch_x's squares overflow; the scan says so
+    # instead of tabulating garbage with numpy warnings
+    for y_floor in (-1e60, -1e150):
+        with pytest.raises(ValueError, match="past the float range of Psi_t"):
+            cs.scan_psi(t, y_floor=y_floor)
+    positive = t < 0.0 and _poly_eval(cs.evolution._PSI_DISC, Fraction(t) + 1) > 0
+    assert cs.scan_psi(t, y_floor=-1e10).verdict == ("positive" if positive else "sign-changing")
+
+
 def _scanned_verdict(t):
     # the verdict read off the float scan alone, at the default floor
     scan = cs.scan_psi(t)

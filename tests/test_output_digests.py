@@ -2,10 +2,11 @@
 in csv and in plot format, the manifest aside, and the stepper's counters.
 
 The digests were recorded on x86-64 with numpy 2.4.6 (every file derived
-from the orbit once its middle leg became one Taylor run, the blowup,
-isocline and psi files at commit 72e7dc3), and they pin that platform:
-the libm and numpy of another may move last bits.  A deliberate change of
-any output edits these tables.
+from the orbit once its middle leg became one Taylor run, delta.json once
+sigma' came from the field's jet, psi_scans.json once its t = 0 tail_match
+became null, the blowup, isocline and psi tables at commit 72e7dc3), and
+they pin that platform: the libm and numpy of another may move last bits.
+A deliberate change of any output edits these tables.
 """
 
 import hashlib
@@ -29,11 +30,11 @@ _REPORTS = {
     "crossings.json":
         "782660b17982392a7403d5a0252f6a6ccbc8b7d60d75e6a2460ea02742a02f0c",
     "delta.json":
-        "ef801d0b22cbe5041ee0fb493d598654a2be8bd27058917f830809829af1e4a1",
+        "5179a85df03c81df28e066eef31bdc169bf574b61babf9d40b534df3690f63b2",
     "identities.json":
         "e4f0e4c1f0f7d9d7cb349b3ccecb4b6fa374bab76dc77be4020a2e017088b708",
     "psi_scans.json":
-        "e980487450e29fe4b7ac2af6a0ed5ce8c6ae21c296bd61700b2d42874aee0f07",
+        "a490faa26a8caa7aed7b0c70c5d108a6b63d959a647bfb63ef571cfecf427149",
 }
 _TABLES = {
     "csv": {
