@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,52 +162,91 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 # deterministic writers
 
 # "%.16e" in numpy: the 17-digit significand of x is the integer D nearest
-# y = |x| 10^(16 - E), E = floor(log10 |x|), with y computed in long double.
-# Its two roundings keep y within 0.011 of the exact value, so D is exact
-# wherever |y - D| < 0.48 and y lies in [1e16 + 0.02, 1e17 - 0.52].  Every
-# other field (near a tie, E off by one, 0, inf, nan, or a long double
-# without a 64-bit significand) is formatted by Python.
-_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
-_POW10 = np.array([f"1e{k}" for k in range(-292, 341)], dtype=np.longdouble)
-_Y_LO, _Y_HI = np.array(["10000000000000000.02", "99999999999999999.48"], dtype=np.longdouble)
+# y = |x| 10^(16 - E), E = floor(log10 |x|).  With |x| = m 2^q (m in [1/2, 1))
+# and 10^(16 - E) = (P_hi + P_lo) 2^b from `_pow10`, Dekker's exact product
+# m P_hi = p + e (Veltkamp splits, no FMA) gives y = hi + lo, hi = p 2^(q + b)
+# and lo = (e + m P_lo) 2^(q + b).  For y < 1.1e17, hi + lo is within 4e-15
+# of y: u^2 y from P_lo's own rounding, and half an ulp each of the rounded
+# m P_lo (< 11.2 once scaled) and of lo (< 19.2).  hi >= 2^53 is an integer,
+# so D = hi + rint(lo) wherever lo lies more than 1e-14 from a half-integer
+# and 1e16 - 0.04 < y < 1e17 - 1/2.  A y just below 1e16 (E one too high)
+# prints as D = 1e16 does, since 10 y rounds to 1e17.  Python formats every
+# other field: 0, inf, nan, a tie, or E off by one from log10.
 _QUADS = ((np.arange(10000)[:, None] // [1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
 _QUADS = _QUADS.view("<u4")[:, 0]                                # four ASCII digits of 0..9999
 _EXPS = np.frombuffer("".join(f"e{k:+03d}".ljust(8, "\0") for k in range(-324, 309)).encode(),
-                      "<u8")
+                      "<u8")                                     # "e+XX", then "X" or nothing
 
 
-def _fields(v: np.ndarray, ends: np.ndarray) -> str:
+@cache
+def _pow10():
+    """10^(16 - E) = (P_hi + P_lo) 2^b at index 308 - E, E in [-324, 308]:
+    rows P_hi's Veltkamp halves, P_lo and b, with P_hi + P_lo in (1/2, 2)."""
+    rows = []
+    for k in range(-292, 341):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        b = num.bit_length() - den.bit_length()
+        num, den = num << max(-b, 0), den << max(b, 0)
+        hi = num / den                       # int / int rounds correctly
+        p, q = hi.as_integer_ratio()
+        rows.append((*_split(hi), (num * q - p * den) / (den * q), b))
+    hh, hl, lo, b = np.array(rows).T
+    return hh, hl, lo, b.astype(np.int32)        # ldexp is fast with int32 exponents
+
+
+def _split(x):
+    """Veltkamp: x = hi + lo exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _python_fields(values: np.ndarray) -> list[str]:
+    """The fields the vector pass cannot settle, by Python's own "%.16e"."""
+    return ["%.16e" % x for x in values.tolist()]
+
+
+def _fields(v: np.ndarray, ends: np.ndarray) -> bytes:
     """Each value of ``v`` as "%.16e" followed by its byte of ``ends``."""
-    out = np.zeros((v.size, 25), np.uint8)        # sign, 17 digits and point, e+XX(X), end
-    keep = np.ones((v.size, 25), bool)
-    out[:, 24] = ends
     a = np.abs(v)
-    fast = (a > 0) & (a < np.inf) & _LONG_DOUBLE
+    fast = (a > 0) & (a < np.inf)
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
-    y = a.astype(np.longdouble) * _POW10[308 - e]
-    d = np.rint(y)
-    fast &= (np.abs(y - d) < 0.48) & (y >= _Y_LO) & (y <= _Y_HI)
-    lead, rest = np.divmod(np.where(fast, d, 1e16).astype(np.uint64), np.uint64(10 ** 16))
-    hi, lo = np.divmod(rest, np.uint64(10 ** 8))
-    out[:, 0], out[:, 1], out[:, 2] = 45, lead + 48, 46
-    keep[:, 0] = v < 0
-    quads = np.empty((v.size, 4), np.uint32)
-    for col, quad in enumerate((hi // 10000, hi % 10000, lo // 10000, lo % 10000)):
-        quads[:, col] = _QUADS[quad]
-    out[:, 3:19] = quads.view(np.uint8)
-    out[:, 19:24] = _EXPS[e + 324].view(np.uint8).reshape(-1, 8)[:, :5]
-    keep[:, 23] = abs(e) >= 100
+    k = 308 - e
+    hh, hl, plo, b = (col[k] for col in _pow10())
+    m, q = np.frexp(a)
+    mh, ml = _split(m)
+    p = m * (hh + hl)
+    err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl
+    scale = q + b
+    hi = np.ldexp(p, scale)
+    lo = np.ldexp(err + m * plo, scale)
+    whole = np.rint(lo)
+    frac = lo - whole
+    d = hi.astype(np.int64) + whole.astype(np.int64)
+    fast &= (np.abs(frac) < 0.5 - 1e-14) & (d < 10 ** 17) & ((d - 10 ** 16) + frac > -0.04)
+    d = np.where(fast, d, 10 ** 16)
+    top = d // 10 ** 8                  # np.divmod on int64 is several times slower
+    lead = top // 10 ** 8
+    # each field as seven little-endian words; the zero bytes are dropped at the end:
+    # (0, sign or 0, lead digit, "."), four words of four digits, "e+XX", (X or 0, end, 0, 0)
+    words = np.empty((v.size, 7), np.uint32)
+    words[:, 0] = np.where(v < 0, 0x2E302D00, 0x2E300000) + (lead << 16)
+    for col, eight in ((1, top - lead * 10 ** 8), (3, d - top * 10 ** 8)):
+        quad = eight // 10000
+        words[:, col], words[:, col + 1] = _QUADS[quad], _QUADS[eight - quad * 10000]
+    exps = _EXPS[e + 324].view("<u4").reshape(-1, 2)
+    words[:, 5] = exps[:, 0]
+    words[:, 6] = exps[:, 1] | ends.astype(np.uint32) << 8
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = ["%.16e" % x for x in v[slow].tolist()]
-        out[slow, :24] = np.frombuffer("".join(t.ljust(24) for t in text).encode(),
-                                       np.uint8).reshape(-1, 24)
-        keep[slow, :24] = np.arange(24) < np.array([len(t) for t in text])[:, None]
-    return out[keep].tobytes().decode("ascii")
+        text = b"".join(t.encode().ljust(25, b"\0") + bytes((end, 0, 0)) for t, end in
+                        zip(_python_fields(v[slow]), ends[slow].tolist()))
+        words[slow] = np.frombuffer(text, "<u4").reshape(-1, 7)
+    return words.tobytes().translate(None, b"\0")
 
 
-def _rows(columns, sep: str) -> str:
+def _rows(columns, sep: str) -> bytes:
     """The columns as lines of "%.16e" fields joined by ``sep``."""
     values = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     ends = np.full(values.shape, ord(sep), np.uint8)
@@ -215,15 +254,18 @@ def _rows(columns, sep: str) -> str:
     return _fields(values.ravel(), ends.ravel())
 
 
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(_rows(columns, ","))
+def _write(path: Path, data: bytes) -> bytes:
+    path.write_bytes(data)
+    return data
 
 
-def write_dat(path: Path, col_a, col_b) -> None:
-    with open(path, "w") as fh:
-        fh.write(_rows([col_a, col_b], " "))
+def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> bytes:
+    """Write the table and return the bytes written."""
+    return _write(path, (",".join(header) + "\n").encode() + _rows(columns, ","))
+
+
+def write_dat(path: Path, col_a, col_b) -> bytes:
+    return _write(path, _rows([col_a, col_b], " "))
 
 
 def _jsonable(obj):
@@ -244,57 +286,53 @@ def _jsonable(obj):
     return obj
 
 
-def write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def write_json(path: Path, obj) -> bytes:
+    """Write ``obj`` as strict JSON in one write and return the bytes written."""
+    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    return _write(path, (text + "\n").encode())
 
 
 class Emitter:
-    """Collects output files for the manifest and handles format variants."""
+    """Writes the output files, in the run's format, and keeps the SHA-256 of
+    each file's bytes for the manifest."""
 
     def __init__(self, out_dir: Path, fmt: str, quiet: bool):
         self.out_dir = out_dir
         self.fmt = fmt
         self.quiet = quiet
-        self.files: list[Path] = []
+        self.files: dict[str, str] = {}
 
     def note(self, msg: str) -> None:
         if not self.quiet:
             print(msg)
 
+    def _keep(self, path: Path, data: bytes) -> None:
+        self.files[path.name] = hashlib.sha256(data).hexdigest()
+
     def table(self, name: str, header: list[str], columns) -> None:
         columns = [np.asarray(c, dtype=float) for c in columns]
         if self.fmt == "json":
             path = self.out_dir / f"{name}.json"
-            write_json(path, {h: c for h, c in zip(header, columns)})
-            self.files.append(path)
+            self._keep(path, write_json(path, {h: c for h, c in zip(header, columns)}))
         elif self.fmt == "plot":
             base = header[0]
             for h, c in zip(header[1:], columns[1:]):
                 path = self.out_dir / f"{name}_{base}_{h}.dat"
-                write_dat(path, columns[0], c)
-                self.files.append(path)
+                self._keep(path, write_dat(path, columns[0], c))
         else:
             path = self.out_dir / f"{name}.csv"
-            write_csv(path, header, columns)
-            self.files.append(path)
+            self._keep(path, write_csv(path, header, columns))
 
     def report(self, name: str, obj) -> None:
         path = self.out_dir / f"{name}.json"
-        write_json(path, obj)
-        self.files.append(path)
+        self._keep(path, write_json(path, obj))
 
     def text(self, name: str, content: str) -> None:
         path = self.out_dir / f"{name}.txt"
-        path.write_text(content + "\n")
-        self.files.append(path)
+        self._keep(path, _write(path, (content + "\n").encode()))
 
     def manifest(self, command: str, cfg: RunConfig, wall: float, stages: dict,
                  status: int, error: str | None, diagnostics: dict) -> None:
-        digests = {}
-        for p in sorted(self.files):
-            digests[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
         payload = {
             "command": command,
             "config": {f.name: getattr(cfg, f.name) for f in fields(RunConfig)},
@@ -303,7 +341,7 @@ class Emitter:
             "stages": stages,
             "diagnostics": diagnostics,
             "status": status,
-            "files": digests,
+            "files": self.files,
         }
         if error is not None:
             payload["error"] = error

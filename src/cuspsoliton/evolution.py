@@ -82,11 +82,16 @@ def grad_Ct(x, y, t: float):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     s = t + 1.0
-    gx = 2.0 * y - 2.0 * x + s * y ** 2 * (-2.0 * y + 4.0 * x)
+    gx = _dCt_dx(x, y, s)
     gy = 2.0 * x + 2.0 * s * y * (-3.0 * x * y + 2.0 * x ** 2 - 1.0)
     if gx.ndim == 0:
         return float(gx), float(gy)
     return gx, gy
+
+
+def _dCt_dx(x, y, s):
+    """dC_t/dx with s = t + 1, for arrays."""
+    return 2.0 * y - 2.0 * x + s * y ** 2 * (-2.0 * y + 4.0 * x)
 
 
 def _branch_domain_end(t: float) -> float:
@@ -118,7 +123,7 @@ def ct_branch_x(y, t: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(q != 0.0, C0 / np.where(q != 0.0, q, 1.0), 0.0)
     for _ in range(2):
-        val, dv = Ct(x, y, t), grad_Ct(x, y, t)[0]
+        val, dv = Ct(x, y, t), _dCt_dx(x, y, s)
         step = np.where(dv != 0.0, val / np.where(dv != 0.0, dv, 1.0), 0.0)
         x = x - step
     return float(x[0]) if scalar else x

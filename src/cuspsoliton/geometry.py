@@ -40,11 +40,30 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
+class _GaussRows:
+    """State rows at the Gauss-Legendre nodes of every sample interval of an
+    orbit, each row evaluated on first use; kept per orbit, so the tables of
+    one orbit share them."""
+
+    def __init__(self, traj: Trajectory):
+        self.half = 0.5 * np.diff(traj.r)
+        self._rows = {}
+
+    def row(self, traj: Trajectory, k: int) -> np.ndarray:
+        """State row ``k`` at the nodes, shape (intervals, nodes); read only."""
+        if k not in self._rows:
+            r = traj.r
+            nodes = 0.5 * (r[:-1] + r[1:])[:, None] + self.half[:, None] * _GL_NODES
+            self._rows[k] = traj.state_at(nodes.ravel(), row=k).reshape(nodes.shape)
+            self._rows[k].setflags(write=False)
+        return self._rows[k]
+
+
 class _Cumulative:
     """Cumulative integral of a function of one state row of a trajectory.
 
     The integrand is ``fn`` of state row ``row`` (0, 1, 2 for H, F, sigma),
-    and only that row is evaluated; the integral is taken from the first
+    read from the orbit's shared ``_GaussRows``; the integral is taken from the first
     sample node, or from the last if ``from_hi``.  Gauss-Legendre on each
     sample interval, which lies within one Taylor piece or series leg,
     integrates the dense output essentially exactly, so the result carries
@@ -55,13 +74,9 @@ class _Cumulative:
 
     def __init__(self, traj: Trajectory, row: int, fn=None, from_hi: bool = False):
         self.row, self._fn = row, fn or (lambda v: v)
-        r = traj.r
-        mid = 0.5 * (r[:-1] + r[1:])
-        half = 0.5 * np.diff(r)
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        vals = self._fn(traj.state_at(nodes, row=row)).reshape(-1, len(_GL_NODES))
-        steps = half * (vals @ _GL_WEIGHTS)
-        self.nodes = r
+        gauss = traj._per_orbit(_GaussRows)
+        steps = gauss.half * (self._fn(gauss.row(traj, row)) @ _GL_WEIGHTS)
+        self.nodes = traj.r
         if from_hi:     # summed from the anchor, so the far end loses no digits
             self.cum = np.concatenate([-np.cumsum(steps[::-1])[::-1], [0.0]])
         else:

@@ -133,6 +133,13 @@ def test_json_writes_bools_as_bools():
     assert [type(v) for v in (out["a"], *out["b"])] == [bool, bool, int, int]
 
 
+#: special values; 0, inf, nan and the exact tie 1e14 + 1/8 (its 18th
+#: significant digit is an exact 5) take the Python fallback
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+            np.finfo(float).max, -np.finfo(float).max, 1.0 / 3.0, 1e14 + 0.125]
+_FALLBACK = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e14 + 0.125]
+
+
 def _cases(n_random):
     # seeded random bit patterns of both signs; every power of ten in range
     # with its 1-ulp neighbours, among them the doubles just below a power
@@ -144,47 +151,87 @@ def _cases(n_random):
     up = [x for x in near if f"{x:.16e}".startswith("1.0000000000000000e")
           and Fraction(x) < Fraction(10) ** int(f"{x:e}".split("e")[1])]
     assert up
-    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
-               np.finfo(float).max, -np.finfo(float).max, 1.0 / 3.0]
-    return np.concatenate([near, -near, special, bits.view(float)])
+    return np.concatenate([near, -near, _SPECIAL, bits.view(float)])
+
+
+def _fallback_values(monkeypatch):
+    """The values that reach the Python fallback from now on, in order."""
+    seen = []
+    python_fields = cli._python_fields
+    def counted(values):
+        seen.extend(values.tolist())
+        return python_fields(values)
+    monkeypatch.setattr(cli, "_python_fields", counted)
+    return seen
 
 
 def test_tables_match_per_cell_formatting(tmp_path, monkeypatch):
     # the writers write what f"{x:.16e}" writes cell by cell: 10^6 random
-    # bit patterns through the long-double path, and with that path switched
-    # off the same cases but for the first 10^5 patterns through Python's
-    # alone (its dtoa takes 1-3 us a field, which bounds the test's time)
+    # bit patterns and the structured cases; the special values that the
+    # double-double pass cannot settle reach the Python fallback
     vals = _cases(10 ** 6)
     cells = [f"{x:.16e}" for x in vals.tolist()]
-    structured = vals.size - 10 ** 6
-    for ld, n in ((cli._LONG_DOUBLE, vals.size), (False, structured + 10 ** 5)):
-        monkeypatch.setattr(cli, "_LONG_DOUBLE", ld)
-        half = n // 2
-        cols = [vals[:half], vals[half:2 * half]]
-        cli.write_csv(tmp_path / "t.csv", ["a", "b"], cols)
-        cli.write_dat(tmp_path / "t.dat", *cols)
-        for name, sep, head in (("t.csv", ",", ["a,b"]), ("t.dat", " ", [])):
-            lines = (tmp_path / name).read_text().split("\n")
-            want = head + [f"{x}{sep}{y}" for x, y in zip(cells[:half], cells[half:2 * half])]
-            assert len(lines) == len(want) + 1 and lines[-1] == ""
-            assert not [(a, b) for a, b in zip(lines, want) if a != b][:5]
-        cli.write_csv(tmp_path / "empty.csv", ["a", "b"], [np.empty(0), np.empty(0)])
-        assert (tmp_path / "empty.csv").read_text() == "a,b\n"
-        cli.write_dat(tmp_path / "empty.dat", np.empty(0), np.empty(0))
-        assert (tmp_path / "empty.dat").read_text() == ""
+    seen = _fallback_values(monkeypatch)
+    half = vals.size // 2
+    cols = [vals[:half], vals[half:2 * half]]
+    cli.write_csv(tmp_path / "t.csv", ["a", "b"], cols)
+    cli.write_dat(tmp_path / "t.dat", *cols)
+    for name, sep, head in (("t.csv", ",", ["a,b"]), ("t.dat", " ", [])):
+        lines = (tmp_path / name).read_text().split("\n")
+        want = head + [f"{x}{sep}{y}" for x, y in zip(cells[:half], cells[half:2 * half])]
+        assert len(lines) == len(want) + 1 and lines[-1] == ""
+        assert not [(a, b) for a, b in zip(lines, want) if a != b][:5]
+    # the random patterns that reach it (non-finite ones and exact ties)
+    # are fewer than 2 in 1 000
+    n_csv = len(seen) // 2
+    seen.clear()
+    cli._fields(vals[:-10 ** 6], np.zeros(vals.size - 10 ** 6, np.uint8))
+    assert 0 < n_csv - len(seen) < 2e-3 * 10 ** 6
+    seen.clear()
+    cli._fields(np.array(_SPECIAL), np.zeros(len(_SPECIAL), np.uint8))
+    assert [f"{x!r}" for x in seen] == [f"{x!r}" for x in _FALLBACK]
+    cli.write_csv(tmp_path / "empty.csv", ["a", "b"], [np.empty(0), np.empty(0)])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+    cli.write_dat(tmp_path / "empty.dat", np.empty(0), np.empty(0))
+    assert (tmp_path / "empty.dat").read_text() == ""
+
+
+def _fields_under_log10(monkeypatch, nudge):
+    vals = _cases(0)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), nudge))
+    text = cli._fields(vals, np.full(vals.size, ord("\n"), np.uint8)).decode()
+    assert text.split("\n")[:-1] == [f"{x:.16e}" for x in vals.tolist()]
 
 
 def test_a_significand_rounding_up_to_ten_meets_the_upper_guard(monkeypatch):
     # numpy's log10 puts the doubles whose 17 digits round up to 10^17 in
     # the decade above, where the lower guard sends them to Python; with E
     # one low instead, y lies within 0.5 of 1e17, and only the upper guard
-    # (1e17 - 0.52 in long double, which float64 rounds to 1e17) keeps them
-    # off the fast path
-    vals = _cases(0)
-    log10 = np.log10
-    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
-    text = cli._fields(vals, np.full(vals.size, ord("\n"), np.uint8))
-    assert text.split("\n")[:-1] == [f"{x:.16e}" for x in vals.tolist()]
+    # D < 1e17 keeps them off the fast path
+    _fields_under_log10(monkeypatch, -np.inf)
+
+
+def test_a_significand_just_below_ten_to_the_16_meets_the_lower_guard(monkeypatch):
+    # with E one high, the doubles just below a power of ten give y just
+    # below 1e16: hi rounds to exactly 1e16 while lo < 0, so only a guard on
+    # hi + lo, not on hi, sends those whose 17 digits do not round up to Python
+    _fields_under_log10(monkeypatch, np.inf)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plot", "json"])
+def test_manifest_digests_are_the_files_on_disk(tmp_path, monkeypatch, fmt):
+    # the digests are taken from the bytes in memory: each must be that of
+    # the file as read back, and every file written is listed; no table
+    # field of the default run needs the Python fallback
+    seen = _fallback_values(monkeypatch)
+    assert main(["all", "--format", fmt, "--out", str(tmp_path), "--quiet"]) == 0
+    digests = json.loads((tmp_path / "manifest.json").read_text())["files"]
+    on_disk = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+    assert set(digests) == on_disk and len(on_disk) > 10
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    assert seen == []
 
 
 def test_blowup_command(tmp_path):
@@ -307,12 +354,13 @@ def test_import_builds_no_series():
     # exact series and tables are built on first use, not at import
     code = ("import cuspsoliton.cli\nfrom cuspsoliton import evolution, phase_core\n"
             "print(phase_core._germ_series.cache_info().currsize, "
-            "evolution._t_b_bracket.cache_info().currsize)")
+            "evolution._t_b_bracket.cache_info().currsize, "
+            "cuspsoliton.cli._pow10.cache_info().currsize)")
     src = str(Path(cs.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["0", "0"]
+    assert run.stdout.split() == ["0", "0", "0"]
 
 
 def test_config_invalid_controls_rejected(tmp_path):

@@ -792,8 +792,9 @@ def test_certificate_and_flow_time_are_built_once_per_orbit(sep, monkeypatch):
     again = cs.pointwise_R_history(other.r_at_F(-5.0), [0.0, 1.0], other)
     assert np.array_equal(again.r_of_t, hists[1].r_of_t)
     assert built == ["_SStar", "_flow_time"] * 2
-    # the memo does not keep its orbit alive
-    assert len(traj._memo) == 2
+    # the memo (the two builds and the flow time's Gauss rows) does not
+    # keep its orbit alive
+    assert len(traj._memo) == 3
     for value in traj._memo.values():
         assert not _reaches(value, traj)
     assert _reaches([traj.state_at], traj)      # a bound method would be caught

@@ -27,6 +27,25 @@ def test_quadrature_consistency_under_tolerance_halving(sep):
     assert abs(a - b) < 1e-8
 
 
+def test_tables_of_one_orbit_share_their_gauss_rows(sep, monkeypatch):
+    # h and the cusp deviation read row 0, f and the flow time row 1: each
+    # row is evaluated at the Gauss nodes once per orbit, and a table built
+    # from the shared rows is the table built alone
+    from dataclasses import replace
+    from cuspsoliton.geometry import _Cumulative
+    alone = _Cumulative(replace(sep), 1, lambda F: 1.0 / F, from_hi=True).cum
+    traj = replace(sep)
+    calls = []
+    state_at = type(traj).state_at
+    monkeypatch.setattr(type(traj), "state_at", lambda self, r, row=None: (
+        calls.append((np.size(r), row)) or state_at(self, r, row)))
+    for row, fn in ((0, None), (1, None), (0, lambda H: H - 0.5)):
+        _Cumulative(traj, row, fn)
+    shared = _Cumulative(traj, 1, lambda F: 1.0 / F, from_hi=True).cum
+    assert calls == [(6 * (len(traj.r) - 1), 0), (6 * (len(traj.r) - 1), 1)]
+    assert np.array_equal(shared, alone)
+
+
 def test_cumulative_value_at_matches_per_point_loop(sep):
     # reference: each query point through its own state_at call and a 1-D
     # dot; one point at a time is bit-identical, a batch differs only in the
