@@ -30,7 +30,7 @@ from .phase_core import IntegratorControls, IntegrationError, OrbitRangeError
 from .separatrix import ShootConfig, ShootError, isocline_F, shoot_separatrix, certify_barriers
 from .geometry import reconstruct_profiles, curvatures, soliton_residuals, check_asymptotics
 from .evolution import crossing_scan, scan_psi, scan_delta_threshold, pointwise_R_history
-from .evolution import _check_y_floor
+from .evolution import _check_y_floor, _flow_time
 from .blowup import BlowupError, run_sequence
 
 EXIT_OK = 0
@@ -492,7 +492,8 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
     hists = [pointwise_R_history(traj.r_at_F(Fa), hist_t, traj)
              for Fa in cfg.history_anchors_F]
     session.diagnostics.update(history_truncated=[h.truncated for h in hists],
-                               history_newton_steps=[h.newton_steps for h in hists])
+                               history_newton_steps=[h.newton_steps for h in hists],
+                               flow_time_table_error=traj._per_orbit(_flow_time)[0].error)
     em.table("histories", ["t", "r0", "r_of_t", "R", "dRdt"],
              [np.concatenate(col) for col in zip(*[
                  (h.t, np.full_like(h.t, h.r0), h.r_of_t, h.R, h.dRdt) for h in hists])])

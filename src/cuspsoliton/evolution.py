@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,10 +71,7 @@ def Ct(x, y, t: float):
 
     Its sign equals the sign of dR/dt at the phase state (x, y) = (H, F).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = t + 1.0
-    val = (2.0 * x * y - x ** 2 + 1.0) + s * y ** 2 * (-2.0 * x * y + 2.0 * x ** 2 - 1.0)
+    val = _ct_and_dx(np.asarray(x, dtype=float), np.asarray(y, dtype=float), t + 1.0)[0]
     return float(val) if val.ndim == 0 else val
 
 
@@ -82,16 +80,19 @@ def grad_Ct(x, y, t: float):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     s = t + 1.0
-    gx = _dCt_dx(x, y, s)
+    gx = _ct_and_dx(x, y, s)[1]
     gy = 2.0 * x + 2.0 * s * y * (-3.0 * x * y + 2.0 * x ** 2 - 1.0)
     if gx.ndim == 0:
         return float(gx), float(gy)
     return gx, gy
 
 
-def _dCt_dx(x, y, s):
-    """dC_t/dx with s = t + 1, for arrays."""
-    return 2.0 * y - 2.0 * x + s * y ** 2 * (-2.0 * y + 4.0 * x)
+def _ct_and_dx(x, y, s):
+    """C_t and dC_t/dx with s = t + 1, for arrays, from one x^2, xy and s y^2:
+    doubling is exact, so these are the bits of the spelled-out forms."""
+    xx, two_xy, sy2 = x * x, 2.0 * (x * y), s * (y * y)
+    ct = (two_xy - xx + 1.0) + sy2 * (-two_xy + 2.0 * xx - 1.0)
+    return ct, 2.0 * y - 2.0 * x + sy2 * (-2.0 * y + 4.0 * x)
 
 
 def _branch_domain_end(t: float) -> float:
@@ -115,7 +116,7 @@ def ct_branch_x(y, t: float):
     if np.any(y > end + 1e-12):
         raise ValueError(f"branch domain is y <= {end}")
     sy2 = s * y ** 2
-    A = 2.0 * s * y ** 2 - 1.0
+    A = 2.0 * sy2 - 1.0
     halfB = y * (1.0 - sy2)                # >= 0 on the domain
     C0 = 1.0 - sy2                         # <= 0 on the domain
     rad = np.sqrt(np.maximum(halfB ** 2 - A * C0, 0.0))
@@ -123,7 +124,7 @@ def ct_branch_x(y, t: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(q != 0.0, C0 / np.where(q != 0.0, q, 1.0), 0.0)
     for _ in range(2):
-        val, dv = Ct(x, y, t), _dCt_dx(x, y, s)
+        val, dv = _ct_and_dx(x, y, s)
         step = np.where(dv != 0.0, val / np.where(dv != 0.0, dv, 1.0), 0.0)
         x = x - step
     return float(x[0]) if scalar else x
@@ -135,8 +136,9 @@ def psi(y, t: float):
     s = t + 1.0
     y = np.asarray(y, dtype=float)
     x = np.asarray(ct_branch_x(y, t))
-    val = -y * (x ** 2 + s * (6.0 * x ** 2 * y ** 2 - 12.0 * x ** 3 * y
-                              + 5.0 * x * y + 8.0 * x ** 4 - 6.0 * x ** 2 + 1.0))
+    xx = x * x
+    val = -y * (xx + s * (6.0 * xx * y ** 2 - 12.0 * x ** 3 * y
+                          + 5.0 * x * y + 8.0 * x ** 4 - 6.0 * xx + 1.0))
     return float(val) if val.ndim == 0 else val
 
 
@@ -153,7 +155,8 @@ class PsiScan:
 
     The grid is log-spaced from the domain endpoint -1/sqrt(t+1) down to
     ``y_floor``; the unbounded rest of the ray is settled by the analytic
-    tail t/(4y), whose sign for y < 0 is the sign of -t.  Verdict
+    tail t/(4y), whose sign for y < 0 is the sign of -t, and at t = 0 by
+    Psi_0 = 1/(4y^5) - 5/(16y^7) + O(y^-9), negative.  Verdict
     "positive" certifies the barrier property of {C_t = 0}.  For t in
     (-1, 0) the verdict is exact, the sign of P(t + 1) (see
     ``scan_delta_threshold``): far out the float Psi_t cancels, so its
@@ -186,13 +189,13 @@ def _psi_positive(t: float) -> bool:
 
 def _check_y_floor(t: float, y_floor: float) -> None:
     """A ValueError unless ``y_floor`` lies below the branch end, with |y| and
-    (t+1)|y|^3 at most 1e150 down to it (at t = 0 to the tail probe at 100
-    y_floor): the float range of Psi_t, past which ``ct_branch_x`` overflows."""
+    (t+1)|y|^3 at most 1e150 down to it: the float range of Psi_t, past
+    which ``ct_branch_x`` overflows."""
     end = _branch_domain_end(t)
     if y_floor >= end:
         raise ValueError(f"y_floor = {y_floor:g} must lie below the Psi branch end "
                          f"-1/sqrt(t+1) = {end:.6g} at t = {t:g}")
-    low = -min(1e150, (1e150 / (t + 1.0)) ** (1.0 / 3.0)) / (100.0 if t == 0.0 else 1.0)
+    low = -min(1e150, (1e150 / (t + 1.0)) ** (1.0 / 3.0))
     if y_floor < low:
         raise ValueError(f"y_floor = {y_floor:g} is past the float range of Psi_t at t = {t:g}: "
                          f"it must lie in [{low!r}, {end:.6g})")
@@ -207,7 +210,7 @@ def scan_psi(t: float, y_floor: float = -1e3, n: int = 1200) -> PsiScan:
     y = -np.geomspace(-end, -y_floor, int(n))
     vals = psi(y, t)
     i = int(np.argmin(vals))
-    tail_sign = int(np.sign(-t)) if t != 0 else int(np.sign(psi(y_floor * 100, t)))
+    tail_sign = 1 if t < 0.0 else -1          # the sign of t/(4y), or of 1/(4y^5) at t = 0
     tail_ref = psi_tail(y_floor, t)
     # at t = 0 the tail vanishes identically: no relative agreement with it
     tail_match = abs(vals[-1] - tail_ref) / max(abs(tail_ref), 1e-300) if t else math.nan
@@ -458,9 +461,97 @@ class RHistory:
         return self.sign_change_times[-1] if self.sign_change_times else None
 
 
+_TABLE_CHECK = 1e-12       # relative: how far an interval's table integral may miss its Gauss step
+
+
+@functools.cache
+def _antiderivative_matrix() -> tuple[np.ndarray, np.ndarray]:
+    """The Chebyshev points v_j = cos((j + 1/2) pi/12) of [-1, 1] and the
+    13 x 12 matrix taking values at them to the monomial coefficients in v,
+    highest first, of the antiderivative from v = -1 of their interpolant
+    (Clenshaw & Curtis, Numer. Math. 2, 1960).  Column j integrates the
+    Lagrange basis polynomial of v_j: no LAPACK inverse, whose first call
+    adds about a megabyte to the process's peak memory."""
+    n = 12
+    v = np.cos((np.arange(n) + 0.5) * (np.pi / n))
+    cols = []
+    for j in range(n):
+        rest = np.delete(v, j)
+        q = np.polyint(np.poly(rest) / np.prod(v[j] - rest))
+        q[-1] -= np.polyval(q, -1.0)
+        cols.append(q)
+    return v, np.stack(cols, axis=1)
+
+
+def _horner_slope(coeffs, x):
+    """p(x) and p'(x) in one Horner pass, coefficients highest first."""
+    p, dp = coeffs[0] * x + coeffs[1], coeffs[0]
+    for a in coeffs[2:]:
+        dp = dp * x + p
+        p = p * x + a
+    return p, dp
+
+
+class _FlowTable:
+    """T(r) = int_{r_hi}^r dr/F and T'(r) = 1/F as one polynomial on each
+    sample interval [r_i, r_(i+1)]: T = cum[i] + half_i Q_i(v), T' = Q_i'(v)
+    with v = (r - mid_i)/half_i, where Q_i integrates from v = -1 the
+    interpolant of 1/F at ``_antiderivative_matrix``'s points.
+
+    Checked once against the route it replaces: half_i Q_i(1) must match
+    the interval's Gauss step to 1e-12 relative, else ``IntegrationError``;
+    ``error`` is the largest mismatch.  A query keeps ``state_at``'s rules
+    (an empty one is empty, a NaN or an r outside [r_lo - 1e-9, r_hi + 1e-9]
+    raises ``OrbitRangeError``), and one point is the array pass in floats,
+    bit for bit.  Keeps no reference to the trajectory.
+    """
+
+    def __init__(self, traj: Trajectory, T: _Cumulative):
+        r = traj.r
+        self.nodes, self.cum, self.r_lo, self.r_hi = r, T.cum, traj.r_lo, traj.r_hi
+        self.mid, self.half = 0.5 * (r[:-1] + r[1:]), 0.5 * np.diff(r)
+        v, matrix = _antiderivative_matrix()
+        pts = self.mid[:, None] + self.half[:, None] * v
+        g = (1.0 / traj.state_at(pts.ravel(), row=1)).reshape(pts.shape).T
+        # the matrix takes the differences from one value, whose constant
+        # integrates to g_c (v + 1) exactly: its rounding then scales with
+        # the variation of 1/F over the interval, not with 1/F
+        g_c = g[v.size // 2]
+        self.coef = matrix @ (g - g_c)
+        self.coef[-2:] += g_c
+        mismatch = np.abs(self.half * _horner(self.coef, 1.0) - T.steps) / np.abs(T.steps)
+        i = int(np.argmax(mismatch))
+        self.error = float(mismatch[i])
+        if not self.error <= _TABLE_CHECK:
+            raise IntegrationError(f"the flow-time table misses the Gauss integral of 1/F on "
+                                   f"[{r[i]:.6g}, {r[i + 1]:.6g}] by {self.error:.3g} relative")
+
+    def __call__(self, r):
+        """(T, 1/F) at ``r``: two arrays, or at one r two floats from the
+        array pass's operations."""
+        one = isinstance(r, float) or np.ndim(r) == 0
+        r = float(r) if one else np.asarray(r, dtype=float)
+        if not (one or r.size):
+            return np.empty(0), np.empty(0)
+        lo, hi = (r, r) if one else (r.min(), r.max())     # NaN if any point is NaN
+        if not (self.r_lo - 1e-9 <= lo and hi <= self.r_hi + 1e-9):
+            raise OrbitRangeError(
+                f"r range [{lo}, {hi}] outside computed [{self.r_lo}, {self.r_hi}]")
+        if one:
+            i = min(max(bisect_left(self.nodes, r) - 1, 0), self.half.size - 1)
+            cum, mid, half = self.cum[i].item(), self.mid[i].item(), self.half[i].item()
+            coef = self.coef[:, i].tolist()
+        else:
+            i = np.minimum(np.maximum(np.searchsorted(self.nodes, r) - 1, 0), self.half.size - 1)
+            cum, mid, half, coef = self.cum[i], self.mid[i], self.half[i], self.coef[:, i]
+        q, slope = _horner_slope(coef, (r - mid) / half)
+        return cum + half * q, slope
+
+
 def _flow_time(traj: Trajectory):
-    """T(r) = int_{r_hi}^r dr/F, tabulated once per orbit from the flat end,
-    and its inverse r(tau), tau = log(1 + T), as septic Hermite pieces.
+    """T(r) = int_{r_hi}^r dr/F, tabulated once per orbit from the flat end
+    (``_FlowTable``), and its inverse r(tau), tau = log(1 + T), as septic
+    Hermite pieces.
 
     The node derivatives come from the field's jet: with w = 1 + T,
     dr/dtau = d1 = w F, d2r/dtau2 = d1 + w d1 F' and d3r/dtau3 = d1 + 3 w
@@ -491,7 +582,8 @@ def _flow_time(traj: Trajectory):
     c5 = -84.0 * gap + 39.0 * slope - 7.0 * curve + 0.5 * jerk
     c6 = 70.0 * gap - 34.0 * slope + 6.5 * curve - 0.5 * jerk
     c7 = -20.0 * gap + 10.0 * slope - 2.0 * curve + jerk / 6.0
-    return T, (tau, np.stack([c7, c6, c5, c4, c3, c2, c1, r[:-1]]))
+    inverse = (tau, np.stack([c7, c6, c5, c4, c3, c2, c1, r[:-1]]))
+    return _FlowTable(traj, T), inverse
 
 
 _NEWTON_STOP = 1e-7        # a correction below this, relative to max(|r|, 1), ends the loop
@@ -520,9 +612,10 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     inverted by Newton steps from a septic Hermite start in log(1 + T),
     until every correction is at most 1e-7 of max(|r|, 1) (one step on the
     default orbit; ``newton_steps`` records how many).  No convergence in
-    four steps raises ``IntegrationError``.  T(r0) and each step are one
-    ``state_at`` call of F alone; then R[g(t)] = R[g0](r(t))/(t+1) and dR/dt
-    follow from the final phase states, the one call of all three rows.  A
+    four steps raises ``IntegrationError``.  T(r0) and each step's T and
+    slope 1/F are read from the per-interval polynomials of ``_FlowTable``;
+    then R[g(t)] = R[g0](r(t))/(t+1) and dR/dt follow from the final phase
+    states, the history's one ``state_at`` call.  A
     t whose target T(r0) + t leaves T's range [0, T(r_lo)] is dropped and
     the history flagged truncated; a ``t_grid`` that is not 1-D or is
     empty, or a t that is not finite and above -1, is a ValueError.
@@ -539,13 +632,13 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
         raise OrbitRangeError("r0 outside the computed orbit range")
 
     flow_time, inverse = traj._per_orbit(_flow_time)
-    target = flow_time.value_at(traj, r0) + t_grid
+    target = flow_time(r0)[0] + t_grid
     kept = (target >= 0.0) & (target <= flow_time.cum[0])
     tv, target = t_grid[kept], target[kept]
     r = _r_start(inverse, target)
     for steps in range(1, _NEWTON_MAX_STEPS + 1):
-        value, F = flow_time.value_and_row(traj, r)
-        step = (value - target) * F
+        value, slope = flow_time(r)
+        step = (value - target) / slope
         r = r - step
         # the next correction is about 0.28 step^2: at most 3e-15 of the scale
         if np.all(np.abs(step) <= _NEWTON_STOP * np.maximum(np.abs(r), 1.0)):

@@ -67,16 +67,16 @@ class _Cumulative:
     sample node, or from the last if ``from_hi``.  Gauss-Legendre on each
     sample interval, which lies within one Taylor piece or series leg,
     integrates the dense output essentially exactly, so the result carries
-    the integrator's accuracy.  The table keeps no
-    reference to the trajectory (it may live in the trajectory's per-orbit
-    memo); ``value_at`` is handed it.
+    the integrator's accuracy; ``steps`` are those interval integrals.  The
+    table keeps no reference to the trajectory (it may live in the
+    trajectory's per-orbit memo); ``value_at`` is handed it.
     """
 
     def __init__(self, traj: Trajectory, row: int, fn=None, from_hi: bool = False):
         self.row, self._fn = row, fn or (lambda v: v)
         gauss = traj._per_orbit(_GaussRows)
         steps = gauss.half * (self._fn(gauss.row(traj, row)) @ _GL_WEIGHTS)
-        self.nodes = traj.r
+        self.nodes, self.steps = traj.r, steps
         if from_hi:     # summed from the anchor, so the far end loses no digits
             self.cum = np.concatenate([-np.cumsum(steps[::-1])[::-1], [0.0]])
         else:
@@ -84,19 +84,14 @@ class _Cumulative:
 
     def value_at(self, traj: Trajectory, r) -> np.ndarray:
         """Integral from the anchor node to each query point of ``traj``."""
-        out = self.value_and_row(traj, np.atleast_1d(np.asarray(r, dtype=float)))[0]
-        return out if np.ndim(r) else float(out[0])
-
-    def value_and_row(self, traj: Trajectory, r: np.ndarray):
-        """``value_at`` the points ``r`` and the table's state row there, from
-        one ``state_at`` call of that row over the Gauss points and ``r``."""
-        idx = np.minimum(np.maximum(np.searchsorted(self.nodes, r) - 1, 0), len(self.nodes) - 2)
+        rq = np.atleast_1d(np.asarray(r, dtype=float))
+        idx = np.minimum(np.maximum(np.searchsorted(self.nodes, rq) - 1, 0), len(self.nodes) - 2)
         a = self.nodes[idx]
-        half = 0.5 * (r - a)
+        half = 0.5 * (rq - a)
         pts = (a + half)[:, None] + half[:, None] * _GL_NODES
-        row = traj.state_at(np.concatenate([pts.ravel(), r]), row=self.row)
-        vals = self._fn(row[:pts.size]).reshape(pts.shape)
-        return self.cum[idx] + half * (vals @ _GL_WEIGHTS), row[pts.size:]
+        vals = self._fn(traj.state_at(pts.ravel(), row=self.row)).reshape(pts.shape)
+        out = self.cum[idx] + half * (vals @ _GL_WEIGHTS)
+        return out if np.ndim(r) else float(out[0])
 
 
 @dataclass

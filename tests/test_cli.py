@@ -355,12 +355,13 @@ def test_import_builds_no_series():
     code = ("import cuspsoliton.cli\nfrom cuspsoliton import evolution, phase_core\n"
             "print(phase_core._germ_series.cache_info().currsize, "
             "evolution._t_b_bracket.cache_info().currsize, "
+            "evolution._antiderivative_matrix.cache_info().currsize, "
             "cuspsoliton.cli._pow10.cache_info().currsize)")
     src = str(Path(cs.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["0", "0", "0"]
+    assert run.stdout.split() == ["0", "0", "0", "0"]
 
 
 def test_config_invalid_controls_rejected(tmp_path):
@@ -485,7 +486,8 @@ def test_manifest_records_stage_times(tmp_path):
     diag = manifest["diagnostics"]
     assert set(diag) == {"germ_join_r", "germ_c", "germ_join_mismatch_H",
                          "germ_join_mismatch_sigma", "sstar_certificate_points",
-                         "history_truncated", "history_newton_steps", "legs"}
+                         "history_truncated", "history_newton_steps",
+                         "flow_time_table_error", "legs"}
     cusp, fwd, germ = diag["legs"]
     assert set(cusp) == {"method", "terms", "theta_start", "truncation", "r_lo", "r_hi"}
     assert cusp["method"] == "series" and cusp["terms"] == 12
@@ -502,6 +504,7 @@ def test_manifest_records_stage_times(tmp_path):
                                          abs=1e-12)
     assert diag["history_truncated"] == [False, False]
     assert diag["history_newton_steps"] == [1, 1]
+    assert 0.0 < diag["flow_time_table_error"] <= 1e-12
     assert diag["germ_join_r"] == pytest.approx(25.0, abs=1e-12)
     assert diag["sstar_certificate_points"] > 10000
 

@@ -221,6 +221,16 @@ def test_tail_match_is_undefined_at_t_zero():
     assert not math.isnan(cs.scan_psi(1e-300).tail_match)
 
 
+def test_tail_sign_at_t_zero_is_the_sign_of_the_leading_term():
+    # at t = 0 the tail is Psi_0 = 1/(4y^5) - 5/(16y^7) + O(y^-9) (derived in
+    # test_field_algebra.py), negative; the float probe psi(100 y_floor) it
+    # replaces read -1, +1, -1, +1, -1 on the first five floors.  With no
+    # probe past y_floor, the float range at t = 0 reaches -1e50
+    for y_floor in (-1e3, -1e5, -1e10, -1e12, -1e20, -1e49):
+        scan = cs.scan_psi(0.0, y_floor=y_floor)
+        assert scan.tail_sign == -1 and scan.verdict == "sign-changing", y_floor
+
+
 @pytest.mark.parametrize("t", [-0.7, 0.0, 1.0])
 def test_y_floor_past_the_float_range_of_psi_is_rejected(t):
     # below about -1e50, ct_branch_x's squares overflow; the scan says so
@@ -478,12 +488,13 @@ def test_truncated_history_keeps_the_times_inside_the_flow_range(short_orbit):
 
 
 def test_history_septic_start_and_newton_stop_rule(sep, short_orbit):
-    # the septic Hermite start in log(1 + T), replayed with the history's
-    # stop rule: the replay takes the history's steps and lands on r_of_t
-    # bit for bit, the start lies within 1e-4 of it (measured 4.9e-13 on the
-    # default orbit, 7.0e-14 on the short one), one step suffices, and the
-    # would-be next correction is rounding (measured at most 2.5e-15 of
-    # max(|r|, 1)), on the CLI's grid
+    # the septic Hermite start in log(1 + T), replayed on the flow-time
+    # table with the history's stop rule: the replay takes the history's
+    # steps and lands on r_of_t bit for bit, the start lies within 1e-4 of
+    # it (measured 4.9e-13 on the default orbit, 7.0e-14 on the short one),
+    # the table's slope is 1/F (measured within 3.3e-14), one step suffices,
+    # and the would-be next correction is rounding (measured at most 2.5e-15
+    # of max(|r|, 1)), on the CLI's grid
     from cuspsoliton.evolution import _flow_time, _r_start
     tg = np.geomspace(0.02, 201.0, 240) - 1.0
     cases = [(sep, sep.r_at_F(F_anchor)) for F_anchor in (-0.5, -1.0, -10.0, -30.0)]
@@ -491,36 +502,89 @@ def test_history_septic_start_and_newton_stop_rule(sep, short_orbit):
     for traj, r0 in cases:
         h = cs.pointwise_R_history(r0, tg, traj)
         assert h.t.size >= 10
-        T, inverse = traj._per_orbit(_flow_time)
-        target = T.value_at(traj, r0) + h.t
+        table, inverse = traj._per_orbit(_flow_time)
+        target = table(r0)[0] + h.t
         r = _r_start(inverse, target)
         assert np.all(np.abs(r - h.r_of_t) <= 1e-4)
         steps = []
         for _ in range(4):
-            value, F = T.value_and_row(traj, r)
-            assert np.array_equal(F, traj.state_at(r)[1])
-            steps.append((value - target) * F)
+            value, slope = table(r)
+            assert np.all(np.abs(slope * traj.state_at(r)[1] - 1.0) <= 1e-12)
+            steps.append((value - target) / slope)
             r = r - steps[-1]
             if np.all(np.abs(steps[-1]) <= 1e-7 * np.maximum(np.abs(r), 1.0)):
                 break
         assert len(steps) == h.newton_steps == 1
         assert np.array_equal(r, h.r_of_t)
-        value, F = T.value_and_row(traj, r)
+        value, slope = table(r)
         scale = np.maximum(np.abs(h.r_of_t), 1.0)
-        assert np.all(np.abs((value - target) * F) <= 1e-12 * scale)
+        assert np.all(np.abs((value - target) / slope) <= 1e-12 * scale)
 
 
-def test_warm_history_makes_three_state_at_calls(sep, dense_counts):
-    # T(r0), the one Newton step on the default orbit (Gauss points and
-    # iterates together) and the final states: 3 array calls of 7, 7 * 240
-    # and 240 points.  Every call but the final one evaluates F alone
+def test_warm_history_makes_one_state_at_call(sep, dense_counts):
+    # T(r0) and the Newton step on the default orbit read the flow-time
+    # table, so a warm history evaluates the orbit once: the final states,
+    # all three rows at its 240 points
     tg = np.geomspace(0.02, 201.0, 240) - 1.0
     r0 = sep.r_at_F(-1.0)
     cs.pointwise_R_history(r0, tg, sep)
     dense_counts.reset()
     h = cs.pointwise_R_history(r0, tg, sep)
     assert h.newton_steps == 1
-    assert dense_counts.state_at == [(7, 1), (7 * tg.size, 1), (tg.size, None)]
+    assert dense_counts.state_at == [(tg.size, None)]
+
+
+def test_flow_table_matches_gauss_partial_integrals(sep, short_orbit):
+    # T from the table against the six-point Gauss partial integral from
+    # the interval's node, at random r: the difference moves r by |dT F|,
+    # at most 1e-14 of max(|r|, 1) (measured 1.2e-15); each interval's
+    # integral matches its Gauss step (measured 1.1e-14 relative), and one
+    # point is the array pass bit for bit
+    from cuspsoliton.evolution import _flow_time
+    from cuspsoliton.geometry import _Cumulative
+    rng = np.random.default_rng(30)
+    loose = cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(rel_tol=1e-7)))
+    for name, traj in {"default": sep, "rel_tol 1e-7": loose, "r_max 10": short_orbit}.items():
+        table, _ = traj._per_orbit(_flow_time)
+        gauss = _Cumulative(traj, 1, lambda F: 1.0 / F, from_hi=True)
+        assert np.array_equal(table.cum, gauss.cum) and table.error <= 1e-12, name
+        r = np.concatenate([traj.r[[0, 1, -2, -1]], rng.uniform(traj.r_lo, traj.r_hi, 2000)])
+        value, slope = table(r)
+        moved = np.abs((value - gauss.value_at(traj, r)) * traj.state_at(r, row=1))
+        assert np.all(moved <= 1e-14 * np.maximum(np.abs(r), 1.0)), name
+        for i in [1, 2, *range(4, r.size, 97)]:         # nodes pick the interval below
+            assert table(r[i].item()) == (value[i], slope[i])
+
+
+def test_flow_table_keeps_the_range_rule_of_state_at(sep):
+    from cuspsoliton.evolution import _flow_time
+    table, _ = sep._per_orbit(_flow_time)
+    value, slope = table(np.empty(0))
+    assert value.shape == slope.shape == (0,)
+    for bad in (np.nan, sep.r_lo - 1e-8, sep.r_hi + 1e-8):
+        with pytest.raises(cs.OrbitRangeError):
+            table(bad)
+        with pytest.raises(cs.OrbitRangeError):
+            table(np.array([0.0, bad]))
+    # within 1e-9 of the ends, as in state_at, the end pieces extend
+    assert math.isfinite(table(sep.r_hi + 5e-10)[0])
+    assert np.isfinite(table(np.array([sep.r_lo - 5e-10]))[0]).all()
+
+
+def test_flow_table_check_rejects_a_wrong_matrix(sep, monkeypatch):
+    # the per-orbit check compares every interval's table integral with its
+    # Gauss step.  np.polyint's constant is 0, so the matrix's last row is
+    # -Q(-1) of each column: one that shifts every coefficient by it, not
+    # the constant alone, fails the check on the first interval (measured
+    # 0.77 relative)
+    from cuspsoliton import evolution
+    v, matrix = evolution._antiderivative_matrix()
+    wrong = matrix + matrix[-1]
+    wrong[-1] = matrix[-1]
+    monkeypatch.setattr(evolution, "_antiderivative_matrix", lambda: (v, wrong))
+    with pytest.raises(cs.IntegrationError, match=r"flow-time table misses the Gauss "
+                       rf"integral of 1/F on \[{sep.r_lo:.6g}, "):
+        cs.pointwise_R_history(sep.r_at_F(-1.0), [0.0, 1.0], replace(sep))
 
 
 def test_loose_orbit_history_takes_a_second_newton_step(monkeypatch):

@@ -4,7 +4,7 @@ Everything starts from the exact field of ``blowup`` (``BASE_P``,
 ``BASE_Q``), sigma := -(H' + H^2) and the scalar curvature R0 = -2H^2 +
 4 sigma.  The jet, the saddle's eigendata and the cusp recursion, the
 isoclines and their slopes, the barrier products, the growth curve C_t,
-Psi_t, the discriminant P(s) and the germ series are derived from these and
+Psi_t and its tail, the discriminant P(s) and the germ series are derived from these and
 compared with the package's constants and float functions, so a
 transcription error fails here instead of moving a verdict.
 """
@@ -231,6 +231,31 @@ def test_psi_is_the_normal_product_on_the_branch():
         for y, x, got in zip(ys.tolist(), xs.tolist(), cs.psi(ys, t).tolist()):
             sv = Fraction(t + 1.0)
             assert _close(got, neg_yg(x, y, sv), neg_yg(abs(x), abs(y), sv, absolute=True), 16)
+
+
+def test_psi_tail_from_the_branch_series():
+    # the branch of {C_t = 0} as a series in w = 1/y, solved order by order:
+    # x = -w/2 + ..., so x > 0 for y < 0, ct_branch_x's branch.  Along it
+    # Psi_t = -y G starts with psi_tail's t(w/4 - 3w^3/8), which vanishes at
+    # t = 0; there Psi_0 = w^5/4 - 5w^7/16 + O(w^9), negative for y < 0: the
+    # tail_sign that scan_psi reports at t = 0
+    w, c = sp.symbols("w c")
+    ct = sp.expand(CT.subs(F, 1 / w) * w ** 3)          # a polynomial in H, w and s
+
+    def psi_series(ct, order):
+        x = 0
+        for k in range(1, order):
+            x += sp.solve(sp.expand(ct.subs(H, x + c * w ** k)).coeff(w, k), c)[0] * w ** k
+        assert x.coeff(w, 1) == -HALF
+        return sp.expand(-G.subs({H: x, F: 1 / w}) / w)
+    general = psi_series(ct, 8)
+    for k, term in enumerate([0, (s - 1) / 4, 0, -3 * (s - 1) / 8]):
+        assert sp.expand(general.coeff(w, k) - term) == 0
+    at_zero = psi_series(ct.subs(s, 1), 12).subs(s, 1)
+    assert [at_zero.coeff(w, k) for k in range(8)] == [0] * 5 + [sp.Rational(1, 4), 0,
+                                                                 sp.Rational(-5, 16)]
+    y = -30.0
+    assert cs.psi(y, 0.0) == pytest.approx(1 / (4 * y ** 5) - 5 / (16 * y ** 7), rel=1e-5)
 
 
 def test_psi_discriminant_factors_through_P():

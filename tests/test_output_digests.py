@@ -4,8 +4,10 @@ in csv and in plot format, the manifest aside, and the stepper's counters.
 The digests were recorded on x86-64 with numpy 2.4.6 (every file derived
 from the orbit once its middle leg became one Taylor run, delta.json once
 sigma' came from the field's jet, psi_scans.json once its t = 0 tail_match
-became null, the blowup, isocline and psi tables at commit 72e7dc3), and
-they pin that platform: the libm and numpy of another may move last bits.
+became null, the histories once the flow time came from one polynomial
+per sample interval, the blowup, isocline and psi tables at commit
+72e7dc3), and they pin that platform: the libm and numpy of another may
+move last bits.
 A deliberate change of any output edits these tables.
 """
 
@@ -41,7 +43,7 @@ _TABLES = {
         "curvature.csv":
             "37cd051d4915694c88ede14d317df2d785dec374f000d3910a431b286f99bd46",
         "histories.csv":
-            "7f615adead84ddfff43ab8ceda65cc39adca89e6f322b3834297499f1065e292",
+            "c5cba16216b840dad17aab5b7ddcd99878c1c91ef6ce980f4f0e9241953541ef",
         "isoclines.csv":
             "b6b775f542ef0b849dc2a9426e45465dfbe3ac0f9aab804bd91f622a876a1731",
         "psi_t_m0_200.csv":
@@ -73,13 +75,13 @@ _TABLES = {
         "curvature_r_sec_xy.dat":
             "6a14454fd6611caed9467f377bd8ed8200af8a9f03ad3a0b78a2e4c23f9e0a84",
         "histories_t_R.dat":
-            "73ae12c41b225cc6f975e53d97bb4f68085da0e2a563c3ec88d5cd56919ac4e5",
+            "53ec1172ef075b3005b7c722b2bcdb77a6de83f4d33245e251c97568b8dbfb07",
         "histories_t_dRdt.dat":
-            "4ad673e73a6ed10c70a929a10cf08ea076b7e6e151e0eddfd0d75a847fd119f2",
+            "0005cf0e03b8d5c942e81708d6921fe1cae1e9384724029095d6c49400350b2f",
         "histories_t_r0.dat":
             "f7a6ecfa69e1a7d4173d07453b84f7a386126e9f2efa8b09acaed329ce9ce432",
         "histories_t_r_of_t.dat":
-            "91d4b764113e461284505da529a19082ccb0ea5b9b604bab8b5463d47cc82286",
+            "2890de8824344b656dd95f9c2d7c938bca6add8dff3016d4c7b79f6fa8769f56",
         "isoclines_H_F_horizontal.dat":
             "f0fb06e03a08febbfcbdea1d6dd29f6b78c7b9abcc9672388b966422403934b1",
         "isoclines_H_F_oblique.dat":
