@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from ._numerics import brent
 from .blowup import _poly_eval, _real_roots
-from .geometry import _Cumulative
+from .geometry import _Cumulative, _horner_slope
 from .phase_core import (
     Trajectory, IntegrationError, OrbitRangeError, _GermLeg, _horner, _jet,
 )
@@ -461,99 +460,19 @@ class RHistory:
         return self.sign_change_times[-1] if self.sign_change_times else None
 
 
-_TABLE_CHECK = 1e-12       # relative: how far an interval's table integral may miss its Gauss step
-
-
-@functools.cache
-def _antiderivative_matrix() -> tuple[np.ndarray, np.ndarray]:
-    """The Chebyshev points v_j = cos((j + 1/2) pi/12) of [-1, 1] and the
-    13 x 12 matrix taking values at them to the monomial coefficients in v,
-    highest first, of the antiderivative from v = -1 of their interpolant
-    (Clenshaw & Curtis, Numer. Math. 2, 1960).  Column j integrates the
-    Lagrange basis polynomial of v_j: no LAPACK inverse, whose first call
-    adds about a megabyte to the process's peak memory."""
-    n = 12
-    v = np.cos((np.arange(n) + 0.5) * (np.pi / n))
-    cols = []
-    for j in range(n):
-        rest = np.delete(v, j)
-        q = np.polyint(np.poly(rest) / np.prod(v[j] - rest))
-        q[-1] -= np.polyval(q, -1.0)
-        cols.append(q)
-    return v, np.stack(cols, axis=1)
-
-
-def _horner_slope(coeffs, x):
-    """p(x) and p'(x) in one Horner pass, coefficients highest first."""
-    p, dp = coeffs[0] * x + coeffs[1], coeffs[0]
-    for a in coeffs[2:]:
-        dp = dp * x + p
-        p = p * x + a
-    return p, dp
-
-
-class _FlowTable:
-    """T(r) = int_{r_hi}^r dr/F and T'(r) = 1/F as one polynomial on each
-    sample interval [r_i, r_(i+1)]: T = cum[i] + half_i Q_i(v), T' = Q_i'(v)
-    with v = (r - mid_i)/half_i, where Q_i integrates from v = -1 the
-    interpolant of 1/F at ``_antiderivative_matrix``'s points.
-
-    Checked once against the route it replaces: half_i Q_i(1) must match
-    the interval's Gauss step to 1e-12 relative, else ``IntegrationError``;
-    ``error`` is the largest mismatch.  A query keeps ``state_at``'s rules
-    (an empty one is empty, a NaN or an r outside [r_lo - 1e-9, r_hi + 1e-9]
-    raises ``OrbitRangeError``), and one point is the array pass in floats,
-    bit for bit.  Keeps no reference to the trajectory.
-    """
-
-    def __init__(self, traj: Trajectory, T: _Cumulative):
-        r = traj.r
-        self.nodes, self.cum, self.r_lo, self.r_hi = r, T.cum, traj.r_lo, traj.r_hi
-        self.mid, self.half = 0.5 * (r[:-1] + r[1:]), 0.5 * np.diff(r)
-        v, matrix = _antiderivative_matrix()
-        pts = self.mid[:, None] + self.half[:, None] * v
-        g = (1.0 / traj.state_at(pts.ravel(), row=1)).reshape(pts.shape).T
-        # the matrix takes the differences from one value, whose constant
-        # integrates to g_c (v + 1) exactly: its rounding then scales with
-        # the variation of 1/F over the interval, not with 1/F
-        g_c = g[v.size // 2]
-        self.coef = matrix @ (g - g_c)
-        self.coef[-2:] += g_c
-        mismatch = np.abs(self.half * _horner(self.coef, 1.0) - T.steps) / np.abs(T.steps)
-        i = int(np.argmax(mismatch))
-        self.error = float(mismatch[i])
-        if not self.error <= _TABLE_CHECK:
-            raise IntegrationError(f"the flow-time table misses the Gauss integral of 1/F on "
-                                   f"[{r[i]:.6g}, {r[i + 1]:.6g}] by {self.error:.3g} relative")
-
-    def __call__(self, r):
-        """(T, 1/F) at ``r``: two arrays, or at one r two floats from the
-        array pass's operations."""
-        one = isinstance(r, float) or np.ndim(r) == 0
-        r = float(r) if one else np.asarray(r, dtype=float)
-        if not (one or r.size):
-            return np.empty(0), np.empty(0)
-        lo, hi = (r, r) if one else (r.min(), r.max())     # NaN if any point is NaN
-        if not (self.r_lo - 1e-9 <= lo and hi <= self.r_hi + 1e-9):
-            raise OrbitRangeError(
-                f"r range [{lo}, {hi}] outside computed [{self.r_lo}, {self.r_hi}]")
-        if one:
-            i = min(max(bisect_left(self.nodes, r) - 1, 0), self.half.size - 1)
-            cum, mid, half = self.cum[i].item(), self.mid[i].item(), self.half[i].item()
-            coef = self.coef[:, i].tolist()
-        else:
-            i = np.minimum(np.maximum(np.searchsorted(self.nodes, r) - 1, 0), self.half.size - 1)
-            cum, mid, half, coef = self.cum[i], self.mid[i], self.half[i], self.coef[:, i]
-        q, slope = _horner_slope(coef, (r - mid) / half)
-        return cum + half * q, slope
+_TABLE_CHECK = 1e-12       # relative: how far the flow-time table's slope may miss 1/F at a node
 
 
 def _flow_time(traj: Trajectory):
     """T(r) = int_{r_hi}^r dr/F, tabulated once per orbit from the flat end
-    (``_FlowTable``), and its inverse r(tau), tau = log(1 + T), as septic
-    Hermite pieces.
+    (``_Cumulative`` of 1/F), and its inverse r(tau), tau = log(1 + T), as
+    septic Hermite pieces.
 
-    The node derivatives come from the field's jet: with w = 1 + T,
+    The table interpolates 1/F at 12 points inside each sample interval,
+    not at its ends: its slope there must meet 1/F at the sample nodes to
+    1e-12 relative, else ``IntegrationError``; the table's ``error`` is the
+    largest mismatch.  The node derivatives of the inverse come from the
+    field's jet: with w = 1 + T,
     dr/dtau = d1 = w F, d2r/dtau2 = d1 + w d1 F' and d3r/dtau3 = d1 + 3 w
     d1 F' + w^2 d1 (F'^2 + F F'').  The pieces are
     Taylor coefficients in the unit variable of each tau interval, highest
@@ -563,6 +482,15 @@ def _flow_time(traj: Trajectory):
         raise IntegrationError(f"the flow time int dr/F needs F < 0 on the orbit; "
                                f"it fails at r = {traj.r[np.argmax(traj.F >= 0.0)]:.6g}")
     T = _Cumulative(traj, 1, lambda F: 1.0 / F, from_hi=True)
+    # 12 points resolve 1/F on an interval if the slope meets it at the ends
+    g = 1.0 / traj.F
+    lo, hi = (_horner_slope(T.coef, end)[1] for end in (-1.0, 1.0))
+    mismatch = np.maximum(np.abs(lo - g[:-1]) / np.abs(g[:-1]), np.abs(hi - g[1:]) / np.abs(g[1:]))
+    i = int(np.argmax(mismatch))
+    T.error = float(mismatch[i])
+    if not T.error <= _TABLE_CHECK:
+        raise IntegrationError(f"the flow-time table's slope misses 1/F at the ends of "
+                               f"[{traj.r[i]:.6g}, {traj.r[i + 1]:.6g}] by {T.error:.3g} relative")
     # tau rises as r falls: reversed, the nodes increase
     w, F = 1.0 + T.cum[::-1], traj.F[::-1]
     tau, r = np.log1p(T.cum[::-1]), traj.r[::-1]
@@ -583,7 +511,7 @@ def _flow_time(traj: Trajectory):
     c6 = 70.0 * gap - 34.0 * slope + 6.5 * curve - 0.5 * jerk
     c7 = -20.0 * gap + 10.0 * slope - 2.0 * curve + jerk / 6.0
     inverse = (tau, np.stack([c7, c6, c5, c4, c3, c2, c1, r[:-1]]))
-    return _FlowTable(traj, T), inverse
+    return T, inverse
 
 
 _NEWTON_STOP = 1e-7        # a correction below this, relative to max(|r|, 1), ends the loop
@@ -608,12 +536,12 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
 
     F < 0 on the orbit, so the flow time T(r) = int_{r_hi}^r dr/F is
     strictly monotone and r(t) = T^{-1}(T(r0) + t).  T is tabulated by the
-    quadrature of the metric profiles, accumulated from the flat end, and
-    inverted by Newton steps from a septic Hermite start in log(1 + T),
+    one quadrature of the metric profiles (``_Cumulative``), accumulated
+    from the flat end, and inverted by Newton steps from a septic Hermite start in log(1 + T),
     until every correction is at most 1e-7 of max(|r|, 1) (one step on the
     default orbit; ``newton_steps`` records how many).  No convergence in
     four steps raises ``IntegrationError``.  T(r0) and each step's T and
-    slope 1/F are read from the per-interval polynomials of ``_FlowTable``;
+    slope 1/F are read from that table's per-interval polynomials;
     then R[g(t)] = R[g0](r(t))/(t+1) and dR/dt follow from the final phase
     states, the history's one ``state_at`` call.  A
     t whose target T(r0) + t leaves T's range [0, T(r_lo)] is dropped and

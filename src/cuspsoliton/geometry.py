@@ -23,12 +23,16 @@ hold exactly up to arithmetic rounding and integration drift.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase_core import EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, Trajectory, _CuspLeg, _jet
+from .phase_core import (
+    EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, OrbitRangeError, Trajectory, _CuspLeg, _horner, _jet,
+)
 
 __all__ = [
     "MetricProfile", "CurvatureTable", "SolitonResiduals",
@@ -37,61 +41,112 @@ __all__ = [
     "check_asymptotics",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+@functools.cache
+def _antiderivative_matrix() -> tuple[np.ndarray, np.ndarray]:
+    """The Chebyshev points v_j = cos((j + 1/2) pi/12) of [-1, 1] and the
+    13 x 12 matrix taking values at them to the monomial coefficients in v,
+    highest first, of the antiderivative from v = -1 of their interpolant
+    (Clenshaw & Curtis, Numer. Math. 2, 1960).  Column j integrates the
+    Lagrange basis polynomial of v_j: no LAPACK inverse, whose first call
+    adds about a megabyte to the process's peak memory."""
+    n = 12
+    v = np.cos((np.arange(n) + 0.5) * (np.pi / n))
+    cols = []
+    for j in range(n):
+        rest = np.delete(v, j)
+        q = np.polyint(np.poly(rest) / np.prod(v[j] - rest))
+        q[-1] -= np.polyval(q, -1.0)
+        cols.append(q)
+    return v, np.stack(cols, axis=1)
 
 
-class _GaussRows:
-    """State rows at the Gauss-Legendre nodes of every sample interval of an
-    orbit, each row evaluated on first use; kept per orbit, so the tables of
-    one orbit share them."""
+def _horner_slope(coeffs, x):
+    """p(x) and p'(x) in one Horner pass, coefficients highest first."""
+    p, dp = coeffs[0] * x + coeffs[1], coeffs[0]
+    for a in coeffs[2:]:
+        dp = dp * x + p
+        p = p * x + a
+    return p, dp
+
+
+class _ChebyshevRows:
+    """State rows at ``_antiderivative_matrix``'s points of every sample
+    interval of an orbit, shape (points, intervals), each row evaluated on
+    first use; kept per orbit, so the tables of one orbit share them."""
 
     def __init__(self, traj: Trajectory):
-        self.half = 0.5 * np.diff(traj.r)
+        r = traj.r
+        self.mid, self.half = 0.5 * (r[:-1] + r[1:]), 0.5 * np.diff(r)
         self._rows = {}
 
     def row(self, traj: Trajectory, k: int) -> np.ndarray:
-        """State row ``k`` at the nodes, shape (intervals, nodes); read only."""
+        """State row ``k`` at the points; read only."""
         if k not in self._rows:
-            r = traj.r
-            nodes = 0.5 * (r[:-1] + r[1:])[:, None] + self.half[:, None] * _GL_NODES
-            self._rows[k] = traj.state_at(nodes.ravel(), row=k).reshape(nodes.shape)
+            pts = self.mid + self.half * _antiderivative_matrix()[0][:, None]
+            self._rows[k] = traj.state_at(pts.ravel(), row=k).reshape(pts.shape)
             self._rows[k].setflags(write=False)
         return self._rows[k]
 
 
 class _Cumulative:
-    """Cumulative integral of a function of one state row of a trajectory.
+    """Cumulative integral of ``fn`` of one state row of an orbit, plus ``shift``.
 
-    The integrand is ``fn`` of state row ``row`` (0, 1, 2 for H, F, sigma),
-    read from the orbit's shared ``_GaussRows``; the integral is taken from the first
-    sample node, or from the last if ``from_hi``.  Gauss-Legendre on each
-    sample interval, which lies within one Taylor piece or series leg,
-    integrates the dense output essentially exactly, so the result carries
-    the integrator's accuracy; ``steps`` are those interval integrals.  The
-    table keeps no reference to the trajectory (it may live in the
-    trajectory's per-orbit memo); ``value_at`` is handed it.
+    The integrand is ``fn`` (the identity if None) of state row ``row`` (0,
+    1, 2 for H, F, sigma), plus the constant ``shift``; the integral is taken
+    from the first sample node, or from the last if ``from_hi``.  On each
+    sample interval [r_i, r_(i+1)], which lies within one Taylor piece or
+    series leg, it is one polynomial, cum[i] + half_i Q_i(v) with v = (r -
+    mid_i)/half_i: Q_i integrates from v = -1 the interpolant of the
+    integrand at ``_antiderivative_matrix``'s points, read from the orbit's
+    shared ``_ChebyshevRows``.  ``steps`` are the interval integrals half_i
+    Q_i(1).  A query answers the integral and its slope, the interpolated
+    integrand, under ``state_at``'s rules: an empty one is empty, a NaN or
+    an r outside [r_lo - 1e-9, r_hi + 1e-9] raises ``OrbitRangeError``, and
+    one point is the array pass in floats, bit for bit.  The table keeps no
+    reference to the trajectory (it may live in the trajectory's per-orbit
+    memo).
     """
 
-    def __init__(self, traj: Trajectory, row: int, fn=None, from_hi: bool = False):
-        self.row, self._fn = row, fn or (lambda v: v)
-        gauss = traj._per_orbit(_GaussRows)
-        steps = gauss.half * (self._fn(gauss.row(traj, row)) @ _GL_WEIGHTS)
-        self.nodes, self.steps = traj.r, steps
+    def __init__(self, traj: Trajectory, row: int, fn=None, shift: float = 0.0,
+                 from_hi: bool = False):
+        cheb = traj._per_orbit(_ChebyshevRows)
+        self.nodes, self.mid, self.half = traj.r, cheb.mid, cheb.half
+        self.r_lo, self.r_hi = traj.r_lo, traj.r_hi
+        v, matrix = _antiderivative_matrix()
+        g = cheb.row(traj, row) if fn is None else fn(cheb.row(traj, row))
+        # the matrix takes the differences from one value, whose constant
+        # integrates to g_c (v + 1) exactly: its rounding then scales with
+        # the variation of the integrand over the interval, not with its
+        # size, and a shift enters only through that constant
+        g_c = g[v.size // 2]
+        self.coef = matrix @ (g - g_c)
+        self.coef[-2:] += g_c + shift
+        self.steps = self.half * _horner(self.coef, 1.0)
         if from_hi:     # summed from the anchor, so the far end loses no digits
-            self.cum = np.concatenate([-np.cumsum(steps[::-1])[::-1], [0.0]])
+            self.cum = np.concatenate([-np.cumsum(self.steps[::-1])[::-1], [0.0]])
         else:
-            self.cum = np.concatenate([[0.0], np.cumsum(steps)])
+            self.cum = np.concatenate([[0.0], np.cumsum(self.steps)])
 
-    def value_at(self, traj: Trajectory, r) -> np.ndarray:
-        """Integral from the anchor node to each query point of ``traj``."""
-        rq = np.atleast_1d(np.asarray(r, dtype=float))
-        idx = np.minimum(np.maximum(np.searchsorted(self.nodes, rq) - 1, 0), len(self.nodes) - 2)
-        a = self.nodes[idx]
-        half = 0.5 * (rq - a)
-        pts = (a + half)[:, None] + half[:, None] * _GL_NODES
-        vals = self._fn(traj.state_at(pts.ravel(), row=self.row)).reshape(pts.shape)
-        out = self.cum[idx] + half * (vals @ _GL_WEIGHTS)
-        return out if np.ndim(r) else float(out[0])
+    def __call__(self, r):
+        """(integral, slope) at ``r``: two arrays, or at one r two floats
+        from the array pass's operations."""
+        one = isinstance(r, float) or np.ndim(r) == 0
+        r = float(r) if one else np.asarray(r, dtype=float)
+        if not (one or r.size):
+            return np.empty(r.shape), np.empty(r.shape)
+        lo, hi = (r, r) if one else (r.min(), r.max())     # NaN if any point is NaN
+        if not (self.r_lo - 1e-9 <= lo and hi <= self.r_hi + 1e-9):
+            raise OrbitRangeError(
+                f"r range [{lo}, {hi}] outside computed [{self.r_lo}, {self.r_hi}]")
+        if one:
+            i = min(max(bisect_left(self.nodes, r) - 1, 0), self.half.size - 1)
+            cum, mid, half = self.cum[i].item(), self.mid[i].item(), self.half[i].item()
+            coef = self.coef[:, i].tolist()
+        else:
+            i = np.minimum(np.maximum(np.searchsorted(self.nodes, r) - 1, 0), self.half.size - 1)
+            cum, mid, half, coef = self.cum[i], self.mid[i], self.half[i], self.coef[:, i]
+        q, slope = _horner_slope(coef, (r - mid) / half)
+        return cum + half * q, slope
 
 
 @dataclass
@@ -102,7 +157,8 @@ class MetricProfile:
     gauge); ``f_tail`` is the integral of F below the first sample and
     ``cusp_h_offset`` the limit of h - r/2, both from the cusp series.  For
     non-separatrix orbits there is no cusp end: f is anchored directly at
-    the first sample and the cusp fields are None.
+    the first sample and the cusp fields are None.  ``h_at`` and ``f_at``
+    read the tables of H and F (``_Cumulative``), under their range rule.
     """
 
     r: np.ndarray
@@ -112,17 +168,16 @@ class MetricProfile:
     f0: float
     f_tail: float | None
     cusp_h_offset: float | None
-    _traj: Trajectory = field(repr=False, default=None)
     _h_cum: _Cumulative = field(repr=False, default=None)
     _f_cum: _Cumulative = field(repr=False, default=None)
     _h_base: float = field(repr=False, default=0.0)
     _f_base: float = field(repr=False, default=0.0)
 
     def h_at(self, r):
-        return self._h_base + self._h_cum.value_at(self._traj, r)
+        return self._h_base + self._h_cum(r)[0]
 
     def f_at(self, r):
-        return self._f_base + self._f_cum.value_at(self._traj, r)
+        return self._f_base + self._f_cum(r)[0]
 
 
 def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
@@ -141,10 +196,7 @@ def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
     f_cum = _Cumulative(traj, 1)
 
     r = traj.r
-    if r[0] <= 0.0 <= r[-1]:
-        h_base = h_anchor - h_cum.value_at(traj, 0.0)
-    else:
-        h_base = h_anchor - h_cum.value_at(traj, r[0])
+    h_base = h_anchor - (h_cum(0.0)[0] if r[0] <= 0.0 <= r[-1] else 0.0)
     h = h_base + h_cum.cum
 
     cusp = traj.legs[0]
@@ -156,7 +208,7 @@ def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
     return MetricProfile(
         r=r, h=h, f=f, h_anchor=h_anchor, f0=f0,
         f_tail=f_tail, cusp_h_offset=cusp_h_offset,
-        _traj=traj, _h_cum=h_cum, _f_cum=f_cum, _h_base=h_base, _f_base=f_base,
+        _h_cum=h_cum, _f_cum=f_cum, _h_base=h_base, _f_base=f_base,
     )
 
 
@@ -322,8 +374,8 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
         f_c = float(profile.f_at(r_cusp))
         # h - r/2 - c1 = int_{-inf}^r (H - 1/2), from the series' tail and a
         # quadrature of H - 1/2: h - r/2 would cancel to a few ulps of h
-        dev = _Cumulative(traj, 0, lambda H: H - 0.5)
-        h_dev = traj.legs[0].tails(traj.r_lo)[0] + dev.value_at(traj, r_cusp)
+        dev = _Cumulative(traj, 0, shift=-0.5)
+        h_dev = traj.legs[0].tails(traj.r_lo)[0] + dev(r_cusp)[0]
         f_dev = f_c - profile.f0
         cusp_entry("h_over_half_r", r_cusp, h_c / (r_cusp / 2.0) if r_cusp else math.nan, 1.0,
                    ok=bool(r_cusp), note="" if r_cusp else "probe at r = 0")

@@ -23,6 +23,33 @@ def curvature_table(sep):
 
 
 @pytest.fixture(scope="session")
+def short_orbit():
+    """The separatrix cut at r = 10: it ends on the Taylor leg, not on the germ."""
+    return cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(
+        r_max=10.0, h_floor=1e-6)))
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+
+
+def _gauss6(states, fn, a, b):
+    """Six-point Gauss-Legendre integrals of ``fn(states(r))`` over each
+    [a_i, b_i]: ``states`` takes an array of r to the rows (3, n), ``fn``
+    those rows to the integrand.  The package's Chebyshev tables are
+    checked against it, a quadrature that shares no code with theirs."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    half = 0.5 * (b - a)
+    pts = (a + half)[..., None] + half[..., None] * _GL_NODES
+    return half * (fn(states(pts.ravel())).reshape(pts.shape) @ _GL_WEIGHTS)
+
+
+@pytest.fixture(scope="session")
+def gauss6():
+    """The six-point Gauss-Legendre reference quadrature (see ``_gauss6``)."""
+    return _gauss6
+
+
+@pytest.fixture(scope="session")
 def blowup_generic():
     return cs.run_sequence("generic")
 

@@ -352,10 +352,10 @@ def test_config_psi_table_name_clash_rejected(tmp_path, capsys):
 
 def test_import_builds_no_series():
     # exact series and tables are built on first use, not at import
-    code = ("import cuspsoliton.cli\nfrom cuspsoliton import evolution, phase_core\n"
+    code = ("import cuspsoliton.cli\nfrom cuspsoliton import evolution, geometry, phase_core\n"
             "print(phase_core._germ_series.cache_info().currsize, "
             "evolution._t_b_bracket.cache_info().currsize, "
-            "evolution._antiderivative_matrix.cache_info().currsize, "
+            "geometry._antiderivative_matrix.cache_info().currsize, "
             "cuspsoliton.cli._pow10.cache_info().currsize)")
     src = str(Path(cs.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

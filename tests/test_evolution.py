@@ -460,13 +460,6 @@ def test_history_against_ode_route(sep):
         assert np.array_equal(np.sign(h.dRdt), np.sign(ode_dRdt))
 
 
-@pytest.fixture(scope="module")
-def short_orbit():
-    """The separatrix cut at r = 10: it ends on the Taylor leg, not on the germ."""
-    return cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(
-        r_max=10.0, h_floor=1e-6)))
-
-
 def test_truncated_history_keeps_the_times_inside_the_flow_range(short_orbit):
     # on an orbit ending at r = 10, the flat end is reached at once going
     # back in time and T(r_lo) ~ 1.65e9 bounds the times going forward
@@ -534,23 +527,23 @@ def test_warm_history_makes_one_state_at_call(sep, dense_counts):
     assert dense_counts.state_at == [(tg.size, None)]
 
 
-def test_flow_table_matches_gauss_partial_integrals(sep, short_orbit):
+def test_flow_table_matches_gauss_partial_integrals(sep, short_orbit, gauss6):
     # T from the table against the six-point Gauss partial integral from
     # the interval's node, at random r: the difference moves r by |dT F|,
-    # at most 1e-14 of max(|r|, 1) (measured 1.2e-15); each interval's
-    # integral matches its Gauss step (measured 1.1e-14 relative), and one
-    # point is the array pass bit for bit
+    # at most 1e-14 of max(|r|, 1) (measured 1.2e-15); the table's slope
+    # meets 1/F at the sample nodes (measured 1.8e-13 to 2.0e-13
+    # relative), and one point is the array pass bit for bit
     from cuspsoliton.evolution import _flow_time
-    from cuspsoliton.geometry import _Cumulative
     rng = np.random.default_rng(30)
     loose = cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(rel_tol=1e-7)))
     for name, traj in {"default": sep, "rel_tol 1e-7": loose, "r_max 10": short_orbit}.items():
         table, _ = traj._per_orbit(_flow_time)
-        gauss = _Cumulative(traj, 1, lambda F: 1.0 / F, from_hi=True)
-        assert np.array_equal(table.cum, gauss.cum) and table.error <= 1e-12, name
+        assert 0.0 < table.error <= 1e-12, name
         r = np.concatenate([traj.r[[0, 1, -2, -1]], rng.uniform(traj.r_lo, traj.r_hi, 2000)])
         value, slope = table(r)
-        moved = np.abs((value - gauss.value_at(traj, r)) * traj.state_at(r, row=1))
+        i = np.clip(np.searchsorted(traj.r, r) - 1, 0, traj.r.size - 2)
+        gauss = table.cum[i] + gauss6(traj.state_at, lambda s: 1.0 / s[1], traj.r[i], r)
+        moved = np.abs((value - gauss) * traj.state_at(r, row=1))
         assert np.all(moved <= 1e-14 * np.maximum(np.abs(r), 1.0)), name
         for i in [1, 2, *range(4, r.size, 97)]:         # nodes pick the interval below
             assert table(r[i].item()) == (value[i], slope[i])
@@ -572,18 +565,18 @@ def test_flow_table_keeps_the_range_rule_of_state_at(sep):
 
 
 def test_flow_table_check_rejects_a_wrong_matrix(sep, monkeypatch):
-    # the per-orbit check compares every interval's table integral with its
-    # Gauss step.  np.polyint's constant is 0, so the matrix's last row is
-    # -Q(-1) of each column: one that shifts every coefficient by it, not
-    # the constant alone, fails the check on the first interval (measured
-    # 0.77 relative)
-    from cuspsoliton import evolution
-    v, matrix = evolution._antiderivative_matrix()
+    # the per-orbit check compares the table's slope at both ends of every
+    # interval with 1/F at the sample nodes.  np.polyint's constant is 0, so
+    # the matrix's last row is -Q(-1) of each column: one that shifts every
+    # coefficient by it, not the constant alone, fails the check on the
+    # first interval (measured 13.9 relative)
+    from cuspsoliton import geometry
+    v, matrix = geometry._antiderivative_matrix()
     wrong = matrix + matrix[-1]
     wrong[-1] = matrix[-1]
-    monkeypatch.setattr(evolution, "_antiderivative_matrix", lambda: (v, wrong))
-    with pytest.raises(cs.IntegrationError, match=r"flow-time table misses the Gauss "
-                       rf"integral of 1/F on \[{sep.r_lo:.6g}, "):
+    monkeypatch.setattr(geometry, "_antiderivative_matrix", lambda: (v, wrong))
+    with pytest.raises(cs.IntegrationError, match=r"flow-time table's slope misses 1/F at "
+                       rf"the ends of \[{sep.r_lo:.6g}, "):
         cs.pointwise_R_history(sep.r_at_F(-1.0), [0.0, 1.0], replace(sep))
 
 
@@ -856,7 +849,7 @@ def test_certificate_and_flow_time_are_built_once_per_orbit(sep, monkeypatch):
     again = cs.pointwise_R_history(other.r_at_F(-5.0), [0.0, 1.0], other)
     assert np.array_equal(again.r_of_t, hists[1].r_of_t)
     assert built == ["_SStar", "_flow_time"] * 2
-    # the memo (the two builds and the flow time's Gauss rows) does not
+    # the memo (the two builds and the orbit's Chebyshev rows) does not
     # keep its orbit alive
     assert len(traj._memo) == 3
     for value in traj._memo.values():

@@ -27,10 +27,10 @@ def test_quadrature_consistency_under_tolerance_halving(sep):
     assert abs(a - b) < 1e-8
 
 
-def test_tables_of_one_orbit_share_their_gauss_rows(sep, monkeypatch):
-    # h and the cusp deviation read row 0, f and the flow time row 1: each
-    # row is evaluated at the Gauss nodes once per orbit, and a table built
-    # from the shared rows is the table built alone
+def test_tables_of_one_orbit_share_their_chebyshev_rows(sep, monkeypatch):
+    # h and the cusp deviation read row 0, f and the flow time row 1: H and
+    # F are each evaluated at the Chebyshev points once per orbit, and a
+    # table built from the shared rows is the table built alone
     from dataclasses import replace
     from cuspsoliton.geometry import _Cumulative
     alone = _Cumulative(replace(sep), 1, lambda F: 1.0 / F, from_hi=True).cum
@@ -39,35 +39,78 @@ def test_tables_of_one_orbit_share_their_gauss_rows(sep, monkeypatch):
     state_at = type(traj).state_at
     monkeypatch.setattr(type(traj), "state_at", lambda self, r, row=None: (
         calls.append((np.size(r), row)) or state_at(self, r, row)))
-    for row, fn in ((0, None), (1, None), (0, lambda H: H - 0.5)):
-        _Cumulative(traj, row, fn)
+    for row, shift in ((0, 0.0), (1, 0.0), (0, -0.5)):
+        _Cumulative(traj, row, shift=shift)
     shared = _Cumulative(traj, 1, lambda F: 1.0 / F, from_hi=True).cum
-    assert calls == [(6 * (len(traj.r) - 1), 0), (6 * (len(traj.r) - 1), 1)]
+    assert calls == [(12 * (len(traj.r) - 1), 0), (12 * (len(traj.r) - 1), 1)]
     assert np.array_equal(shared, alone)
 
 
-def test_cumulative_value_at_matches_per_point_loop(sep):
-    # reference: each query point through its own state_at call and a 1-D
-    # dot; one point at a time is bit-identical, a batch differs only in the
-    # summation order of the batched product
-    from cuspsoliton.geometry import _GL_NODES, _GL_WEIGHTS, _Cumulative
+def test_antiderivative_matrix_integrates_polynomials_exactly():
+    # the matrix takes v^k at its 12 points to the coefficients of
+    # (v^(k+1) - (-1)^(k+1))/(k+1), k = 0 ... 11, to the rounding of its
+    # entries, which reach 70 (measured 4.7e-14)
+    from cuspsoliton.geometry import _antiderivative_matrix
+    v, matrix = _antiderivative_matrix()
+    assert matrix.shape == (13, 12)
+    for k in range(12):
+        exact = np.zeros(13)
+        exact[-k - 2], exact[-1] = 1.0 / (k + 1), (-1.0) ** k / (k + 1)
+        assert np.max(np.abs(matrix @ v ** k - exact)) <= 1e-13, k
 
-    def loop(cum, comp, rq):
-        idx = np.clip(np.searchsorted(cum.nodes, rq) - 1, 0, len(cum.nodes) - 2)
-        out = []
-        for i, rv in zip(idx, rq):
-            half = 0.5 * (rv - cum.nodes[i])
-            vals = sep.state_at(cum.nodes[i] + half + half * _GL_NODES)[comp]
-            out.append(cum.cum[i] + half * float(vals @ _GL_WEIGHTS))
-        return np.array(out)
 
-    rq = np.concatenate([[0.0, -30.0, sep.r_lo, sep.r_hi],
-                         np.random.default_rng(5).uniform(sep.r_lo, sep.r_hi, 200)])
-    for comp in (0, 1):
-        cum = _Cumulative(sep, comp)
-        ref = loop(cum, comp, rq)
-        assert [cum.value_at(sep, r) for r in rq[:4]] == ref[:4].tolist()
-        assert np.allclose(cum.value_at(sep, rq), ref, rtol=4e-16, atol=0.0)
+def test_tables_match_the_gauss_route(sep, short_orbit, gauss6):
+    # each table's interval integrals against the six-point Gauss rule on
+    # three orbits: H, F and 1/F within 1e-13 relative (measured 1.1e-14);
+    # H - 1/2 within 1e-15 of the interval's width (measured 2.1e-16), as
+    # its relative gap, 2.6e-8, is the cancellation in H - 1/2 that both
+    # routes share.  h, f and the cusp deviation from the first node, at
+    # random r, within 1e-14 of max(|integral|, 1) (measured 7.9e-16); the
+    # flow time's partial integrals are checked with the history
+    from cuspsoliton.geometry import _Cumulative
+    rng = np.random.default_rng(31)
+    loose = cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(rel_tol=1e-7)))
+    H, F = (lambda s: s[0]), (lambda s: s[1])
+    dev = lambda s: s[0] - 0.5
+    for name, traj in {"default": sep, "rel_tol 1e-7": loose, "r_max 10": short_orbit}.items():
+        r = traj.r
+        tables = [(_Cumulative(traj, 0), H), (_Cumulative(traj, 1), F),
+                  (_Cumulative(traj, 1, lambda F: 1.0 / F, from_hi=True), lambda s: 1.0 / s[1]),
+                  (_Cumulative(traj, 0, shift=-0.5), dev)]
+        for table, fn in tables:
+            gap = table.steps - gauss6(traj.state_at, fn, r[:-1], r[1:])
+            if fn is dev:
+                assert np.all(np.abs(gap) <= 1e-15 * np.diff(r)), name
+            else:
+                assert np.all(np.abs(gap) <= 1e-13 * np.abs(table.steps)), name
+        rq = np.concatenate([r[[0, 1, -2, -1]], rng.uniform(traj.r_lo, traj.r_hi, 2000)])
+        i = np.clip(np.searchsorted(r, rq) - 1, 0, r.size - 2)     # nodes pick the interval below
+        for table, fn in tables[:2] + tables[3:]:
+            ref = table.cum[i] + gauss6(traj.state_at, fn, r[i], rq)
+            value, slope = table(rq)
+            assert np.all(np.abs(value - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0)), name
+            for j in [1, 2, *range(4, rq.size, 97)]:
+                assert table(rq[j].item()) == (value[j], slope[j])
+
+
+def test_profile_queries_keep_the_range_rule_of_state_at(sep, profile):
+    # h_at and f_at read their tables under state_at's rule: a NaN or an r
+    # more than 1e-9 outside [r_lo, r_hi] raises, naming the query; within
+    # that slack the end pieces extend; empty in is empty out, and one
+    # point is the array pass bit for bit
+    import re
+    inside = np.array([sep.r_lo - 5e-10, sep.r_hi + 5e-10, -30.0, 0.0])
+    for at in (profile.h_at, profile.f_at):
+        for bad in (sep.r_lo - 1e-8, sep.r_hi + 1e-8, math.nan):
+            with pytest.raises(cs.OrbitRangeError, match=re.escape(f"r range [{bad}, {bad}]")):
+                at(bad)
+            with pytest.raises(cs.OrbitRangeError):
+                at(np.array([0.0, bad]))
+        assert at(np.empty(0)).shape == (0,)
+        values = at(inside)
+        assert np.isfinite(values).all()
+        assert [at(r) for r in inside.tolist()] == values.tolist()
+    assert profile.h_at(inside[:2]) == pytest.approx(profile.h[[0, -1]], abs=1e-8)
 
 
 def test_profile_monotone_h(profile):
@@ -82,13 +125,12 @@ def test_profile_anchors(sep, profile):
     assert profile.f0 - profile.f[0] < 1e-8
 
 
-def test_cusp_tails_integrate_the_series(sep, profile):
+def test_cusp_tails_integrate_the_series(sep, profile, gauss6):
     # f_tail is the integral of F below r_lo; Gauss-Legendre on 80 unit
     # steps of the cusp leg below r_lo leaves out e^{-80 lambda} of it
-    from cuspsoliton.geometry import _GL_NODES, _GL_WEIGHTS
-    pts = (sep.r_lo - np.arange(79.5, 0.0, -1.0))[:, None] + 0.5 * _GL_NODES
-    F = sep.legs[0](pts.ravel())[1].reshape(pts.shape)
-    assert profile.f_tail == pytest.approx(0.5 * (F @ _GL_WEIGHTS).sum(), rel=1e-13)
+    a = sep.r_lo - np.arange(80.0, 0.0, -1.0)
+    steps = gauss6(sep.legs[0], lambda s: s[1], a, a + 1.0)
+    assert profile.f_tail == pytest.approx(steps.sum(), rel=1e-13)
     assert profile.f_tail == pytest.approx(float(sep.F[0]) / cs.EIGENVALUE_UNSTABLE, rel=1e-8)
 
 
@@ -170,7 +212,8 @@ def test_cusp_ratios_on_the_exact_tails(sep, profile):
     # with the tails from the series f_dev/h_dev meets the eigenvector slope;
     # h_dev = -4.6e-9 at r = -30 is the tail and quadrature of H - 1/2, not
     # h - r/2 - c1, which would cancel to a few ulps of h (residual 5.5e-7
-    # that way, -1.3e-8 measured this way); log_F_slope's -2.9e-5 residual
+    # that way, 3.5e-9 measured this way, -1.3e-8 with a six-point Gauss
+    # rule: H - 1/2, formed from H, keeps about 8 digits); log_F_slope's -2.9e-5 residual
     # is the next order of the law on the nodes of [-30, -10], not an error:
     # the series itself fits the same
     cusp, _ = cs.check_asymptotics(sep, profile)

@@ -4,8 +4,9 @@ in csv and in plot format, the manifest aside, and the stepper's counters.
 The digests were recorded on x86-64 with numpy 2.4.6 (every file derived
 from the orbit once its middle leg became one Taylor run, delta.json once
 sigma' came from the field's jet, psi_scans.json once its t = 0 tail_match
-became null, the histories once the flow time came from one polynomial
-per sample interval, the blowup, isocline and psi tables at commit
+became null, the profiles, histories, asymptotics and identities once h,
+f, the cusp deviation and the flow time came from one Chebyshev table per
+sample interval, the blowup, isocline and psi tables at commit
 72e7dc3), and they pin that platform: the libm and numpy of another may
 move last bits.
 A deliberate change of any output edits these tables.
@@ -20,7 +21,7 @@ from cuspsoliton.cli import main
 
 _REPORTS = {
     "asymptotics.json":
-        "2cb6be8a35fe67951ab6b89ab72b37eec6d45788bf445f3756f6f17316ee6aec",
+        "06b1ebef4c8b710e116c3ebfc698e6eb8322433a360f6ccb33887474df1810e1",
     "barriers.json":
         "77ace2960d0084ea7cc2166d075dfbb93a2828d38221ed31ebe70466e547aad1",
     "blowup.json":
@@ -34,7 +35,7 @@ _REPORTS = {
     "delta.json":
         "5179a85df03c81df28e066eef31bdc169bf574b61babf9d40b534df3690f63b2",
     "identities.json":
-        "e4f0e4c1f0f7d9d7cb349b3ccecb4b6fa374bab76dc77be4020a2e017088b708",
+        "2e5b02432445da651940384650536c4f1c2a04c528bd46d17348833990e421ca",
     "psi_scans.json":
         "a490faa26a8caa7aed7b0c70c5d108a6b63d959a647bfb63ef571cfecf427149",
 }
@@ -43,7 +44,7 @@ _TABLES = {
         "curvature.csv":
             "37cd051d4915694c88ede14d317df2d785dec374f000d3910a431b286f99bd46",
         "histories.csv":
-            "c5cba16216b840dad17aab5b7ddcd99878c1c91ef6ce980f4f0e9241953541ef",
+            "d58bd111b8ae5e9cd97d9898d723af872179491bbfeba7d613bc86b984a22085",
         "isoclines.csv":
             "b6b775f542ef0b849dc2a9426e45465dfbe3ac0f9aab804bd91f622a876a1731",
         "psi_t_m0_200.csv":
@@ -57,7 +58,7 @@ _TABLES = {
         "psi_t_p1_000.csv":
             "785ccb6ede3bdf06ddb54755fd8dc7fa9319eb038d661582ff064b1ef73288ac",
         "separatrix.csv":
-            "91d643a3fee578bc1cf7beeb9d80de79874c9945d89fb35fa27a90d7b8a816c0",
+            "780d99d91d43d3ee99fa6c69cc605c7db6665b0e54b2c7649c015d9e112e21ed",
     },
     "plot": {
         "curvature_r_R.dat":
@@ -75,13 +76,13 @@ _TABLES = {
         "curvature_r_sec_xy.dat":
             "6a14454fd6611caed9467f377bd8ed8200af8a9f03ad3a0b78a2e4c23f9e0a84",
         "histories_t_R.dat":
-            "53ec1172ef075b3005b7c722b2bcdb77a6de83f4d33245e251c97568b8dbfb07",
+            "71f0e8f73976cd51cf7d02400387e84a22a1d476f65a09eb7caf2e2c33a8a11b",
         "histories_t_dRdt.dat":
-            "0005cf0e03b8d5c942e81708d6921fe1cae1e9384724029095d6c49400350b2f",
+            "94cfa5090d3c8d84a3e287cc811b51da6de609d0429cd369fb463b93029aed29",
         "histories_t_r0.dat":
             "f7a6ecfa69e1a7d4173d07453b84f7a386126e9f2efa8b09acaed329ce9ce432",
         "histories_t_r_of_t.dat":
-            "2890de8824344b656dd95f9c2d7c938bca6add8dff3016d4c7b79f6fa8769f56",
+            "92b1df30d8a9fdfe70a4074f8b577080a3974dbd2a818e5eb2964769f5702db3",
         "isoclines_H_F_horizontal.dat":
             "f0fb06e03a08febbfcbdea1d6dd29f6b78c7b9abcc9672388b966422403934b1",
         "isoclines_H_F_oblique.dat":
@@ -103,9 +104,9 @@ _TABLES = {
         "separatrix_r_H.dat":
             "4aff8183205ecb1c49bfae5e8e92cffd0710418797f672713ac24b2b2b60fd3f",
         "separatrix_r_f.dat":
-            "6eaddb7ba82df25dd7c0625c54dc6b9cd26bcb548c6f4e1050e952d8e0d578e2",
+            "556e7803e7885c35766ec2f1f2b2a2f9e978cb71a45e551768805b87120647d9",
         "separatrix_r_h.dat":
-            "d03870dce959e7c6a07d7c67f6bbf5884cae8ef36460c7775c99945dabd54b7a",
+            "90713c3203d591b60da8176f00ed7184239e11ad9a51604d03faa0f2c59808ee",
     },
 }
 
