@@ -493,7 +493,7 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
              for Fa in cfg.history_anchors_F]
     session.diagnostics.update(history_truncated=[h.truncated for h in hists],
                                history_newton_steps=[h.newton_steps for h in hists],
-                               flow_time_table_error=traj._per_orbit(_flow_time)[0].error)
+                               flow_time_table_error=traj._per_orbit(_flow_time).error)
     em.table("histories", ["t", "r0", "r_of_t", "R", "dRdt"],
              [np.concatenate(col) for col in zip(*[
                  (h.t, np.full_like(h.t, h.r0), h.r_of_t, h.R, h.dRdt) for h in hists])])

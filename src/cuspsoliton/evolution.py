@@ -463,20 +463,14 @@ class RHistory:
 _TABLE_CHECK = 1e-12       # relative: how far the flow-time table's slope may miss 1/F at a node
 
 
-def _flow_time(traj: Trajectory):
+def _flow_time(traj: Trajectory) -> _Cumulative:
     """T(r) = int_{r_hi}^r dr/F, tabulated once per orbit from the flat end
-    (``_Cumulative`` of 1/F), and its inverse r(tau), tau = log(1 + T), as
-    septic Hermite pieces.
+    (``_Cumulative`` of 1/F).
 
     The table interpolates 1/F at 12 points inside each sample interval,
     not at its ends: its slope there must meet 1/F at the sample nodes to
     1e-12 relative, else ``IntegrationError``; the table's ``error`` is the
-    largest mismatch.  The node derivatives of the inverse come from the
-    field's jet: with w = 1 + T,
-    dr/dtau = d1 = w F, d2r/dtau2 = d1 + w d1 F' and d3r/dtau3 = d1 + 3 w
-    d1 F' + w^2 d1 (F'^2 + F F'').  The pieces are
-    Taylor coefficients in the unit variable of each tau interval, highest
-    first.
+    largest mismatch.
     """
     if np.any(traj.F >= 0.0):
         raise IntegrationError(f"the flow time int dr/F needs F < 0 on the orbit; "
@@ -491,44 +485,23 @@ def _flow_time(traj: Trajectory):
     if not T.error <= _TABLE_CHECK:
         raise IntegrationError(f"the flow-time table's slope misses 1/F at the ends of "
                                f"[{traj.r[i]:.6g}, {traj.r[i + 1]:.6g}] by {T.error:.3g} relative")
-    # tau rises as r falls: reversed, the nodes increase
-    w, F = 1.0 + T.cum[::-1], traj.F[::-1]
-    tau, r = np.log1p(T.cum[::-1]), traj.r[::-1]
-    _, (_, dF, F2), _ = _jet((traj.H[::-1], F, traj.sigma[::-1]), 2)
-    d1, ddF = w * F, 2.0 * F2
-    d2 = d1 + w * d1 * dF
-    d3 = d1 + 3.0 * w * d1 * dF + w * w * d1 * (dF * dF + F * ddF)
-    h = np.diff(tau)
-    c1, c2, c3 = h * d1[:-1], 0.5 * h ** 2 * d2[:-1], h ** 3 / 6.0 * d3[:-1]
-    # p(u) = sum c_k u^k on [0, 1] matches r and its first three derivatives
-    # at both ends
-    gap = r[1:] - r[:-1] - c1 - c2 - c3
-    slope = h * d1[1:] - c1 - 2.0 * c2 - 3.0 * c3
-    curve = h ** 2 * d2[1:] - 2.0 * c2 - 6.0 * c3
-    jerk = h ** 3 * d3[1:] - 6.0 * c3
-    c4 = 35.0 * gap - 15.0 * slope + 2.5 * curve - jerk / 6.0
-    c5 = -84.0 * gap + 39.0 * slope - 7.0 * curve + 0.5 * jerk
-    c6 = 70.0 * gap - 34.0 * slope + 6.5 * curve - 0.5 * jerk
-    c7 = -20.0 * gap + 10.0 * slope - 2.0 * curve + jerk / 6.0
-    inverse = (tau, np.stack([c7, c6, c5, c4, c3, c2, c1, r[:-1]]))
-    return T, inverse
+    return T
 
 
 _NEWTON_STOP = 1e-7        # a correction below this, relative to max(|r|, 1), ends the loop
 _NEWTON_MAX_STEPS = 4
 
 
-def _r_start(inverse, target: np.ndarray) -> np.ndarray:
-    """r at flow times ``target`` from ``_flow_time``'s Hermite pieces of T^-1.
-
-    T is exponential in r at the cusp end and near linear at the flat end,
-    so r is smooth in log(1 + T): on the default orbit the start is within
-    4.9e-13 of T^-1 on the CLI's grid from anchors F = -0.5 to -30.
-    """
-    tau, coef = inverse
-    x = np.log1p(target)
-    i = np.minimum(np.maximum(np.searchsorted(tau, x) - 1, 0), tau.size - 2)
-    return _horner(coef[:, i], (x - tau[i]) / (tau[i + 1] - tau[i]))
+def _interval_start(T: _Cumulative, F: np.ndarray, target: np.ndarray):
+    """The sample interval i whose T values bracket each target, and the
+    cubic Hermite guess of T^-1 there in the interval's variable v: it
+    meets r and dr/dT = F at both nodes, v = -1 and 1."""
+    cum = T.cum
+    i = np.minimum(np.maximum(np.searchsorted(-cum, -target) - 1, 0), cum.size - 2)
+    dT = cum[i + 1] - cum[i]
+    s = (target - cum[i]) / dT
+    a, b = dT * F[i] / T.half[i] - 2.0, dT * F[i + 1] / T.half[i] - 2.0
+    return i, 2.0 * s - 1.0 + s * (1.0 - s) * (a * (1.0 - s) - b * s)
 
 
 def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
@@ -537,13 +510,15 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     F < 0 on the orbit, so the flow time T(r) = int_{r_hi}^r dr/F is
     strictly monotone and r(t) = T^{-1}(T(r0) + t).  T is tabulated by the
     one quadrature of the metric profiles (``_Cumulative``), accumulated
-    from the flat end, and inverted by Newton steps from a septic Hermite start in log(1 + T),
-    until every correction is at most 1e-7 of max(|r|, 1) (one step on the
-    default orbit; ``newton_steps`` records how many).  No convergence in
-    four steps raises ``IntegrationError``.  T(r0) and each step's T and
-    slope 1/F are read from that table's per-interval polynomials;
-    then R[g(t)] = R[g0](r(t))/(t+1) and dR/dt follow from the final phase
-    states, the history's one ``state_at`` call.  A
+    from the flat end: one polynomial per sample interval.  Each target
+    is inverted on the interval that holds it, from the cubic Hermite
+    start there, by Newton steps on that interval's polynomial and slope
+    1/F, until every correction is at most 1e-7 of max(|r|, 1) (two steps
+    on the CLI's grid, at most three over T's whole range on the default
+    orbit; ``newton_steps`` records how many).  No convergence in four
+    steps raises ``IntegrationError``.  Then R[g(t)] = R[g0](r(t))/(t+1)
+    and dR/dt follow from the final phase states, the history's one
+    ``state_at`` call.  A
     t whose target T(r0) + t leaves T's range [0, T(r_lo)] is dropped and
     the history flagged truncated; a ``t_grid`` that is not 1-D or is
     empty, or a t that is not finite and above -1, is a ValueError.
@@ -559,15 +534,17 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     if not (traj.r_lo <= r0 <= traj.r_hi):
         raise OrbitRangeError("r0 outside the computed orbit range")
 
-    flow_time, inverse = traj._per_orbit(_flow_time)
-    target = flow_time(r0)[0] + t_grid
-    kept = (target >= 0.0) & (target <= flow_time.cum[0])
+    T = traj._per_orbit(_flow_time)
+    target = T(r0)[0] + t_grid
+    kept = (target >= 0.0) & (target <= T.cum[0])
     tv, target = t_grid[kept], target[kept]
-    r = _r_start(inverse, target)
+    i, v = _interval_start(T, traj.F, target)
+    cum, mid, half, coef = T.cum[i], T.mid[i], T.half[i], T.coef[:, i]
     for steps in range(1, _NEWTON_MAX_STEPS + 1):
-        value, slope = flow_time(r)
-        step = (value - target) / slope
-        r = r - step
+        q, slope = _horner_slope(coef, v)
+        step = (cum + half * q - target) / slope
+        v = v - step / half
+        r = mid + half * v
         # the next correction is about 0.28 step^2: at most 3e-15 of the scale
         if np.all(np.abs(step) <= _NEWTON_STOP * np.maximum(np.abs(r), 1.0)):
             break

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .phase_core import (
-    EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, OrbitRangeError, Trajectory, _CuspLeg, _horner, _jet,
+    EIGENVALUE_UNSTABLE, SLOPE_UNSTABLE, Trajectory, _check_range, _CuspLeg, _horner, _jet,
 )
 
 __all__ = [
@@ -47,17 +47,26 @@ def _antiderivative_matrix() -> tuple[np.ndarray, np.ndarray]:
     13 x 12 matrix taking values at them to the monomial coefficients in v,
     highest first, of the antiderivative from v = -1 of their interpolant
     (Clenshaw & Curtis, Numer. Math. 2, 1960).  Column j integrates the
-    Lagrange basis polynomial of v_j: no LAPACK inverse, whose first call
-    adds about a megabyte to the process's peak memory."""
+    Lagrange basis polynomial of v_j.  Each entry is exact on the float
+    points and rounded once: the points are integers V_j over one power of
+    two, so every entry is a ratio of integers."""
     n = 12
     v = np.cos((np.arange(n) + 0.5) * (np.pi / n))
+    ratios = [x.as_integer_ratio() for x in v.tolist()]
+    scale = max(d for _, d in ratios)
+    V = [p * (scale // d) for p, d in ratios]
+    lcm = math.lcm(*range(1, n + 1))
     cols = []
-    for j in range(n):
-        rest = np.delete(v, j)
-        q = np.polyint(np.poly(rest) / np.prod(v[j] - rest))
-        q[-1] -= np.polyval(q, -1.0)
-        cols.append(q)
-    return v, np.stack(cols, axis=1)
+    for j, Vj in enumerate(V):
+        # prod_(k != j) (x - V_k), x = scale v, lowest power first
+        c, den = [1], lcm
+        for Vk in V[:j] + V[j + 1:]:
+            c = [a - Vk * b for a, b in zip([0, *c], [*c, 0])]
+            den *= Vj - Vk
+        # the coefficient of v^(m+1) is w_m / den
+        w = [a * scale ** m * (lcm // (m + 1)) for m, a in enumerate(c)]
+        cols.append([x / den for x in w[::-1]] + [(sum(w[::2]) - sum(w[1::2])) / den])
+    return v, np.column_stack(cols)
 
 
 def _horner_slope(coeffs, x):
@@ -135,9 +144,7 @@ class _Cumulative:
         if not (one or r.size):
             return np.empty(r.shape), np.empty(r.shape)
         lo, hi = (r, r) if one else (r.min(), r.max())     # NaN if any point is NaN
-        if not (self.r_lo - 1e-9 <= lo and hi <= self.r_hi + 1e-9):
-            raise OrbitRangeError(
-                f"r range [{lo}, {hi}] outside computed [{self.r_lo}, {self.r_hi}]")
+        _check_range(lo, hi, self.r_lo, self.r_hi)
         if one:
             i = min(max(bisect_left(self.nodes, r) - 1, 0), self.half.size - 1)
             cum, mid, half = self.cum[i].item(), self.mid[i].item(), self.half[i].item()

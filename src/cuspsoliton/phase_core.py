@@ -67,6 +67,13 @@ class OrbitRangeError(ValueError):
     """A query asks for more than the computed orbit covers."""
 
 
+def _check_range(lo, hi, r_lo: float, r_hi: float) -> None:
+    """The range rule of dense queries: a query spanning [lo, hi] must lie
+    in [r_lo - 1e-9, r_hi + 1e-9], else ``OrbitRangeError`` (also for a NaN)."""
+    if not (r_lo - 1e-9 <= lo and hi <= r_hi + 1e-9):
+        raise OrbitRangeError(f"r range [{lo}, {hi}] outside computed [{r_lo}, {r_hi}]")
+
+
 class PhasePoint(NamedTuple):
     """A point of the (H, F) phase plane; H = h', F = f'."""
 
@@ -613,9 +620,7 @@ class Trajectory:
         if not rq.size:
             return np.empty(shape)
         lo, hi = rq.min(), rq.max()          # NaN if any point is NaN
-        if not (self.r_lo - 1e-9 <= lo and hi <= self.r_hi + 1e-9):
-            raise OrbitRangeError(
-                f"r range [{lo}, {hi}] outside computed [{self.r_lo}, {self.r_hi}]")
+        _check_range(lo, hi, self.r_lo, self.r_hi)
         ends = [leg.r_hi for leg in self.legs[:-1]]
         i = bisect_left(ends, lo)
         if i == bisect_left(ends, hi):
@@ -630,9 +635,7 @@ class Trajectory:
 
     def _state_at_point(self, r: float, row=None):
         # the array pass's range check and leg choice, by comparison
-        r_lo, r_hi = self.r_lo, self.r_hi
-        if not r_lo - 1e-9 <= r <= r_hi + 1e-9:
-            raise OrbitRangeError(f"r range [{r}, {r}] outside computed [{r_lo}, {r_hi}]")
+        _check_range(r, r, self.r_lo, self.r_hi)
         return next((leg for leg in self.legs[:-1] if r <= leg.r_hi), self.legs[-1])(r, row)
 
     def dense_grid(self, n: int) -> np.ndarray:

@@ -503,7 +503,7 @@ def test_manifest_records_stage_times(tmp_path):
     assert cusp["r_lo"] == pytest.approx(cusp["r_hi"] - math.log(10.0) / cs.EIGENVALUE_UNSTABLE,
                                          abs=1e-12)
     assert diag["history_truncated"] == [False, False]
-    assert diag["history_newton_steps"] == [1, 1]
+    assert diag["history_newton_steps"] == [2, 2]
     assert 0.0 < diag["flow_time_table_error"] <= 1e-12
     assert diag["germ_join_r"] == pytest.approx(25.0, abs=1e-12)
     assert diag["sstar_certificate_points"] > 10000

@@ -480,42 +480,73 @@ def test_truncated_history_keeps_the_times_inside_the_flow_range(short_orbit):
     assert empty.truncated and empty.t.size == 0 and empty.sign_change_times == []
 
 
-def test_history_septic_start_and_newton_stop_rule(sep, short_orbit):
-    # the septic Hermite start in log(1 + T), replayed on the flow-time
-    # table with the history's stop rule: the replay takes the history's
-    # steps and lands on r_of_t bit for bit, the start lies within 1e-4 of
-    # it (measured 4.9e-13 on the default orbit, 7.0e-14 on the short one),
-    # the table's slope is 1/F (measured within 3.3e-14), one step suffices,
-    # and the would-be next correction is rounding (measured at most 2.5e-15
-    # of max(|r|, 1)), on the CLI's grid
-    from cuspsoliton.evolution import _flow_time, _r_start
+def test_history_interval_start_and_newton_stop_rule(sep, short_orbit):
+    # the cubic Hermite start on the flow-time table's interval that holds
+    # each target, then Newton steps in that interval's variable v, replayed
+    # with the history's stop rule: the targets lie in their intervals, the
+    # replay takes the history's steps and lands on r_of_t bit for bit, the
+    # start lies within 1e-4 of it (measured 2.4e-6 of max(|r|, 1)), the
+    # table's slope is 1/F (measured within 7.5e-15), two steps suffice
+    # (the second correction measured at most 2.7e-12 of max(|r|, 1)), and
+    # the would-be next correction is rounding (measured at most 2.5e-15 of
+    # max(|r|, 1)), on the CLI's grid
+    from cuspsoliton.evolution import _flow_time, _interval_start
+    from cuspsoliton.geometry import _horner_slope
     tg = np.geomspace(0.02, 201.0, 240) - 1.0
     cases = [(sep, sep.r_at_F(F_anchor)) for F_anchor in (-0.5, -1.0, -10.0, -30.0)]
     cases += [(short_orbit, short_orbit.r_at_F(-1.0)), (short_orbit, 9.9)]
     for traj, r0 in cases:
         h = cs.pointwise_R_history(r0, tg, traj)
         assert h.t.size >= 10
-        table, inverse = traj._per_orbit(_flow_time)
+        table = traj._per_orbit(_flow_time)
         target = table(r0)[0] + h.t
-        r = _r_start(inverse, target)
+        i, v = _interval_start(table, traj.F, target)
+        assert np.all((table.cum[i + 1] <= target) & (target <= table.cum[i]))
+        cum, mid, half, coef = table.cum[i], table.mid[i], table.half[i], table.coef[:, i]
+        r = mid + half * v
         assert np.all(np.abs(r - h.r_of_t) <= 1e-4)
         steps = []
         for _ in range(4):
-            value, slope = table(r)
+            q, slope = _horner_slope(coef, v)
             assert np.all(np.abs(slope * traj.state_at(r)[1] - 1.0) <= 1e-12)
-            steps.append((value - target) / slope)
-            r = r - steps[-1]
+            steps.append((cum + half * q - target) / slope)
+            v = v - steps[-1] / half
+            r = mid + half * v
             if np.all(np.abs(steps[-1]) <= 1e-7 * np.maximum(np.abs(r), 1.0)):
                 break
-        assert len(steps) == h.newton_steps == 1
+        assert len(steps) == h.newton_steps == 2
         assert np.array_equal(r, h.r_of_t)
         value, slope = table(r)
         scale = np.maximum(np.abs(h.r_of_t), 1.0)
         assert np.all(np.abs((value - target) / slope) <= 1e-12 * scale)
 
 
+def test_history_inverts_the_flow_time_over_its_whole_range(sep, short_orbit, gauss6):
+    # from r_hi, where T = 0, to the targets 0, T(r_lo), T at every sample
+    # node and 20 000 geomspaced values: at most three Newton steps
+    # (measured three on each orbit), and r(t) within 1e-12 of max(|r|, 1)
+    # of the Gauss route's inverse, the distance |(T_gauss(r) - t) F|
+    # (measured at most 2.2e-15)
+    from cuspsoliton.evolution import _flow_time
+    loose = cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(rel_tol=1e-7)))
+    inv_F = lambda s: 1.0 / s[1]
+    for name, traj in {"default": sep, "rel_tol 1e-7": loose, "r_max 10": short_orbit}.items():
+        cum = traj._per_orbit(_flow_time).cum
+        tg = np.sort(np.concatenate([cum, np.geomspace(1e-12, cum[0], 20000)]))
+        h = cs.pointwise_R_history(traj.r_hi, tg, traj)
+        assert not h.truncated and np.array_equal(h.t, tg), name
+        assert h.newton_steps <= 3, name
+        r = traj.r
+        steps = gauss6(traj.state_at, inv_F, r[:-1], r[1:])
+        gauss = np.concatenate([-np.cumsum(steps[::-1])[::-1], [0.0]])
+        i = np.clip(np.searchsorted(r, h.r_of_t) - 1, 0, r.size - 2)
+        T = gauss[i] + gauss6(traj.state_at, inv_F, r[i], h.r_of_t)
+        moved = np.abs((T - h.t) * traj.state_at(h.r_of_t, row=1))
+        assert np.all(moved <= 1e-12 * np.maximum(np.abs(h.r_of_t), 1.0)), name
+
+
 def test_warm_history_makes_one_state_at_call(sep, dense_counts):
-    # T(r0) and the Newton step on the default orbit read the flow-time
+    # T(r0) and the Newton steps on the default orbit read the flow-time
     # table, so a warm history evaluates the orbit once: the final states,
     # all three rows at its 240 points
     tg = np.geomspace(0.02, 201.0, 240) - 1.0
@@ -523,7 +554,7 @@ def test_warm_history_makes_one_state_at_call(sep, dense_counts):
     cs.pointwise_R_history(r0, tg, sep)
     dense_counts.reset()
     h = cs.pointwise_R_history(r0, tg, sep)
-    assert h.newton_steps == 1
+    assert h.newton_steps == 2
     assert dense_counts.state_at == [(tg.size, None)]
 
 
@@ -531,13 +562,13 @@ def test_flow_table_matches_gauss_partial_integrals(sep, short_orbit, gauss6):
     # T from the table against the six-point Gauss partial integral from
     # the interval's node, at random r: the difference moves r by |dT F|,
     # at most 1e-14 of max(|r|, 1) (measured 1.2e-15); the table's slope
-    # meets 1/F at the sample nodes (measured 1.8e-13 to 2.0e-13
+    # meets 1/F at the sample nodes (measured 1.6e-14 to 1.8e-14
     # relative), and one point is the array pass bit for bit
     from cuspsoliton.evolution import _flow_time
     rng = np.random.default_rng(30)
     loose = cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(rel_tol=1e-7)))
     for name, traj in {"default": sep, "rel_tol 1e-7": loose, "r_max 10": short_orbit}.items():
-        table, _ = traj._per_orbit(_flow_time)
+        table = traj._per_orbit(_flow_time)
         assert 0.0 < table.error <= 1e-12, name
         r = np.concatenate([traj.r[[0, 1, -2, -1]], rng.uniform(traj.r_lo, traj.r_hi, 2000)])
         value, slope = table(r)
@@ -551,7 +582,7 @@ def test_flow_table_matches_gauss_partial_integrals(sep, short_orbit, gauss6):
 
 def test_flow_table_keeps_the_range_rule_of_state_at(sep):
     from cuspsoliton.evolution import _flow_time
-    table, _ = sep._per_orbit(_flow_time)
+    table = sep._per_orbit(_flow_time)
     value, slope = table(np.empty(0))
     assert value.shape == slope.shape == (0,)
     for bad in (np.nan, sep.r_lo - 1e-8, sep.r_hi + 1e-8):
@@ -580,42 +611,49 @@ def test_flow_table_check_rejects_a_wrong_matrix(sep, monkeypatch):
         cs.pointwise_R_history(sep.r_at_F(-1.0), [0.0, 1.0], replace(sep))
 
 
-def test_loose_orbit_history_takes_a_second_newton_step(monkeypatch):
-    # on an orbit shot at rel_tol = 1e-7 the septic start is close enough
-    # for one step; moved off by 1e-6 of max(|r|, 1), one step leaves a
-    # correction above 1e-7, so the loop takes a second, and r(t) still
-    # agrees with integrating rdot = F (measured 1.7e-10)
+def _shifted_start(monkeypatch, shift):
+    """Move the history's Newton start by ``shift(r)`` in r."""
     from cuspsoliton import evolution
+    start = evolution._interval_start
+
+    def shifted(T, F, target):
+        i, v = start(T, F, target)
+        r = T.mid[i] + T.half[i] * v
+        return i, v + shift(r) / T.half[i]
+    monkeypatch.setattr(evolution, "_interval_start", shifted)
+
+
+def test_loose_orbit_history_takes_one_more_newton_step(monkeypatch):
+    # on an orbit shot at rel_tol = 1e-7 the interval start is close enough
+    # for two steps; moved off by 1e-3 of max(|r|, 1), the second correction
+    # is above 1e-7 (measured 2.6e-6), so the loop takes a third, and r(t)
+    # still agrees with integrating rdot = F (measured 1.7e-10)
     traj = cs.shoot_separatrix(cs.ShootConfig(controls=cs.IntegratorControls(rel_tol=1e-7)))
     tg = np.geomspace(0.02, 201.0, 240) - 1.0
     anchors = [traj.r_at_F(F_anchor) for F_anchor in (-0.5, -1.0, -10.0)]
-    assert [cs.pointwise_R_history(r0, tg, traj).newton_steps for r0 in anchors] == [1, 1, 1]
-    r_start = evolution._r_start
-    monkeypatch.setattr(evolution, "_r_start", lambda inverse, target: (
-        lambda r: r + 1e-6 * np.maximum(np.abs(r), 1.0))(r_start(inverse, target)))
+    assert [cs.pointwise_R_history(r0, tg, traj).newton_steps for r0 in anchors] == [2, 2, 2]
+    _shifted_start(monkeypatch, lambda r: 1e-3 * np.maximum(np.abs(r), 1.0))
     for r0 in anchors:
         h = cs.pointwise_R_history(r0, tg, traj)
-        assert h.newton_steps == 2 and not h.truncated
+        assert h.newton_steps == 3 and not h.truncated
         ode = _ode_history_r(traj, r0, tg)
         assert np.all(np.abs(h.r_of_t - ode) <= 1e-8 * np.maximum(np.abs(ode), 1.0))
 
 
 def test_history_far_from_its_start_raises(sep, monkeypatch):
-    # a start 0.1 off takes all four steps and lands where the septic start
-    # does; one 1.0 off still moves by more than 1e-7 in the fourth step
-    from cuspsoliton import evolution
+    # a start 0.1 off takes all four steps and lands where the interval
+    # start does (measured 2.4e-15 off); one 1.0 off still moves by more
+    # than 1e-7 in the fourth step
     tg = np.geomspace(0.02, 201.0, 240) - 1.0
     r0 = sep.r_at_F(-1.0)
     good = cs.pointwise_R_history(r0, tg, sep)
-    r_start = evolution._r_start
-    monkeypatch.setattr(evolution, "_r_start", lambda inverse, target:
-                        r_start(inverse, target) + 0.1)
-    near = cs.pointwise_R_history(r0, tg, sep)
+    with monkeypatch.context() as m:
+        _shifted_start(m, lambda r: 0.1)
+        near = cs.pointwise_R_history(r0, tg, sep)
     assert near.newton_steps == 4
     assert np.all(np.abs(near.r_of_t - good.r_of_t)
                   <= 1e-12 * np.maximum(np.abs(good.r_of_t), 1.0))
-    monkeypatch.setattr(evolution, "_r_start", lambda inverse, target:
-                        r_start(inverse, target) + 1.0)
+    _shifted_start(monkeypatch, lambda r: 1.0)
     with pytest.raises(cs.IntegrationError, match="after 4 steps"):
         cs.pointwise_R_history(r0, tg, sep)
 
@@ -693,9 +731,9 @@ def test_crossing_roots_are_bracketed_by_adjacent_grid_points(sep, monkeypatch,
 def test_flow_queries_dense_work_per_operation(dense_counts):
     # perfbench's flow_queries operations (seed 3, 400 of them) on a warm
     # default orbit: per operation at most 6 evaluations of s* (measured
-    # 3.1) and at most 2 000 dense points (measured 1 935: r_at_F, the
-    # crossings, T(r0), one Newton step of 1 680 points and the final 240
-    # states), and every history takes one Newton step
+    # 3.1) and at most 2 000 dense points (measured 248: r_at_F, the
+    # crossings and the final 240 states; T(r0) and the Newton steps read
+    # the flow-time table), and every history takes two Newton steps
     import importlib.util
     import itertools
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -707,7 +745,7 @@ def test_flow_queries_dense_work_per_operation(dense_counts):
     flow.run(ops[0])
     dense_counts.reset()
     steps = {flow.run(op)[1].newton_steps for op in ops}
-    assert steps == {1}
+    assert steps == {2}
     assert dense_counts.sstar <= 6 * len(ops)
     assert dense_counts.points <= 2000 * len(ops)
 

@@ -49,23 +49,24 @@ def test_tables_of_one_orbit_share_their_chebyshev_rows(sep, monkeypatch):
 def test_antiderivative_matrix_integrates_polynomials_exactly():
     # the matrix takes v^k at its 12 points to the coefficients of
     # (v^(k+1) - (-1)^(k+1))/(k+1), k = 0 ... 11, to the rounding of its
-    # entries, which reach 70 (measured 4.7e-14)
+    # entries, which reach 70: each is exact on the float points and
+    # rounded once (measured 1.4e-14; entries built in floats read 4.7e-14)
     from cuspsoliton.geometry import _antiderivative_matrix
     v, matrix = _antiderivative_matrix()
     assert matrix.shape == (13, 12)
     for k in range(12):
         exact = np.zeros(13)
         exact[-k - 2], exact[-1] = 1.0 / (k + 1), (-1.0) ** k / (k + 1)
-        assert np.max(np.abs(matrix @ v ** k - exact)) <= 1e-13, k
+        assert np.max(np.abs(matrix @ v ** k - exact)) <= 3e-14, k
 
 
 def test_tables_match_the_gauss_route(sep, short_orbit, gauss6):
     # each table's interval integrals against the six-point Gauss rule on
-    # three orbits: H, F and 1/F within 1e-13 relative (measured 1.1e-14);
-    # H - 1/2 within 1e-15 of the interval's width (measured 2.1e-16), as
+    # three orbits: H, F and 1/F within 1e-13 relative (measured 1.2e-15);
+    # H - 1/2 within 1e-15 of the interval's width (measured 1.8e-16), as
     # its relative gap, 2.6e-8, is the cancellation in H - 1/2 that both
     # routes share.  h, f and the cusp deviation from the first node, at
-    # random r, within 1e-14 of max(|integral|, 1) (measured 7.9e-16); the
+    # random r, within 1e-14 of max(|integral|, 1) (measured 6.9e-16); the
     # flow time's partial integrals are checked with the history
     from cuspsoliton.geometry import _Cumulative
     rng = np.random.default_rng(31)

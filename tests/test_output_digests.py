@@ -4,11 +4,12 @@ in csv and in plot format, the manifest aside, and the stepper's counters.
 The digests were recorded on x86-64 with numpy 2.4.6 (every file derived
 from the orbit once its middle leg became one Taylor run, delta.json once
 sigma' came from the field's jet, psi_scans.json once its t = 0 tail_match
-became null, the profiles, histories, asymptotics and identities once h,
-f, the cusp deviation and the flow time came from one Chebyshev table per
-sample interval, the blowup, isocline and psi tables at commit
-72e7dc3), and they pin that platform: the libm and numpy of another may
-move last bits.
+became null, h and the asymptotics once h, f, the cusp deviation and the
+flow time came from one Chebyshev table per sample interval, f and the
+identities once that table's matrix was rounded once from exact entries,
+the histories once r(t) took its Newton steps on the table's own
+interval, the blowup, isocline and psi tables at commit 72e7dc3), and
+they pin that platform: the libm and numpy of another may move last bits.
 A deliberate change of any output edits these tables.
 """
 
@@ -35,7 +36,7 @@ _REPORTS = {
     "delta.json":
         "5179a85df03c81df28e066eef31bdc169bf574b61babf9d40b534df3690f63b2",
     "identities.json":
-        "2e5b02432445da651940384650536c4f1c2a04c528bd46d17348833990e421ca",
+        "e4f0e4c1f0f7d9d7cb349b3ccecb4b6fa374bab76dc77be4020a2e017088b708",
     "psi_scans.json":
         "a490faa26a8caa7aed7b0c70c5d108a6b63d959a647bfb63ef571cfecf427149",
 }
@@ -44,7 +45,7 @@ _TABLES = {
         "curvature.csv":
             "37cd051d4915694c88ede14d317df2d785dec374f000d3910a431b286f99bd46",
         "histories.csv":
-            "d58bd111b8ae5e9cd97d9898d723af872179491bbfeba7d613bc86b984a22085",
+            "11b4cfb85c7bc32f5167396d3019b85066a746758344b4191d90571a6a94afb3",
         "isoclines.csv":
             "b6b775f542ef0b849dc2a9426e45465dfbe3ac0f9aab804bd91f622a876a1731",
         "psi_t_m0_200.csv":
@@ -58,7 +59,7 @@ _TABLES = {
         "psi_t_p1_000.csv":
             "785ccb6ede3bdf06ddb54755fd8dc7fa9319eb038d661582ff064b1ef73288ac",
         "separatrix.csv":
-            "780d99d91d43d3ee99fa6c69cc605c7db6665b0e54b2c7649c015d9e112e21ed",
+            "4094c6b88480078f5e5c4d788390f5270ea5ac5a870402e435a55223d086e59e",
     },
     "plot": {
         "curvature_r_R.dat":
@@ -76,13 +77,13 @@ _TABLES = {
         "curvature_r_sec_xy.dat":
             "6a14454fd6611caed9467f377bd8ed8200af8a9f03ad3a0b78a2e4c23f9e0a84",
         "histories_t_R.dat":
-            "71f0e8f73976cd51cf7d02400387e84a22a1d476f65a09eb7caf2e2c33a8a11b",
+            "4355f109314c653197a44b8679577ec0214cb8797e6a257cda926282a81a4844",
         "histories_t_dRdt.dat":
-            "94cfa5090d3c8d84a3e287cc811b51da6de609d0429cd369fb463b93029aed29",
+            "18afb68c21a61b7b822907f1e04e0fb33cb65b394f5369447dd54aba677e93e1",
         "histories_t_r0.dat":
             "f7a6ecfa69e1a7d4173d07453b84f7a386126e9f2efa8b09acaed329ce9ce432",
         "histories_t_r_of_t.dat":
-            "92b1df30d8a9fdfe70a4074f8b577080a3974dbd2a818e5eb2964769f5702db3",
+            "36b5596f9a1c22aa7658ebc7e5d97c2085e3d16b750516ce4cb060a09d8439f8",
         "isoclines_H_F_horizontal.dat":
             "f0fb06e03a08febbfcbdea1d6dd29f6b78c7b9abcc9672388b966422403934b1",
         "isoclines_H_F_oblique.dat":
@@ -104,7 +105,7 @@ _TABLES = {
         "separatrix_r_H.dat":
             "4aff8183205ecb1c49bfae5e8e92cffd0710418797f672713ac24b2b2b60fd3f",
         "separatrix_r_f.dat":
-            "556e7803e7885c35766ec2f1f2b2a2f9e978cb71a45e551768805b87120647d9",
+            "535bc2f3827ca4c99cd06c083a7abca9c0c560ad75d5a5055434b261463382d9",
         "separatrix_r_h.dat":
             "90713c3203d591b60da8176f00ed7184239e11ad9a51604d03faa0f2c59808ee",
     },
