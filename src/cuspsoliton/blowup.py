@@ -674,16 +674,13 @@ def run_sequence(t_mode: str, *, curve: ExactPoly | None = None) -> BlowupReport
             raise BlowupError(f"blow-up {step}: expected one rational critical point "
                               f"on the divisor, found {[c.text() for c in cps]}")
         a = cps[0].value
-        roots = curve_divisor_intersection(st)
         if a != 0:
             st = translate(st, a)
             translations.append((step, a))
-        if not any(r == a for r in roots):
-            shifted = [r - a if isinstance(r, Fraction) else SRational.make(
-                r.num[0] - a * r.den[0], r.num[1] - a * r.den[1], r.den[0], r.den[1])
-                for r in roots if isinstance(r, (Fraction, SRational))]
-            main = min(shifted, key=lambda r: abs(float(r) if isinstance(r, Fraction)
-                                                  else r.eval(11.0)))
+        roots = curve_divisor_intersection(st)
+        if not any(r == 0 for r in roots):
+            main = min((r for r in roots if isinstance(r, (Fraction, SRational))),
+                       key=lambda r: abs(float(r) if isinstance(r, Fraction) else r.eval(11.0)))
             return BlowupReport(
                 mode=t_mode, n_blowups=step, contact_order=step - 1,
                 critical_abscissa=Fraction(0), curve_abscissa=main,

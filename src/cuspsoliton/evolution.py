@@ -39,7 +39,7 @@ import numpy as np
 
 from ._numerics import brent
 from .blowup import _poly_eval, _real_roots
-from .geometry import _Cumulative, _horner_slope
+from .geometry import _Cumulative
 from .phase_core import (
     Trajectory, IntegrationError, OrbitRangeError, _GermLeg, _horner, _jet,
 )
@@ -159,7 +159,9 @@ class PsiScan:
     "positive" certifies the barrier property of {C_t = 0}.  For t in
     (-1, 0) the verdict is exact, the sign of P(t + 1) (see
     ``scan_delta_threshold``): far out the float Psi_t cancels, so its
-    minimum is kept as data only.  For t >= 0 it is read off the scan.
+    minimum is kept as data only.  For t >= 0 the tail's sign settles it:
+    t/(4y) < 0 for t > 0 and Psi_0 ~ 1/(4y^5) < 0 at t = 0, so the verdict
+    is "sign-changing".
     """
 
     t: float
@@ -202,7 +204,8 @@ def _check_y_floor(t: float, y_floor: float) -> None:
 
 def scan_psi(t: float, y_floor: float = -1e3, n: int = 1200) -> PsiScan:
     """Scan Psi_t on a log grid over (y_floor, -1/sqrt(t+1)]; a ``y_floor``
-    outside the branch or past the float range of Psi_t is a ValueError."""
+    outside the branch or past the float range of Psi_t is a ValueError.
+    The verdict is exact (see ``PsiScan``): the scan does not decide it."""
     t = _check_t(t)
     _check_y_floor(t, y_floor)
     end = _branch_domain_end(t)
@@ -213,7 +216,7 @@ def scan_psi(t: float, y_floor: float = -1e3, n: int = 1200) -> PsiScan:
     tail_ref = psi_tail(y_floor, t)
     # at t = 0 the tail vanishes identically: no relative agreement with it
     tail_match = abs(vals[-1] - tail_ref) / max(abs(tail_ref), 1e-300) if t else math.nan
-    positive = _psi_positive(t) if t < 0.0 else vals[i] > 0.0 and tail_sign > 0
+    positive = t < 0.0 and _psi_positive(t)
     return PsiScan(t=t, y=y, values=vals, min_value=float(vals[i]),
                    argmin_y=float(y[i]), tail_sign=tail_sign,
                    tail_match=float(tail_match),
@@ -460,6 +463,15 @@ class RHistory:
         return self.sign_change_times[-1] if self.sign_change_times else None
 
 
+def _horner_slope(coeffs, x):
+    """p(x) and p'(x) in one Horner pass, coefficients highest first."""
+    p, dp = coeffs[0] * x + coeffs[1], coeffs[0]
+    for a in coeffs[2:]:
+        dp = dp * x + p
+        p = p * x + a
+    return p, dp
+
+
 _TABLE_CHECK = 1e-12       # relative: how far the flow-time table's slope may miss 1/F at a node
 
 
@@ -535,7 +547,7 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
         raise OrbitRangeError("r0 outside the computed orbit range")
 
     T = traj._per_orbit(_flow_time)
-    target = T(r0)[0] + t_grid
+    target = T(r0) + t_grid
     kept = (target >= 0.0) & (target <= T.cum[0])
     tv, target = t_grid[kept], target[kept]
     i, v = _interval_start(T, traj.F, target)
@@ -555,7 +567,7 @@ def pointwise_R_history(r0: float, t_grid, traj: Trajectory) -> RHistory:
     s = tv + 1.0
     H, F, sig = traj.state_at(r)
     A, B = _ab(H, F, sig)
-    R = (-2.0 * H ** 2 + 4.0 * sig) / s          # R[g0] = curvatures(traj, r).scalar
+    R = (-2.0 * H ** 2 + 4.0 * sig) / s          # R[g0] at r, as in curvatures
     dR = 2.0 / s ** 2 * (A + s * B)
     sign_changes = [float(0.5 * (tv[i] + tv[i + 1]))
                     for i in np.nonzero(np.diff(np.sign(dR)) != 0)[0]]

@@ -69,32 +69,17 @@ def _antiderivative_matrix() -> tuple[np.ndarray, np.ndarray]:
     return v, np.column_stack(cols)
 
 
-def _horner_slope(coeffs, x):
-    """p(x) and p'(x) in one Horner pass, coefficients highest first."""
-    p, dp = coeffs[0] * x + coeffs[1], coeffs[0]
-    for a in coeffs[2:]:
-        dp = dp * x + p
-        p = p * x + a
-    return p, dp
-
-
-class _ChebyshevRows:
-    """State rows at ``_antiderivative_matrix``'s points of every sample
-    interval of an orbit, shape (points, intervals), each row evaluated on
-    first use; kept per orbit, so the tables of one orbit share them."""
-
-    def __init__(self, traj: Trajectory):
-        r = traj.r
-        self.mid, self.half = 0.5 * (r[:-1] + r[1:]), 0.5 * np.diff(r)
-        self._rows = {}
-
-    def row(self, traj: Trajectory, k: int) -> np.ndarray:
-        """State row ``k`` at the points; read only."""
-        if k not in self._rows:
-            pts = self.mid + self.half * _antiderivative_matrix()[0][:, None]
-            self._rows[k] = traj.state_at(pts.ravel(), row=k).reshape(pts.shape)
-            self._rows[k].setflags(write=False)
-        return self._rows[k]
+def _chebyshev_states(traj: Trajectory) -> tuple:
+    """The midpoints and half-widths of an orbit's sample intervals and the
+    states at ``_antiderivative_matrix``'s points of each, shape (3, 12,
+    intervals), read only: one ``state_at`` call, kept per orbit, so the
+    tables of one orbit share it."""
+    r = traj.r
+    mid, half = 0.5 * (r[:-1] + r[1:]), 0.5 * np.diff(r)
+    pts = mid + half * _antiderivative_matrix()[0][:, None]
+    states = traj.state_at(pts.ravel()).reshape(3, *pts.shape)
+    states.setflags(write=False)
+    return mid, half, states
 
 
 class _Cumulative:
@@ -107,22 +92,20 @@ class _Cumulative:
     series leg, it is one polynomial, cum[i] + half_i Q_i(v) with v = (r -
     mid_i)/half_i: Q_i integrates from v = -1 the interpolant of the
     integrand at ``_antiderivative_matrix``'s points, read from the orbit's
-    shared ``_ChebyshevRows``.  ``steps`` are the interval integrals half_i
-    Q_i(1).  A query answers the integral and its slope, the interpolated
-    integrand, under ``state_at``'s rules: an empty one is empty, a NaN or
-    an r outside [r_lo - 1e-9, r_hi + 1e-9] raises ``OrbitRangeError``, and
-    one point is the array pass in floats, bit for bit.  The table keeps no
-    reference to the trajectory (it may live in the trajectory's per-orbit
-    memo).
+    shared ``_chebyshev_states``.  ``steps`` are the interval integrals
+    half_i Q_i(1).  A query answers the integral under ``state_at``'s
+    rules: an empty one is empty, a NaN or an r outside [r_lo - 1e-9, r_hi
+    + 1e-9] raises ``OrbitRangeError``, and one point is the array pass in
+    floats, bit for bit.  The table keeps no reference to the trajectory
+    (it may live in the trajectory's per-orbit memo).
     """
 
     def __init__(self, traj: Trajectory, row: int, fn=None, shift: float = 0.0,
                  from_hi: bool = False):
-        cheb = traj._per_orbit(_ChebyshevRows)
-        self.nodes, self.mid, self.half = traj.r, cheb.mid, cheb.half
-        self.r_lo, self.r_hi = traj.r_lo, traj.r_hi
+        self.mid, self.half, states = traj._per_orbit(_chebyshev_states)
+        self.nodes, self.r_lo, self.r_hi = traj.r, traj.r_lo, traj.r_hi
         v, matrix = _antiderivative_matrix()
-        g = cheb.row(traj, row) if fn is None else fn(cheb.row(traj, row))
+        g = states[row] if fn is None else fn(states[row])
         # the matrix takes the differences from one value, whose constant
         # integrates to g_c (v + 1) exactly: its rounding then scales with
         # the variation of the integrand over the interval, not with its
@@ -137,12 +120,12 @@ class _Cumulative:
             self.cum = np.concatenate([[0.0], np.cumsum(self.steps)])
 
     def __call__(self, r):
-        """(integral, slope) at ``r``: two arrays, or at one r two floats
-        from the array pass's operations."""
+        """The integral at ``r``: an array, or at one r a float from the
+        array pass's operations."""
         one = isinstance(r, float) or np.ndim(r) == 0
         r = float(r) if one else np.asarray(r, dtype=float)
         if not (one or r.size):
-            return np.empty(r.shape), np.empty(r.shape)
+            return np.empty(r.shape)
         lo, hi = (r, r) if one else (r.min(), r.max())     # NaN if any point is NaN
         _check_range(lo, hi, self.r_lo, self.r_hi)
         if one:
@@ -152,8 +135,7 @@ class _Cumulative:
         else:
             i = np.minimum(np.maximum(np.searchsorted(self.nodes, r) - 1, 0), self.half.size - 1)
             cum, mid, half, coef = self.cum[i], self.mid[i], self.half[i], self.coef[:, i]
-        q, slope = _horner_slope(coef, (r - mid) / half)
-        return cum + half * q, slope
+        return cum + half * _horner(coef, (r - mid) / half)
 
 
 @dataclass
@@ -181,10 +163,10 @@ class MetricProfile:
     _f_base: float = field(repr=False, default=0.0)
 
     def h_at(self, r):
-        return self._h_base + self._h_cum(r)[0]
+        return self._h_base + self._h_cum(r)
 
     def f_at(self, r):
-        return self._f_base + self._f_cum(r)[0]
+        return self._f_base + self._f_cum(r)
 
 
 def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
@@ -203,7 +185,7 @@ def reconstruct_profiles(traj: Trajectory, h_anchor: float = 0.0,
     f_cum = _Cumulative(traj, 1)
 
     r = traj.r
-    h_base = h_anchor - (h_cum(0.0)[0] if r[0] <= 0.0 <= r[-1] else 0.0)
+    h_base = h_anchor - (h_cum(0.0) if r[0] <= 0.0 <= r[-1] else 0.0)
     h = h_base + h_cum.cum
 
     cusp = traj.legs[0]
@@ -241,21 +223,17 @@ class CurvatureTable:
         }
 
 
-def curvatures(traj: Trajectory, r=None) -> CurvatureTable:
-    """Curvatures along ``traj`` (at its samples, or at a given r grid).
+def curvatures(traj: Trajectory) -> CurvatureTable:
+    """Curvatures along ``traj`` at its samples.
 
     The mixed curvature and everything derived from it come from the
     transported curvature state, which keeps full relative accuracy where
     the direct expressions in (H, H') cancel.
     """
-    if r is None:
-        rr, H, F, sig = traj.r, traj.H, traj.F, traj.sigma
-    else:
-        rr = np.asarray(r, dtype=float)
-        H, F, sig = traj.state_at(rr)
+    H, F, sig = traj.H, traj.F, traj.sigma
     dF = _jet((H, F, sig), 1)[1][1]
     return CurvatureTable(
-        r=rr,
+        r=traj.r,
         sec_xy=-H ** 2,
         sec_rx=sig,
         scalar=-2.0 * H ** 2 + 4.0 * sig,
@@ -382,7 +360,7 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
         # h - r/2 - c1 = int_{-inf}^r (H - 1/2), from the series' tail and a
         # quadrature of H - 1/2: h - r/2 would cancel to a few ulps of h
         dev = _Cumulative(traj, 0, shift=-0.5)
-        h_dev = traj.legs[0].tails(traj.r_lo)[0] + dev(r_cusp)[0]
+        h_dev = traj.legs[0].tails(traj.r_lo)[0] + dev(r_cusp)
         f_dev = f_c - profile.f0
         cusp_entry("h_over_half_r", r_cusp, h_c / (r_cusp / 2.0) if r_cusp else math.nan, 1.0,
                    ok=bool(r_cusp), note="" if r_cusp else "probe at r = 0")
@@ -419,7 +397,7 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
                    float(Fp / (-r_flat / 2.0)) if r_flat else math.nan, 1.0,
                    ok=bool(r_flat), note="" if r_flat else "probe at r = 0")
         rg = np.geomspace(r_hi / 10.0, r_hi, 9)
-        Hg = traj.state_at(rg, row=0)
+        Hg = traj.state_at(rg)[0]
         trend = {"trend_r": rg, "trend_H_times_r_minus_1": np.abs(Hg * rg - 1.0)}
 
     Ht, Ft = float(traj.H[-1]), float(traj.F[-1])

@@ -372,34 +372,28 @@ class _Leg:
         coef = np.ascontiguousarray(np.array(pieces).transpose(2, 1, 0))
         return cls(r_lo, r_hi, shift, sign, ts, np.array(run.h), coef, pieces, run.stats())
 
-    def __call__(self, r, row=None) -> np.ndarray:
-        """States (3, n) at calibrated ``r``, or (3,) at one r; with a
-        ``row``, that state alone: (n,), or a float at one r."""
+    def __call__(self, r) -> np.ndarray:
+        """States (3, n) at calibrated ``r``, or (3,) at one r."""
         if isinstance(r, float) or np.ndim(r) == 0:
-            return self._point(float(r), row)
+            return self._point(float(r))
         t = self.shift + self.sign * r
         seg = np.minimum(np.maximum(np.searchsorted(self.ts, t) - 1, 0), self.h.size - 1)
         u = (t - self.ts[seg]) / self.h[seg]
-        # _horner's operations in place, on the rows asked for, one
-        # coefficient row gathered at a time
-        rows = slice(None) if row is None else row
+        # _horner's operations in place, one coefficient row gathered at a time
         coef = iter(self.coef)
-        y = next(coef)[rows].take(seg, axis=-1)
+        y = next(coef).take(seg, axis=-1)
         for c in coef:
             y *= u
-            y += c[rows].take(seg, axis=-1)
+            y += c.take(seg, axis=-1)
         return y
 
-    def _point(self, r: float, row=None):
+    def _point(self, r: float) -> np.ndarray:
         # __call__ at one r in Python floats, from one step's piece: the
         # same IEEE operations without numpy's per-call cost
         t = self.shift + self.sign * r
         seg = min(max(bisect_left(self.ts, t) - 1, 0), self.h.size - 1)
         u = (t - self.ts[seg].item()) / self.h[seg].item()
-        piece = self.pieces[seg]
-        if row is not None:
-            return _horner(piece[row], u)
-        return np.array([_horner(c, u) for c in piece])
+        return np.array([_horner(c, u) for c in self.pieces[seg]])
 
     def samples(self):
         """Ascending r at every step's start, ``_SAMPLE_STEP`` or less apart
@@ -485,15 +479,11 @@ class _CuspLeg:
         return cls(0.0, 0.0, theta, (xs[n:0:-1], ys[n:0:-1]),
                    {"method": "series", "terms": n, "theta_start": theta, "truncation": est})
 
-    def __call__(self, r: np.ndarray, row=None) -> np.ndarray:
-        """States (3, ...) at calibrated ``r``, one point as the array pass;
-        with a ``row``, that state alone.  F alone skips H and sigma."""
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """States (3, ...) at calibrated ``r``, one point as the array pass."""
         th = self.theta * np.exp(EIGENVALUE_UNSTABLE * (np.asarray(r, dtype=float) - self.r_hi))
-        if row == 1:
-            return th * _horner(self.series[1], th)
         x, y = (th * _horner(ser, th) for ser in self.series)
-        out = np.array(_start(0.5 + x, y))
-        return out if row is None else out[row]
+        return np.array(_start(0.5 + x, y))
 
     def tails(self, r: float) -> tuple:
         """int_{-inf}^r of H - 1/2 and of F: sum_k p_k theta^k / (k lambda)."""
@@ -535,11 +525,10 @@ class _GermLeg:
         y = -1.0 / F
         return self.c + _horner(self.series[2], y * y) / y
 
-    def __call__(self, r: np.ndarray, row=None) -> np.ndarray:
-        """States (3, n) at calibrated ``r``, or with a ``row`` that state
-        alone; one point is evaluated in Python floats, the same IEEE
-        operations without numpy's per-call overhead.  F alone skips the H
-        and sigma series."""
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """States (3, n) at calibrated ``r``; one point is evaluated in
+        Python floats, the same IEEE operations without numpy's per-call
+        overhead."""
         r = np.asarray(r, dtype=float)
         d = (r.item() if r.size == 1 else r) - self.c
         h, sigma, ry = self.series[:3]
@@ -548,12 +537,9 @@ class _GermLeg:
         y = 2.0 / d
         for _ in range(3):
             y = _horner(ry, y * y) / d
-        if row == 1:
-            return -1.0 / y if r.ndim == 0 else np.reshape(-1.0 / y, r.shape)
         x = y * y
         out = np.array([y * _horner(h, x), -1.0 / y, x * x * _horner(sigma, x)])
-        out = out.reshape(3, *r.shape)
-        return out if row is None else out[row]
+        return out.reshape(3, *r.shape)
 
 
 @dataclass(eq=False)
@@ -600,43 +586,39 @@ class Trajectory:
             memo[build] = build(self)
         return memo[build]
 
-    def state_at(self, r, row=None) -> np.ndarray:
+    def state_at(self, r) -> np.ndarray:
         """Dense-output states (H, F, sigma) at ``r``; shape (3, n) or (3,).
 
-        With ``row`` (0, 1 or 2 for H, F, sigma) only that state is
-        evaluated, shape (n,) or a float, bit-identical to the same row of
-        the full evaluation.  A point goes to the first leg with r <= its
-        r_hi, the last leg takes the rest; a NaN or infinite r raises
-        ``OrbitRangeError``.  An array whose min and max share a leg is one
-        call of that leg, one that straddles a join is split by leg.  A
-        Taylor leg is evaluated by Horner over its gathered pieces; series
-        legs sum their series.  One point takes the array pass's
-        operations, in floats, bit for bit.
+        A point goes to the first leg with r <= its r_hi, the last leg
+        takes the rest; a NaN or infinite r raises ``OrbitRangeError``.  An
+        array whose min and max share a leg is one call of that leg, one
+        that straddles a join is split by leg.  A Taylor leg is evaluated
+        by Horner over its gathered pieces; series legs sum their series.
+        One point takes the array pass's operations, in floats, bit for bit.
         """
         if isinstance(r, float) or np.ndim(r) == 0:
-            return self._state_at_point(float(r), row)
+            return self._state_at_point(float(r))
         rq = np.atleast_1d(np.asarray(r, dtype=float))
-        shape = (3, rq.size) if row is None else (rq.size,)
         if not rq.size:
-            return np.empty(shape)
+            return np.empty((3, 0))
         lo, hi = rq.min(), rq.max()          # NaN if any point is NaN
         _check_range(lo, hi, self.r_lo, self.r_hi)
         ends = [leg.r_hi for leg in self.legs[:-1]]
         i = bisect_left(ends, lo)
         if i == bisect_left(ends, hi):
-            return self.legs[i](rq, row)
-        out = np.empty(shape)
+            return self.legs[i](rq)
+        out = np.empty((3, rq.size))
         which = np.searchsorted(ends, rq)
         for i, leg in enumerate(self.legs):
             m = which == i
             if np.any(m):
-                out[..., m] = leg(rq[m], row)
+                out[:, m] = leg(rq[m])
         return out
 
-    def _state_at_point(self, r: float, row=None):
+    def _state_at_point(self, r: float) -> np.ndarray:
         # the array pass's range check and leg choice, by comparison
         _check_range(r, r, self.r_lo, self.r_hi)
-        return next((leg for leg in self.legs[:-1] if r <= leg.r_hi), self.legs[-1])(r, row)
+        return next((leg for leg in self.legs[:-1] if r <= leg.r_hi), self.legs[-1])(r)
 
     def dense_grid(self, n: int) -> np.ndarray:
         """Uniform r-grid over the computed range (endpoints included)."""
@@ -655,7 +637,7 @@ class Trajectory:
         germ = self.legs[-1]
         if isinstance(germ, _GermLeg) and self.r[i] >= germ.r_lo:
             return germ.r_at_F(target)       # the germ inverts in closed form
-        return brent(lambda rr: self.state_at(rr, row=1) - target,
+        return brent(lambda rr: self.state_at(rr)[1] - target,
                      self.r[i].item(), self.r[i + 1].item(), xtol=1e-12, rtol=1e-15)
 
 

@@ -236,7 +236,6 @@ class BarrierReport:
 
     curve_id: str
     r: np.ndarray
-    product: np.ndarray
     min_product: float
     argmin_r: float
     side: str
@@ -275,7 +274,6 @@ def certify_barriers(traj: Trajectory, n_samples: int = 20001) -> list[BarrierRe
         reports.append(BarrierReport(
             curve_id=cid,
             r=rg,
-            product=prod,
             min_product=float(prod[i]),
             argmin_r=float(rg[i]),
             side=_SIDE[cid],

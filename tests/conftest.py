@@ -60,9 +60,9 @@ def blowup_t0():
 
 
 class DenseCounts:
-    """Dense evaluations seen since the last ``reset``: each
-    ``Trajectory.state_at`` call as (points, row), a one-point call counting
-    one point, and the number of ``_SStar.__call__`` evaluations of s*."""
+    """Dense evaluations seen since the last ``reset``: the points of each
+    ``Trajectory.state_at`` call, a one-point call counting one, and the
+    number of ``_SStar.__call__`` evaluations of s*."""
 
     def __init__(self):
         self.reset()
@@ -72,7 +72,7 @@ class DenseCounts:
 
     @property
     def points(self) -> int:
-        return sum(n for n, _ in self.state_at)
+        return sum(self.state_at)
 
 
 @pytest.fixture
@@ -82,9 +82,9 @@ def dense_counts(monkeypatch):
     counts = DenseCounts()
     state_at, sstar = cs.Trajectory.state_at, _SStar.__call__
 
-    def counted_state_at(self, r, row=None):
-        counts.state_at.append((int(np.size(r)), row))
-        return state_at(self, r, row=row)
+    def counted_state_at(self, r):
+        counts.state_at.append(int(np.size(r)))
+        return state_at(self, r)
 
     def counted_sstar(self, traj, r):
         counts.sstar += 1

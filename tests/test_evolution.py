@@ -490,8 +490,7 @@ def test_history_interval_start_and_newton_stop_rule(sep, short_orbit):
     # (the second correction measured at most 2.7e-12 of max(|r|, 1)), and
     # the would-be next correction is rounding (measured at most 2.5e-15 of
     # max(|r|, 1)), on the CLI's grid
-    from cuspsoliton.evolution import _flow_time, _interval_start
-    from cuspsoliton.geometry import _horner_slope
+    from cuspsoliton.evolution import _flow_time, _horner_slope, _interval_start
     tg = np.geomspace(0.02, 201.0, 240) - 1.0
     cases = [(sep, sep.r_at_F(F_anchor)) for F_anchor in (-0.5, -1.0, -10.0, -30.0)]
     cases += [(short_orbit, short_orbit.r_at_F(-1.0)), (short_orbit, 9.9)]
@@ -499,7 +498,7 @@ def test_history_interval_start_and_newton_stop_rule(sep, short_orbit):
         h = cs.pointwise_R_history(r0, tg, traj)
         assert h.t.size >= 10
         table = traj._per_orbit(_flow_time)
-        target = table(r0)[0] + h.t
+        target = table(r0) + h.t
         i, v = _interval_start(table, traj.F, target)
         assert np.all((table.cum[i + 1] <= target) & (target <= table.cum[i]))
         cum, mid, half, coef = table.cum[i], table.mid[i], table.half[i], table.coef[:, i]
@@ -516,9 +515,8 @@ def test_history_interval_start_and_newton_stop_rule(sep, short_orbit):
                 break
         assert len(steps) == h.newton_steps == 2
         assert np.array_equal(r, h.r_of_t)
-        value, slope = table(r)
-        scale = np.maximum(np.abs(h.r_of_t), 1.0)
-        assert np.all(np.abs((value - target) / slope) <= 1e-12 * scale)
+        moved = np.abs((table(r) - target) * traj.state_at(r)[1])
+        assert np.all(moved <= 1e-12 * np.maximum(np.abs(h.r_of_t), 1.0))
 
 
 def test_history_inverts_the_flow_time_over_its_whole_range(sep, short_orbit, gauss6):
@@ -541,7 +539,7 @@ def test_history_inverts_the_flow_time_over_its_whole_range(sep, short_orbit, ga
         gauss = np.concatenate([-np.cumsum(steps[::-1])[::-1], [0.0]])
         i = np.clip(np.searchsorted(r, h.r_of_t) - 1, 0, r.size - 2)
         T = gauss[i] + gauss6(traj.state_at, inv_F, r[i], h.r_of_t)
-        moved = np.abs((T - h.t) * traj.state_at(h.r_of_t, row=1))
+        moved = np.abs((T - h.t) * traj.state_at(h.r_of_t)[1])
         assert np.all(moved <= 1e-12 * np.maximum(np.abs(h.r_of_t), 1.0)), name
 
 
@@ -555,7 +553,7 @@ def test_warm_history_makes_one_state_at_call(sep, dense_counts):
     dense_counts.reset()
     h = cs.pointwise_R_history(r0, tg, sep)
     assert h.newton_steps == 2
-    assert dense_counts.state_at == [(tg.size, None)]
+    assert dense_counts.state_at == [tg.size]
 
 
 def test_flow_table_matches_gauss_partial_integrals(sep, short_orbit, gauss6):
@@ -571,28 +569,27 @@ def test_flow_table_matches_gauss_partial_integrals(sep, short_orbit, gauss6):
         table = traj._per_orbit(_flow_time)
         assert 0.0 < table.error <= 1e-12, name
         r = np.concatenate([traj.r[[0, 1, -2, -1]], rng.uniform(traj.r_lo, traj.r_hi, 2000)])
-        value, slope = table(r)
+        value = table(r)
         i = np.clip(np.searchsorted(traj.r, r) - 1, 0, traj.r.size - 2)
         gauss = table.cum[i] + gauss6(traj.state_at, lambda s: 1.0 / s[1], traj.r[i], r)
-        moved = np.abs((value - gauss) * traj.state_at(r, row=1))
+        moved = np.abs((value - gauss) * traj.state_at(r)[1])
         assert np.all(moved <= 1e-14 * np.maximum(np.abs(r), 1.0)), name
         for i in [1, 2, *range(4, r.size, 97)]:         # nodes pick the interval below
-            assert table(r[i].item()) == (value[i], slope[i])
+            assert table(r[i].item()) == value[i]
 
 
 def test_flow_table_keeps_the_range_rule_of_state_at(sep):
     from cuspsoliton.evolution import _flow_time
     table = sep._per_orbit(_flow_time)
-    value, slope = table(np.empty(0))
-    assert value.shape == slope.shape == (0,)
+    assert table(np.empty(0)).shape == (0,)
     for bad in (np.nan, sep.r_lo - 1e-8, sep.r_hi + 1e-8):
         with pytest.raises(cs.OrbitRangeError):
             table(bad)
         with pytest.raises(cs.OrbitRangeError):
             table(np.array([0.0, bad]))
     # within 1e-9 of the ends, as in state_at, the end pieces extend
-    assert math.isfinite(table(sep.r_hi + 5e-10)[0])
-    assert np.isfinite(table(np.array([sep.r_lo - 5e-10]))[0]).all()
+    assert math.isfinite(table(sep.r_hi + 5e-10))
+    assert np.isfinite(table(np.array([sep.r_lo - 5e-10]))).all()
 
 
 def test_flow_table_check_rejects_a_wrong_matrix(sep, monkeypatch):

@@ -28,21 +28,21 @@ def test_quadrature_consistency_under_tolerance_halving(sep):
 
 
 def test_tables_of_one_orbit_share_their_chebyshev_rows(sep, monkeypatch):
-    # h and the cusp deviation read row 0, f and the flow time row 1: H and
-    # F are each evaluated at the Chebyshev points once per orbit, and a
-    # table built from the shared rows is the table built alone
+    # h and the cusp deviation read row 0, f and the flow time row 1 of one
+    # whole-state evaluation at the Chebyshev points, made once per orbit,
+    # and a table built from the shared states is the table built alone
     from dataclasses import replace
     from cuspsoliton.geometry import _Cumulative
     alone = _Cumulative(replace(sep), 1, lambda F: 1.0 / F, from_hi=True).cum
     traj = replace(sep)
     calls = []
     state_at = type(traj).state_at
-    monkeypatch.setattr(type(traj), "state_at", lambda self, r, row=None: (
-        calls.append((np.size(r), row)) or state_at(self, r, row)))
+    monkeypatch.setattr(type(traj), "state_at", lambda self, r: (
+        calls.append(np.size(r)) or state_at(self, r)))
     for row, shift in ((0, 0.0), (1, 0.0), (0, -0.5)):
         _Cumulative(traj, row, shift=shift)
     shared = _Cumulative(traj, 1, lambda F: 1.0 / F, from_hi=True).cum
-    assert calls == [(12 * (len(traj.r) - 1), 0), (12 * (len(traj.r) - 1), 1)]
+    assert calls == [12 * (len(traj.r) - 1)]
     assert np.array_equal(shared, alone)
 
 
@@ -88,10 +88,10 @@ def test_tables_match_the_gauss_route(sep, short_orbit, gauss6):
         i = np.clip(np.searchsorted(r, rq) - 1, 0, r.size - 2)     # nodes pick the interval below
         for table, fn in tables[:2] + tables[3:]:
             ref = table.cum[i] + gauss6(traj.state_at, fn, r[i], rq)
-            value, slope = table(rq)
+            value = table(rq)
             assert np.all(np.abs(value - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0)), name
             for j in [1, 2, *range(4, rq.size, 97)]:
-                assert table(rq[j].item()) == (value[j], slope[j])
+                assert table(rq[j].item()) == value[j]
 
 
 def test_profile_queries_keep_the_range_rule_of_state_at(sep, profile):
