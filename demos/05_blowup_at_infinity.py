@@ -30,7 +30,7 @@ def walk(mode):
         st = cs.blowup_once(st)
         cps = cs.divisor_critical_points(st)
         roots = cs.curve_divisor_intersection(st)
-        rtxt = [r.text() if isinstance(r, cs.SRational) else str(r) for r in roots]
+        rtxt = [str(r) for r in roots]
         print(f"  blow-up {step}: critical {[c.text() for c in cps]}, "
               f"curve meets divisor at {rtxt}")
         a = cps[0].value
@@ -50,11 +50,8 @@ def main():
     print("\nfull engine runs (exact, no orbit needed):")
     for mode in ("generic", "t0"):
         rep = cs.run_sequence(mode)
-        absc = (rep.curve_abscissa.text()
-                if isinstance(rep.curve_abscissa, cs.SRational)
-                else str(rep.curve_abscissa))
         print(f"  {mode:7s}: {rep.n_blowups} blow-ups, contact order "
-              f"{rep.contact_order}, curve meets the divisor at x = {absc} "
+              f"{rep.contact_order}, curve meets the divisor at x = {rep.curve_abscissa} "
               f"with the critical point at 0")
     print("\nwith s = t + 1, the generic abscissa (s - 1)/(8*s) vanishes at "
           "t = 0, which is why that case needs four more blow-ups")

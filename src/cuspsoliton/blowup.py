@@ -577,6 +577,8 @@ class SRational:
             return f"{st} + {c0}" if c0 > 0 else f"{st} - {-c0}"
         return f"({lin(*self.num)})/({lin(*self.den)})"
 
+    __str__ = text
+
 
 def curve_divisor_intersection(st: BlowupState) -> list:
     """Abscissas where the strict transform of the curve meets {y = 0}.
@@ -623,7 +625,7 @@ class BlowupReport:
     n_blowups: int
     contact_order: int
     critical_abscissa: Fraction
-    curve_abscissa: object           # Fraction or SRational
+    curve_abscissa: object           # Fraction or SRational; str() is its text
     translations: list[tuple[int, Fraction]]
     curve_multiplicities: list[int]
     state: BlowupState
@@ -634,9 +636,7 @@ class BlowupReport:
             f"blowups: {self.n_blowups}",
             f"contact_order: {self.contact_order}",
             f"critical_abscissa: {self.critical_abscissa}",
-            "curve_abscissa: " + (self.curve_abscissa.text()
-                                  if isinstance(self.curve_abscissa, SRational)
-                                  else str(self.curve_abscissa)),
+            f"curve_abscissa: {self.curve_abscissa}",
             "translations: " + ", ".join(
                 f"after blowup {k}: {a}" for k, a in self.translations),
             f"curve_multiplicities: {self.curve_multiplicities}",

@@ -437,7 +437,6 @@ def cmd_asymptotics(session: _Session, em: Emitter) -> int:
     insufficient = False
     for rep in (cusp, flat):
         payload[rep.end] = {
-            "alpha_fit": rep.alpha_fit,
             "entries": [{
                 "name": e.name, "r_at": e.r_at, "measured": e.measured,
                 "target": e.target,
@@ -473,8 +472,7 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
             "argmin_y": sc.argmin_y, "tail_sign": sc.tail_sign,
             "tail_match": sc.tail_match,
         })
-        if em.fmt != "json":
-            em.table(_psi_table_name(t), ["y", "psi"], [sc.y, sc.values])
+        em.table(_psi_table_name(t), ["y", "psi"], [sc.y, sc.values])
     em.report("psi_scans", scans)
 
     tg = np.linspace(cfg.t_grid_min, cfg.t_grid_max, cfg.t_grid_n)
@@ -503,25 +501,17 @@ def cmd_evolve(session: _Session, em: Emitter) -> int:
 
 
 def cmd_blowup(session: _Session, em: Emitter) -> int:
-    rep_g = run_sequence("generic")
-    rep_0 = run_sequence("t0")
-    em.text("blowup_generic", rep_g.to_text())
-    em.text("blowup_t0", rep_0.to_text())
-    em.report("blowup", {
-        "generic": {
-            "blowups": rep_g.n_blowups, "contact_order": rep_g.contact_order,
-            "curve_abscissa": rep_g.curve_abscissa.text(),
-            "translations": [[k, str(a)] for k, a in rep_g.translations],
-        },
-        "t0": {
-            "blowups": rep_0.n_blowups, "contact_order": rep_0.contact_order,
-            "curve_abscissa": str(rep_0.curve_abscissa),
-            "translations": [[k, str(a)] for k, a in rep_0.translations],
-        },
-    })
+    reps = {mode: run_sequence(mode) for mode in ("generic", "t0")}
+    for mode, rep in reps.items():
+        em.text(f"blowup_{mode}", rep.to_text())
+    em.report("blowup", {mode: {
+        "blowups": rep.n_blowups, "contact_order": rep.contact_order,
+        "curve_abscissa": str(rep.curve_abscissa),
+        "translations": [[k, str(a)] for k, a in rep.translations],
+    } for mode, rep in reps.items()})
     em.note("blowup: generic %d blow-ups (contact %d), t=0 %d blow-ups (contact %d)"
-            % (rep_g.n_blowups, rep_g.contact_order,
-               rep_0.n_blowups, rep_0.contact_order))
+            % (reps["generic"].n_blowups, reps["generic"].contact_order,
+               reps["t0"].n_blowups, reps["t0"].contact_order))
     return EXIT_OK
 
 

@@ -315,7 +315,6 @@ class AsymptoticsReport:
 
     end: str                       # "cusp" (r -> -inf) or "flat" (r -> +inf)
     entries: list[RatioEntry]
-    alpha_fit: float | None = None
     extras: dict = field(default_factory=dict)
 
     def entry(self, name: str) -> RatioEntry:
@@ -323,6 +322,21 @@ class AsymptoticsReport:
             if e.name == name:
                 return e
         raise KeyError(name)
+
+
+def _law_entries(r_at: float, q: dict | None, laws) -> list[RatioEntry]:
+    """One entry per law (name, target, measure, divides by r) probed at
+    ``r_at``, measured as ``measure(q)`` from the probe's quantities ``q``.
+    With q None, a probe outside the orbit's range, every entry is not ok,
+    "insufficient range"; at r_at = 0 a law that divides by r is not ok,
+    "probe at r = 0"."""
+    entries = []
+    for name, target, measure, over_r in laws:
+        note = ("insufficient range" if q is None
+                else "probe at r = 0" if over_r and not r_at else "")
+        measured = math.nan if note else float(measure(q))
+        entries.append(RatioEntry(name, r_at, measured, target, ok=not note, note=note))
+    return entries
 
 
 def check_asymptotics(traj: Trajectory, profile: MetricProfile,
@@ -333,80 +347,56 @@ def check_asymptotics(traj: Trajectory, profile: MetricProfile,
     Cusp end: h ~ r/2, f -> f0, and the deviations decay along the saddle
     eigendirection, so (f - f0)/(h - r/2 - c1) tends to the eigenvector
     slope 3 + sqrt5 (its reciprocal is reported as well), with h - r/2 - c1
-    the integral of H - 1/2 from -inf; |F| decays like
-    e^{alpha r}.  Flat end: H ~ 1/r, F ~ -r/2, HF -> -1/2, F' -> -1/2,
-    h ~ ln r, f ~ -r^2/4, H/F -> 0; the H r trend is read at 9 points of
-    [r_hi/10, r_hi].  A probe outside [r_lo, r_hi] marks that end's probed
-    entries not ok, "insufficient range"; a probe at r = 0 marks the entry
-    that divides by it not ok, "probe at r = 0".
+    the integral of H - 1/2 from -inf; |F| decays like e^{lambda r}, so
+    F'/F -> lambda, with F' from the field.  Flat end: H ~ 1/r, F ~ -r/2,
+    HF -> -1/2, F' -> -1/2, h ~ ln r, f ~ -r^2/4, H/F -> 0; the H r trend
+    is read at 9 points of [r_hi/10, r_hi].  A probe outside [r_lo, r_hi]
+    marks that end's probed entries not ok, "insufficient range"; a probe
+    at r = 0 marks the entry that divides by it not ok, "probe at r = 0".
     """
     if profile.cusp_h_offset is None:
         raise ValueError("asymptotics need a separatrix profile")
-    entries_c: list[RatioEntry] = []
+    r_hi = traj.r_hi
 
-    def cusp_entry(name, r_at, measured, target, ok=True, note=""):
-        entries_c.append(RatioEntry(name, r_at, measured, target, ok, note))
+    def probe(r, read):
+        return read(r) if traj.r_lo <= r <= r_hi else None
 
-    if not traj.r_lo <= r_cusp <= traj.r_hi:
-        for name, tgt in (("h_over_half_r", 1.0),
-                          ("f_dev_over_h_dev", SLOPE_UNSTABLE),
-                          ("h_dev_over_f_dev", 1.0 / SLOPE_UNSTABLE)):
-            cusp_entry(name, r_cusp, math.nan, tgt, ok=False,
-                       note="insufficient range")
-        alpha_report = None
-    else:
-        h_c = float(profile.h_at(r_cusp))
-        f_c = float(profile.f_at(r_cusp))
+    def at_cusp(r):
+        state = traj.state_at(r)
         # h - r/2 - c1 = int_{-inf}^r (H - 1/2), from the series' tail and a
         # quadrature of H - 1/2: h - r/2 would cancel to a few ulps of h
-        dev = _Cumulative(traj, 0, shift=-0.5)
-        h_dev = traj.legs[0].tails(traj.r_lo)[0] + dev(r_cusp)
-        f_dev = f_c - profile.f0
-        cusp_entry("h_over_half_r", r_cusp, h_c / (r_cusp / 2.0) if r_cusp else math.nan, 1.0,
-                   ok=bool(r_cusp), note="" if r_cusp else "probe at r = 0")
-        cusp_entry("f_dev_over_h_dev", r_cusp, f_dev / h_dev, SLOPE_UNSTABLE)
-        cusp_entry("h_dev_over_f_dev", r_cusp, h_dev / f_dev, 1.0 / SLOPE_UNSTABLE)
-        m = (traj.r >= r_cusp) & (traj.r <= r_cusp + 20.0) & (traj.F < 0)
-        alpha_report = float(np.polyfit(traj.r[m],
-                                        np.log(-traj.F[m]), 1)[0]) if m.sum() > 2 else None
-        if alpha_report is not None:
-            cusp_entry("log_F_slope", r_cusp, alpha_report, EIGENVALUE_UNSTABLE)
+        h_dev = traj.legs[0].tails(traj.r_lo)[0] + _Cumulative(traj, 0, shift=-0.5)(r)
+        return {"h": float(profile.h_at(r)), "h_dev": h_dev,
+                "f_dev": float(profile.f_at(r)) - profile.f0,
+                "F": state[1], "F'": _jet(state, 1)[1][1]}
 
-    cusp = AsymptoticsReport("cusp", entries_c, alpha_fit=alpha_report,
-                             extras={"f0": profile.f0,
-                                     "cusp_h_offset": profile.cusp_h_offset})
-
-    entries_f: list[RatioEntry] = []
-
-    def flat_entry(name, r_at, measured, target, ok=True, note=""):
-        entries_f.append(RatioEntry(name, r_at, measured, target, ok, note))
-
-    r_hi = traj.r_hi
-    if not traj.r_lo <= r_flat <= r_hi:
-        for name, tgt in (("H_times_r", 1.0), ("HF", -0.5), ("F_prime", -0.5),
-                          ("F_over_neg_half_r", 1.0)):
-            flat_entry(name, r_flat, math.nan, tgt, ok=False,
-                       note="insufficient range")
-        trend = {}
-    else:
-        Hp, Fp, Sp = traj.state_at(r_flat)
-        flat_entry("H_times_r", r_flat, float(Hp * r_flat), 1.0)
-        flat_entry("HF", r_flat, float(Hp * Fp), -0.5)
-        flat_entry("F_prime", r_flat, float(_jet((Hp, Fp, Sp), 1)[1][1]), -0.5)
-        flat_entry("F_over_neg_half_r", r_flat,
-                   float(Fp / (-r_flat / 2.0)) if r_flat else math.nan, 1.0,
-                   ok=bool(r_flat), note="" if r_flat else "probe at r = 0")
+    def at_flat(r):
+        state = traj.state_at(r)
         rg = np.geomspace(r_hi / 10.0, r_hi, 9)
-        Hg = traj.state_at(rg)[0]
-        trend = {"trend_r": rg, "trend_H_times_r_minus_1": np.abs(Hg * rg - 1.0)}
+        return {"H": state[0], "F": state[1], "F'": _jet(state, 1)[1][1],
+                "trend": {"trend_r": rg,
+                          "trend_H_times_r_minus_1": np.abs(traj.state_at(rg)[0] * rg - 1.0)}}
 
-    Ht, Ft = float(traj.H[-1]), float(traj.F[-1])
-    flat_entry("H_over_F", r_hi, Ht / Ft, 0.0)
+    cusp_q, flat_q = probe(r_cusp, at_cusp), probe(r_flat, at_flat)
+    # name, target, measure, divides by r
+    cusp = _law_entries(r_cusp, cusp_q, (
+        ("h_over_half_r", 1.0, lambda q: q["h"] / (r_cusp / 2.0), True),
+        ("f_dev_over_h_dev", SLOPE_UNSTABLE, lambda q: q["f_dev"] / q["h_dev"], False),
+        ("h_dev_over_f_dev", 1.0 / SLOPE_UNSTABLE, lambda q: q["h_dev"] / q["f_dev"], False),
+        ("log_F_slope", EIGENVALUE_UNSTABLE, lambda q: q["F'"] / q["F"], False),
+    ))
+    flat = _law_entries(r_flat, flat_q, (
+        ("H_times_r", 1.0, lambda q: q["H"] * r_flat, False),
+        ("HF", -0.5, lambda q: q["H"] * q["F"], False),
+        ("F_prime", -0.5, lambda q: q["F'"], False),
+        ("F_over_neg_half_r", 1.0, lambda q: q["F"] / (-r_flat / 2.0), True),
+    ))
+    # the terminal laws, read at the last sample
+    flat.append(RatioEntry("H_over_F", r_hi, float(traj.H[-1]) / float(traj.F[-1]), 0.0))
     if r_hi > 1.0:
-        flat_entry("h_over_log_r", r_hi,
-                   float(profile.h[-1] / math.log(r_hi)), 1.0)
-        flat_entry("f_over_neg_quarter_r2", r_hi,
-                   float(profile.f[-1] / (-r_hi ** 2 / 4.0)), 1.0)
-
-    flat = AsymptoticsReport("flat", entries_f, extras=trend)
-    return cusp, flat
+        flat.append(RatioEntry("h_over_log_r", r_hi, float(profile.h[-1] / math.log(r_hi)), 1.0))
+        flat.append(RatioEntry("f_over_neg_quarter_r2", r_hi,
+                               float(profile.f[-1] / (-r_hi ** 2 / 4.0)), 1.0))
+    return (AsymptoticsReport("cusp", cusp, extras={"f0": profile.f0,
+                                                     "cusp_h_offset": profile.cusp_h_offset}),
+            AsymptoticsReport("flat", flat, extras=flat_q["trend"] if flat_q else {}))

@@ -63,8 +63,9 @@ def isocline_F(kind: str, H):
 
 
 def isocline_slopes_at_saddle() -> dict[str, float]:
-    """Tangent slopes dF/dH of the three isoclines at the saddle (1/2, 0)."""
-    return {"vertical": 4.0, "horizontal": 2.0, "oblique": 8.0}
+    """Tangent slopes dF/dH of the three isoclines at the saddle (1/2, 0):
+    the slope of 2H - 1/(2H) there is 2 + 1/(2H^2) = 4, times each factor."""
+    return {kind: 4.0 * factor for kind, factor in _ISOCLINE_FACTOR.items()}
 
 
 def oblique_barrier_margin(H):

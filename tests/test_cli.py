@@ -86,7 +86,10 @@ def test_asymptotics_probe_past_the_far_end(tmp_path, line, end):
     assert main(["asymptotics", "--config", str(cfgfile),
                  "--out", str(tmp_path), "--quiet"]) == 4
     rep = json.loads((tmp_path / "asymptotics.json").read_text())
-    assert any(e["note"] == "insufficient range" for e in rep[end]["entries"])
+    probed = {"cusp": ["h_over_half_r", "f_dev_over_h_dev", "h_dev_over_f_dev", "log_F_slope"],
+              "flat": ["H_times_r", "HF", "F_prime", "F_over_neg_half_r"]}[end]
+    assert [e["name"] for e in rep[end]["entries"]
+            if e["note"] == "insufficient range"] == probed
     assert json.loads((tmp_path / "manifest.json").read_text())["status"] == 4
 
 
@@ -229,6 +232,11 @@ def test_manifest_digests_are_the_files_on_disk(tmp_path, monkeypatch, fmt):
     digests = json.loads((tmp_path / "manifest.json").read_text())["files"]
     on_disk = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
     assert set(digests) == on_disk and len(on_disk) > 10
+    # every format writes the Psi table of each flow time
+    psi = {name for name in on_disk if name.startswith("psi_t_")}
+    assert len(psi) == len(RunConfig().t_values) == 5
+    assert {name.split(".")[0].removesuffix("_y_psi") for name in psi} == {
+        cli._psi_table_name(t) for t in RunConfig().t_values}
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
     assert seen == []

@@ -214,16 +214,21 @@ def test_cusp_ratios_on_the_exact_tails(sep, profile):
     # h_dev = -4.6e-9 at r = -30 is the tail and quadrature of H - 1/2, not
     # h - r/2 - c1, which would cancel to a few ulps of h (residual 5.5e-7
     # that way, 3.5e-9 measured this way, -1.3e-8 with a six-point Gauss
-    # rule: H - 1/2, formed from H, keeps about 8 digits); log_F_slope's -2.9e-5 residual
-    # is the next order of the law on the nodes of [-30, -10], not an error:
-    # the series itself fits the same
+    # rule: H - 1/2, formed from H, keeps about 8 digits)
     cusp, _ = cs.check_asymptotics(sep, profile)
     assert abs(cusp.entry("f_dev_over_h_dev").residual) < 1e-6
     assert abs(cusp.entry("f_dev_over_h_dev").residual) < 1e-7
-    m = (sep.r >= -30.0) & (sep.r <= -10.0)
-    exact = np.polyfit(sep.r[m], np.log(-sep.legs[0](sep.r[m])[1]), 1)[0]
-    assert cusp.entry("log_F_slope").measured == pytest.approx(exact, abs=1e-6)
-    assert exact - cs.EIGENVALUE_UNSTABLE == pytest.approx(-2.9e-5, abs=1e-6)
+    # log_F_slope is F'/F at the probe; the cusp series gives it exactly as
+    # lambda sum k p_k theta^k / sum p_k theta^k, with no 1/2 - 2H^2
+    # cancellation (residual -3.95e-9, the next order of the law; the two
+    # routes agree to 1.2e-10)
+    leg = sep.legs[0]
+    theta = leg.theta * math.exp(cs.EIGENVALUE_UNSTABLE * (-30.0 - leg.r_hi))
+    p = leg.series[1][::-1]
+    exact = cs.EIGENVALUE_UNSTABLE * (sum(k * c * theta ** (k - 1) for k, c in enumerate(p, 1))
+                                      / sum(c * theta ** (k - 1) for k, c in enumerate(p, 1)))
+    assert cusp.entry("log_F_slope").measured == pytest.approx(exact, abs=1e-9)
+    assert exact - cs.EIGENVALUE_UNSTABLE == pytest.approx(-3.95e-9, abs=1e-10)
 
 
 def test_flat_asymptotics(sep, profile):

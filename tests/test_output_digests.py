@@ -8,7 +8,9 @@ became null, h and the asymptotics once h, f, the cusp deviation and the
 flow time came from one Chebyshev table per sample interval, f and the
 identities once that table's matrix was rounded once from exact entries,
 the histories once r(t) took its Newton steps on the table's own
-interval, the blowup, isocline and psi tables at commit 72e7dc3), and
+interval, asymptotics.json once log_F_slope became F'/F at the probe,
+with no fitted alpha_fit, the blowup, isocline and psi tables at commit
+72e7dc3), and
 they pin that platform: the libm and numpy of another may move last bits.
 A deliberate change of any output edits these tables.
 """
@@ -22,7 +24,7 @@ from cuspsoliton.cli import main
 
 _REPORTS = {
     "asymptotics.json":
-        "06b1ebef4c8b710e116c3ebfc698e6eb8322433a360f6ccb33887474df1810e1",
+        "b33da27e12fc6075737c7ebaf7cc4821fa0360368fd0784faed1264caf7e0009",
     "barriers.json":
         "77ace2960d0084ea7cc2166d075dfbb93a2828d38221ed31ebe70466e547aad1",
     "blowup.json":
